@@ -127,15 +127,22 @@ class LogHistogram:
         return self.min_value * self.growth ** (index + 1)
 
     # -- recording --------------------------------------------------------------
-    def record(self, value: float) -> None:
-        """Add one observation (negative values clamp to zero)."""
+    def record(self, value: float, count: int = 1) -> None:
+        """Add *count* observations of *value* (negatives clamp to zero).
+
+        ``record(v, count=n)`` leaves the histogram exactly as ``n``
+        calls of ``record(v)`` would (``total`` up to float rounding) —
+        how a batch-wide duration is weighed by the batch's rows.
+        """
+        if count < 1:
+            raise ReproError(f"count must be >= 1, got {count}")
         value = float(value)
         if value < 0.0:
             value = 0.0
         with self._lock:
-            self._counts[self._bucket_index(value)] += 1
-            self.count += 1
-            self.total += value
+            self._counts[self._bucket_index(value)] += count
+            self.count += count
+            self.total += value * count
             if value < self._min:
                 self._min = value
             if value > self._max:

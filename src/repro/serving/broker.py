@@ -45,8 +45,11 @@ thread dispatch, numpy or native backend):
   an arena) at ``max_queue_rows``.  Beyond it, requests are shed at
   the door with :class:`~repro.errors.ServingOverloadError` and
   counted in ``serving.rejected``.  Below that bound, a request that
-  finds every arena busy *waits* (FIFO) for the next arena release
-  rather than allocating — backpressure surfaces as latency first,
+  finds every arena busy is *parked*: a reference to its row joins one
+  FIFO deque, and the next arena release places the parked rows in
+  arrival order in a single synchronous pass — the request itself
+  awaits only its result, so it costs one future and one wake-up
+  whether it parked or not.  Backpressure surfaces as latency first,
   shedding only past the hard bound, and
   ``serving.arena_waits``/``serving.arenas_busy`` make the distinction
   observable.
@@ -154,15 +157,14 @@ class _PendingBatch:
     """
 
     __slots__ = (
-        "key", "arena", "futures", "created", "timer",
+        "key", "arena", "futures", "timer",
         "enqueues", "traces", "sealed",
     )
 
-    def __init__(self, key: _Key, arena: _Arena, created: float):
+    def __init__(self, key: _Key, arena: _Arena):
         self.key = key
         self.arena = arena
         self.futures: List[asyncio.Future] = []
-        self.created = created
         self.timer: Optional[asyncio.TimerHandle] = None
         self.enqueues: List[float] = []
         self.traces: List[Optional[object]] = []
@@ -293,7 +295,9 @@ class MicroBatchBroker:
         self._arena_free: List[_Arena] = []
         self._arena_count = 0
         self._arenas_busy = 0
-        self._arena_waiters: Deque[asyncio.Future] = deque()
+        # Admitted rows no arena could take yet, in arrival order:
+        # (key, row, future, enqueue_t, trace) — _place()'s arguments.
+        self._parked: Deque[tuple] = deque()
         self._lane_api = hasattr(engine, "acquire_lane")
         # n_lanes dispatch threads: engine lanes are reentrant, so up
         # to n_lanes engine calls may interleave; each flushed batch
@@ -383,7 +387,7 @@ class MicroBatchBroker:
             )
         row = self._check_row(values)
         if marginalized is not None:
-            marginalized = tuple(sorted(int(v) for v in marginalized))
+            marginalized = tuple(sorted({int(v) for v in marginalized}))
         enqueue_t = time.perf_counter() if self._timing else 0.0
         trace = self._rtrace.sample() if self._rtrace is not None else None
         if trace is not None:
@@ -392,79 +396,59 @@ class MicroBatchBroker:
             self._m_requests.add(1)
         self.stats.requests += 1
         if self._queued_rows + 1 > self.max_queue_rows:
-            self.stats.rejected += 1
-            if self._m_requests is not None:
-                self._m_rejected.add(1)
-            self._record_shed(enqueue_t, trace)
+            self._count_shed(enqueue_t, trace)
             raise ServingOverloadError(
                 f"request shed: {self._queued_rows} rows queued >= "
                 f"max_queue_rows={self.max_queue_rows}"
             )
         self._set_queued(self._queued_rows + 1)
 
-        loop = asyncio.get_running_loop()
         key: _Key = (marginalized, missing_value)
+        # The request's one future: its result.  Whether the row is
+        # placed now or parked for an arena, the coroutine awaits this
+        # and is woken exactly once, by the scatter (or a shed).
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         try:
-            batch = await self._batch_for(key, loop)
-        except BaseException as exc:
-            # The request was admitted (counted into the queue bound)
-            # but never reached an arena slot — give its row back.
+            placed = self._place(key, row, future, enqueue_t, trace)
+        except Exception:
+            # Admitted (counted into the queue bound) but opening a new
+            # arena failed — give the row back.
             self._set_queued(self._queued_rows - 1)
-            if isinstance(exc, ServingOverloadError):
-                self.stats.rejected += 1
-                if self._m_requests is not None:
-                    self._m_rejected.add(1)
-                self._record_shed(enqueue_t, trace)
             raise
-        # The single write of this request's payload on the serve
-        # path: straight into the arena slot the engine evaluates.
-        batch.arena.view[len(batch.futures)] = row
-        future: asyncio.Future = loop.create_future()
-        batch.futures.append(future)
+        if not placed:
+            self.stats.arena_waits += 1
+            if self._m_requests is not None:
+                self._m_arena_waits.add(1)
+            self._parked.append((key, row, future, enqueue_t, trace))
+        return await future
+
+    def _place(self, key: _Key, row, future, enqueue_t, trace) -> bool:
+        """Put one admitted row into the pending batch for *key*.
+
+        Joins the signature's pending batch, else opens one in a free
+        arena; returns False (nothing changed) when there is neither —
+        the caller parks the row.  The arena write here is the single
+        write of the request's payload on the serve path.
+        """
+        batch = self._pending.get(key)
+        if batch is None:
+            arena = self._take_arena()
+            if arena is None:
+                return False
+            batch = self._pending[key] = _PendingBatch(key, arena)
+            if self.max_wait_ms > 0:
+                batch.timer = future.get_loop().call_later(
+                    self.max_wait_ms / 1e3, self._flush, key, "wait"
+                )
+        futures = batch.futures
+        batch.arena.view[len(futures)] = row
+        futures.append(future)
         if self._timing:
             batch.enqueues.append(enqueue_t)
             batch.traces.append(trace)
-        if len(batch.futures) >= self.max_batch_rows or self.max_wait_ms == 0:
+        if len(futures) >= self.max_batch_rows or self.max_wait_ms == 0:
             self._flush(key, "full")
-        return await future
-
-    async def _batch_for(self, key: _Key, loop) -> _PendingBatch:
-        """The pending batch for *key*, waiting for an arena if needed.
-
-        Lane-aware backpressure: when every arena in the ring is busy
-        (all lanes computing + the spare coalescing for other
-        signatures), the request parks on a FIFO waiter until an
-        in-flight batch releases its arena.  Waiting rows still count
-        against ``max_queue_rows``, so the hard admission bound sheds
-        first at the door — the wait only reorders *admitted* work.
-        """
-        waited = False
-        while True:
-            if self._closed:
-                raise ServingOverloadError(
-                    "broker closed while the request waited for a batch "
-                    "arena"
-                )
-            batch = self._pending.get(key)
-            if batch is not None:
-                return batch
-            arena = self._take_arena()
-            if arena is not None:
-                batch = _PendingBatch(key, arena, loop.time())
-                self._pending[key] = batch
-                if self.max_wait_ms > 0:
-                    batch.timer = loop.call_later(
-                        self.max_wait_ms / 1e3, self._flush, key, "wait"
-                    )
-                return batch
-            if not waited:
-                waited = True
-                self.stats.arena_waits += 1
-                if self._m_requests is not None:
-                    self._m_arena_waits.add(1)
-            waiter: asyncio.Future = loop.create_future()
-            self._arena_waiters.append(waiter)
-            await waiter
+        return True
 
     def _check_row(self, values) -> np.ndarray:
         try:
@@ -482,6 +466,13 @@ class MicroBatchBroker:
         self._queued_rows = value
         if self._m_queue is not None:
             self._m_queue.set(value)
+
+    def _count_shed(self, enqueue_t: float, trace) -> None:
+        """Count one request shed, at the door or while parked."""
+        self.stats.rejected += 1
+        if self._m_requests is not None:
+            self._m_rejected.add(1)
+        self._record_shed(enqueue_t, trace)
 
     def _record_shed(self, enqueue_t: float, trace) -> None:
         """Account one shed request: time-to-rejection + trace marker.
@@ -550,13 +541,27 @@ class MicroBatchBroker:
         if self._m_queue is not None:
             self._m_arenas_busy.set(self._arenas_busy)
         self._arena_free.append(arena)
-        # One arena can absorb at most max_batch_rows waiting rows
-        # before it is full again; waking more would thundering-herd
-        # straight back onto the deque.
-        for _ in range(min(len(self._arena_waiters), self.max_batch_rows)):
-            waiter = self._arena_waiters.popleft()
-            if not waiter.done():
-                waiter.set_result(None)
+        # Drain the parked rows in arrival order, in this one pass: no
+        # task is woken to place a row.  The head can always be placed
+        # (an arena was just freed); the pass ends at the first row
+        # that needs an arena when the ring is busy again.
+        parked = self._parked
+        while parked:
+            entry = parked[0]
+            future = entry[2]
+            if future.done():  # cancelled by its caller while parked
+                parked.popleft()
+                self._set_queued(self._queued_rows - 1)
+                continue
+            try:
+                if not self._place(*entry):
+                    break
+            except Exception as exc:  # noqa: BLE001 - forwarded to its caller
+                # Opening a new arena failed: this row's caller gets
+                # the error submit() would have raised; the rest drain.
+                self._set_queued(self._queued_rows - 1)
+                future.set_exception(exc)
+            parked.popleft()
 
     # -- flush + dispatch -------------------------------------------------------
     def _flush(self, key: _Key, reason: str) -> None:
@@ -566,13 +571,16 @@ class MicroBatchBroker:
             return
         if batch.timer is not None:
             batch.timer.cancel()
-        setattr(
-            self.stats, f"flush_{reason}",
-            getattr(self.stats, f"flush_{reason}") + 1,
-        )
-        if self._m_requests is not None and reason in ("full", "wait"):
-            (self._m_flush_full if reason == "full"
-             else self._m_flush_wait).add(1)
+        if reason == "full":
+            self.stats.flush_full += 1
+            if self._m_requests is not None:
+                self._m_flush_full.add(1)
+        elif reason == "wait":
+            self.stats.flush_wait += 1
+            if self._m_requests is not None:
+                self._m_flush_wait.add(1)
+        else:
+            self.stats.flush_close += 1
         if self._timing:
             # The seal: this batch's membership is final.  Everything
             # before this stamp is coalescing (batch_form), everything
@@ -659,9 +667,10 @@ class MicroBatchBroker:
                 self._m_rows.add(len(batch.futures))
                 self._m_batch_seconds.add(seconds)
                 self._m_staged.add(staged_bytes)
-            for future, value in zip(batch.futures, out):
+            values = np.asarray(out, dtype=np.float64).tolist()
+            for future, value in zip(batch.futures, values):
                 if not future.done():
-                    future.set_result(float(value))
+                    future.set_result(value)
             if self._timing and stage is not None:
                 self._record_batch_timing(batch, stage)
         finally:
@@ -673,9 +682,10 @@ class MicroBatchBroker:
 
         ``batch_form`` and ``e2e`` are per-request (each request has
         its own enqueue stamp); ``queue_wait``/``dispatch``/``kernel``/
-        ``scatter`` are batch-wide boundaries recorded once per request
-        so every histogram weighs requests, not batches — that is what
-        makes the five stage medians add up against the e2e median.
+        ``scatter`` are batch-wide boundaries recorded once with the
+        batch's row count as weight, so every histogram weighs
+        requests, not batches — that is what makes the five stage
+        medians add up against the e2e median.
         """
         complete = time.perf_counter()
         sealed = batch.sealed
@@ -684,17 +694,15 @@ class MicroBatchBroker:
         kernel_end = stage.get("kernel_end", kernel_start)
         if self._h_e2e is not None and batch.enqueues:
             hist = self._h_stage
-            queue_wait = max(0.0, dispatch - sealed)
-            dispatch_s = max(0.0, kernel_start - dispatch)
-            kernel_s = max(0.0, kernel_end - kernel_start)
-            scatter_s = max(0.0, complete - kernel_end)
+            n = len(batch.enqueues)
+            hist["queue_wait"].record(dispatch - sealed, n)
+            hist["dispatch"].record(kernel_start - dispatch, n)
+            hist["kernel"].record(kernel_end - kernel_start, n)
+            hist["scatter"].record(complete - kernel_end, n)
+            batch_form, e2e = hist["batch_form"], self._h_e2e
             for enqueue in batch.enqueues:
-                hist["batch_form"].record(max(0.0, sealed - enqueue))
-                hist["queue_wait"].record(queue_wait)
-                hist["dispatch"].record(dispatch_s)
-                hist["kernel"].record(kernel_s)
-                hist["scatter"].record(scatter_s)
-                self._h_e2e.record(max(0.0, complete - enqueue))
+                batch_form.record(sealed - enqueue)
+                e2e.record(complete - enqueue)
         if self._rtrace is not None:
             for trace in batch.traces:
                 if trace is None:
@@ -726,16 +734,22 @@ class MicroBatchBroker:
         if self._closed:
             return
         self._closed = True
+        # Parked rows go first: once they are shed, the arena releases
+        # below have nothing to place into a closing broker.
+        while self._parked:
+            _, _, future, enqueue_t, trace = self._parked.popleft()
+            self._set_queued(self._queued_rows - 1)
+            if future.done():  # cancelled by its caller while parked
+                continue
+            future.set_exception(ServingOverloadError(
+                "broker closed while the request waited for a batch arena"
+            ))
+            self._count_shed(enqueue_t, trace)
         for key in list(self._pending):
             if flush:
                 self._flush(key, "close")
             else:
                 self._reject_pending(key)
-        # Arena waiters wake into the closed broker and shed cleanly.
-        while self._arena_waiters:
-            waiter = self._arena_waiters.popleft()
-            if not waiter.done():
-                waiter.set_result(None)
         if self._inflight:
             await asyncio.gather(*list(self._inflight), return_exceptions=True)
         self._dispatch.shutdown(wait=True)

@@ -134,6 +134,58 @@ class TestMatchesNearestRank:
         assert equal.p50 == equal.p99 == 4.0
 
 
+class TestWeightedRecord:
+    """``record(v, count=n)`` is ``n`` calls of ``record(v)``."""
+
+    def test_weighted_record_equals_repeated_records(self):
+        samples = [(0.0005, 3), (0.004, 1), (0.004, 7), (2.5, 2), (-1.0, 4)]
+        weighted = LogHistogram("weighted")
+        repeated = LogHistogram("repeated")
+        for value, n in samples:
+            weighted.record(value, count=n)
+            for _ in range(n):
+                repeated.record(value)
+        assert weighted.count == repeated.count == 17
+        assert weighted.nonzero_buckets() == repeated.nonzero_buckets()
+        assert weighted.min == repeated.min
+        assert weighted.max == repeated.max
+        assert weighted.total == pytest.approx(repeated.total)
+        for q in (0.0, 25.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0):
+            assert weighted.percentile(q) == repeated.percentile(q)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        hist = LogHistogram("bad")
+        with pytest.raises(ReproError, match="count must be >= 1"):
+            hist.record(1.0, count=count)
+        assert hist.count == 0
+
+    def test_registry_lock_covers_weighted_records(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        hist = registry.histogram("serving.kernel")
+        n, rounds, weight = 4, 2_000, 5
+
+        def hammer():
+            for _ in range(rounds):
+                hist.record(0.002, count=weight)
+
+        threads = [threading.Thread(target=hammer) for _ in range(n)]
+        # A reader holding the registry's lock sees no half-applied
+        # weighted record: count and total move together.
+        with registry._lock:
+            for t in threads:
+                t.start()
+            assert hist.count == 0
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert hist.count == n * rounds * weight
+        assert hist.total == pytest.approx(n * rounds * weight * 0.002)
+        assert [c for _, c in hist.nonzero_buckets()] == [n * rounds * weight]
+
+
 class TestExport:
     def test_summary_and_to_dict_are_json_native(self):
         import json

@@ -9,6 +9,7 @@ evaluator directly — the broker is transport, never arithmetic).
 """
 
 import asyncio
+import threading
 import time
 
 import numpy as np
@@ -37,6 +38,31 @@ class FakeEngine:
         if self.delay_s:
             time.sleep(self.delay_s)
         return data[:, 0].astype(np.float64) * 10.0
+
+
+class GatedEngine(FakeEngine):
+    """Engine whose calls block until the test lets them through with
+    :meth:`open`: whatever is in flight stays in flight, so arena
+    occupancy is the test's to choose.  Records each batch's signature
+    and first column."""
+
+    def __init__(self, n_variables=3):
+        super().__init__(n_variables=n_variables)
+        self._gate = threading.Semaphore(0)
+        self.batches = []
+
+    def open(self, calls=1000):
+        """Let *calls* engine calls through (default: all of them)."""
+        self._gate.release(calls)
+
+    def submit(self, data, *, marginalized=None, missing_value=None):
+        assert self._gate.acquire(timeout=30), "test never opened the gate"
+        self.batches.append(
+            ((marginalized, missing_value), data[:, 0].tolist())
+        )
+        return super().submit(
+            data, marginalized=marginalized, missing_value=missing_value
+        )
 
 
 def run(coro):
@@ -146,6 +172,25 @@ class TestCoalescing:
         ]
 
 
+    def test_equal_marginalized_sets_share_a_signature(self):
+        """Order and repeats do not make a different query."""
+        engine = FakeEngine()
+
+        async def scenario():
+            async with MicroBatchBroker(
+                engine, max_batch_rows=100, max_wait_ms=10.0
+            ) as broker:
+                await asyncio.gather(
+                    broker.submit(np.zeros(3), marginalized=[1]),
+                    broker.submit(np.zeros(3), marginalized=[1, 1]),
+                    broker.submit(np.zeros(3), marginalized=[2, 1]),
+                    broker.submit(np.zeros(3), marginalized=(1, 2, 2, 1)),
+                )
+
+        run(scenario())
+        assert sorted(engine.calls) == [(2, (1,), None), (2, (1, 2), None)]
+
+
 class TestAdmissionControl:
     def test_overload_sheds_and_recovers(self):
         engine = FakeEngine(delay_s=0.1)
@@ -213,9 +258,13 @@ class TestTransparency:
                 async with MicroBatchBroker(
                     executor, max_batch_rows=7, max_wait_ms=10.0
                 ) as broker:
-                    return await asyncio.gather(
+                    results = await asyncio.gather(
                         *(broker.submit(row, **query) for row in data)
                     )
+                    # One lane, two arenas: only the first 14 rows found
+                    # one free, the other 27 went through the parked deque.
+                    assert broker.stats.arena_waits == data.shape[0] - 14
+                    return results
 
         results = run(scenario())
         assert np.array_equal(np.array(results), reference)
@@ -257,6 +306,60 @@ class TestLifecycle:
         results = run(scenario())
         assert all(isinstance(r, ServingOverloadError) for r in results)
         assert engine.calls == []
+
+    @pytest.mark.parametrize("flush", [True, False], ids=["flush", "no_flush"])
+    def test_close_sheds_rows_parked_for_an_arena(self, flush):
+        """Parked rows hold no arena slot: close() sheds every one of
+        them, counted, whether or not it flushes the pending batches."""
+        engine = GatedEngine()
+        metrics = MetricsRegistry()
+
+        async def scenario():
+            broker = MicroBatchBroker(
+                engine, max_batch_rows=4, max_wait_ms=10_000.0, n_lanes=1,
+                metrics=metrics,
+            )
+            # A 2-arena ring: one full batch in flight (blocked), one
+            # partial batch pending, a second signature parked behind.
+            inflight = [
+                asyncio.ensure_future(broker.submit(row)) for row in rows(4)
+            ]
+            pending = [
+                asyncio.ensure_future(broker.submit(row))
+                for row in rows(2, base=4.0)
+            ]
+            parked = [
+                asyncio.ensure_future(broker.submit(row, marginalized=[1]))
+                for row in rows(3, base=6.0)
+            ]
+            await asyncio.sleep(0.01)
+            assert broker.stats.arena_waits == 3
+            assert broker.queued_rows == 9
+            asyncio.get_running_loop().call_later(0.05, engine.open)
+            await asyncio.wait_for(broker.close(flush=flush), timeout=30)
+            assert broker.queued_rows == 0
+            assert all(t.done() for t in inflight + pending + parked)
+            return (
+                await asyncio.gather(*inflight),
+                await asyncio.gather(*pending, return_exceptions=True),
+                await asyncio.gather(*parked, return_exceptions=True),
+                broker.stats.rejected,
+            )
+
+        answered, pending, parked, rejected = run(scenario())
+        assert answered == [0.0, 10.0, 20.0, 30.0]
+        assert all(isinstance(r, ServingOverloadError) for r in parked)
+        if flush:
+            assert pending == [40.0, 50.0]
+            assert [size for size, _, _ in engine.calls] == [4, 2]
+        else:
+            assert all(isinstance(r, ServingOverloadError) for r in pending)
+            assert [size for size, _, _ in engine.calls] == [4]
+        shed = 3 if flush else 5
+        assert rejected == shed
+        assert metrics.counter("serving.rejected").value == shed
+        assert metrics.histogram("serving.shed").count == shed
+        assert metrics.gauge("serving.queue_rows").value == 0
 
     def test_submit_after_close_raises_serving_error(self):
         async def scenario():
@@ -308,6 +411,68 @@ class TestLifecycle:
                 assert broker.queued_rows == 0
 
         run(scenario())
+
+
+class TestCancellation:
+    """A caller that stops waiting takes only its own request with it."""
+
+    def test_cancel_while_parked_skips_the_row(self):
+        engine = GatedEngine()
+
+        async def scenario():
+            async with MicroBatchBroker(
+                engine, max_batch_rows=4, max_wait_ms=5.0, n_lanes=1
+            ) as broker:
+                # Rows 0-7 take both arenas (blocked); rows 8-11 park.
+                tasks = [
+                    asyncio.ensure_future(broker.submit(row))
+                    for row in rows(12)
+                ]
+                await asyncio.sleep(0.01)
+                assert broker.stats.arena_waits == 4
+                tasks[9].cancel()
+                engine.open()
+                results = await asyncio.wait_for(
+                    asyncio.gather(*tasks, return_exceptions=True), timeout=30
+                )
+                assert broker.queued_rows == 0
+                return results
+
+        results = run(scenario())
+        assert isinstance(results[9], asyncio.CancelledError)
+        assert [r for i, r in enumerate(results) if i != 9] == [
+            i * 10.0 for i in range(12) if i != 9
+        ]
+        # The cancelled row never reached an arena slot.
+        assert engine.batches[-1] == ((None, None), [8.0, 10.0, 11.0])
+
+    def test_cancel_in_a_pending_batch_does_not_poison_it(self):
+        engine = FakeEngine()
+
+        async def scenario():
+            async with MicroBatchBroker(
+                engine, max_batch_rows=4, max_wait_ms=20.0
+            ) as broker:
+                tasks = [
+                    asyncio.ensure_future(broker.submit(row))
+                    for row in rows(3)
+                ]
+                await asyncio.sleep(0)  # all three are in the batch
+                tasks[1].cancel()
+                results = await asyncio.wait_for(
+                    asyncio.gather(*tasks, return_exceptions=True), timeout=30
+                )
+                # The slot came back when the batch finished, and the
+                # broker serves on.
+                assert broker.queued_rows == 0
+                assert await broker.submit(np.full(3, 7.0)) == 70.0
+                assert broker.queued_rows == 0
+                return results
+
+        results = run(scenario())
+        assert results[0] == 0.0 and results[2] == 20.0
+        assert isinstance(results[1], asyncio.CancelledError)
+        assert [size for size, _, _ in engine.calls] == [3, 1]
 
 
 class BlockingEngine(FakeEngine):
@@ -404,13 +569,58 @@ class TestPipelinedDatapath:
                 results = await asyncio.gather(
                     *(broker.submit(row) for row in rows(12))
                 )
-                assert broker.stats.arena_waits > 0
+                # 8 rows fill the ring; the other 4 park, counted once
+                # each however many releases pass before they are placed.
+                assert broker.stats.arena_waits == 4
                 return results
 
         results = run(scenario())
-        assert len(results) == 12
-        assert metrics.counter("serving.arena_waits").value > 0
+        assert results == [i * 10.0 for i in range(12)]
+        assert metrics.counter("serving.arena_waits").value == 4
         assert metrics.counter("serving.rejected").value == 0
+
+    def test_parked_rows_are_placed_in_arrival_order(self):
+        """Three signatures over a 2-arena ring: parked rows take the
+        released arenas first come first served, and a request whose
+        signature has a pending batch joins it without parking."""
+        engine = GatedEngine()
+        a, b, c = {}, {"marginalized": [0]}, {"missing_value": -1.0}
+        arrivals = [a, a, b, c, a, b, c, a]
+
+        async def scenario():
+            async with MicroBatchBroker(
+                engine, max_batch_rows=2, max_wait_ms=10_000.0, n_lanes=1
+            ) as broker:
+                tasks = [
+                    asyncio.ensure_future(broker.submit(row, **query))
+                    for row, query in zip(rows(8), arrivals)
+                ]
+                await asyncio.sleep(0.01)
+                # Rows 0,1 (a) are in flight and row 2 (b) opened the
+                # second arena; rows 3,4 park; row 5 (b) joins row 2's
+                # batch; rows 6,7 park.
+                assert broker.stats.arena_waits == 4
+                # One release at a time: the first goes to row 3 (c),
+                # the head of the deque, and row 4 (a) keeps its place
+                # for the second; rows 6 and 7 then follow in order,
+                # filling c's batch before a's.
+                engine.open(calls=1)
+                await asyncio.wait_for(tasks[0], timeout=30)
+                await asyncio.sleep(0.01)
+                engine.open()
+                return await asyncio.wait_for(
+                    asyncio.gather(*tasks), timeout=30
+                )
+
+        results = run(scenario())
+        assert results == [i * 10.0 for i in range(8)]
+        key_a, key_b, key_c = (None, None), ((0,), None), (None, -1.0)
+        assert engine.batches == [
+            (key_a, [0.0, 1.0]),
+            (key_b, [2.0, 5.0]),
+            (key_c, [3.0, 6.0]),
+            (key_a, [4.0, 7.0]),
+        ]
 
     @pytest.mark.parametrize(
         "query",
@@ -515,6 +725,31 @@ class TestRequestTracing:
             for name, _, _ in STAGE_HISTOGRAMS
         )
         assert stage_mean == pytest.approx(e2e.mean, rel=0.05)
+
+    def test_stage_medians_sum_to_the_e2e_median(self):
+        """One batch, so the four batch-wide stages are one weighted
+        record each: their medians plus batch_form's must land on the
+        e2e median (within two 4.5 % buckets)."""
+        from repro.obs.rtrace import STAGE_HISTOGRAMS
+
+        metrics = MetricsRegistry()
+
+        async def scenario():
+            async with MicroBatchBroker(
+                FakeEngine(delay_s=0.02), max_batch_rows=8, max_wait_ms=5.0,
+                metrics=metrics,
+            ) as broker:
+                await asyncio.gather(*(broker.submit(row) for row in rows(8)))
+
+        run(scenario())
+        stages = [
+            metrics.histogram(f"serving.{name}") for name, _, _ in STAGE_HISTOGRAMS
+        ]
+        assert [hist.count for hist in stages] == [8] * len(stages)
+        assert metrics.histogram("serving.kernel").min >= 0.02
+        assert sum(hist.p50 for hist in stages) == pytest.approx(
+            metrics.histogram("serving.e2e").p50, rel=0.10
+        )
 
     def test_sheds_record_latency_and_mark_traces(self):
         from repro.obs.rtrace import RequestTraceRecorder
