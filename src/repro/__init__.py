@@ -107,7 +107,6 @@ from repro.baselines import (
     ParallelPlanExecutor,
     run_cpu_baseline,
     run_sharded_cpu_baseline,
-    run_threaded_cpu_baseline,
 )
 from repro.workloads import NipsCorpusConfig, synthesize_nips_corpus
 
@@ -166,7 +165,6 @@ __all__ = [
     "InferenceJobConfig",
     "RunStatistics",
     "run_cpu_baseline",
-    "run_threaded_cpu_baseline",
     "run_sharded_cpu_baseline",
     "ParallelPlanExecutor",
     "NipsCorpusConfig",

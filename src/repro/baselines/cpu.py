@@ -7,16 +7,11 @@ compiled tensorized plan backend (:mod:`repro.spn.plan_eval`); the
 ``backend`` parameter selects the legacy per-node graph walk instead,
 which is what the plan-vs-legacy benchmarks compare against.
 
-The threaded variant splits batches across a thread pool — numpy
-kernels drop the GIL, so real parallel speedup is available for large
-SPNs.  ``run_sharded_cpu_baseline`` goes one step further for very
-large batches: it shards rows across the persistent zero-copy
-process-pool executor (:class:`repro.baselines.executor.
-ParallelPlanExecutor`), with pool construction and plan compilation
-paid *outside* the timed region and reported as ``setup_seconds``.
-``run_pickled_sharded_cpu_baseline`` preserves the historical
-pickle-everything process-pool runner as the A/B reference the
-executor benchmarks are floored against.
+``run_sharded_cpu_baseline`` is the multi-core runner for very large
+batches: it shards rows across the persistent zero-copy process-pool
+executor (:class:`repro.baselines.executor.ParallelPlanExecutor`),
+with pool construction and plan compilation paid *outside* the timed
+region and reported as ``setup_seconds``.
 
 ``naive_log_likelihood`` is an intentionally simple per-sample,
 per-node scalar evaluator: far too slow for benchmarking, but an
@@ -27,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,9 +38,7 @@ from repro.spn.plan_eval import plan_log_likelihood
 __all__ = [
     "CpuBaselineResult",
     "run_cpu_baseline",
-    "run_threaded_cpu_baseline",
     "run_sharded_cpu_baseline",
-    "run_pickled_sharded_cpu_baseline",
     "naive_log_likelihood",
 ]
 
@@ -126,38 +118,6 @@ def run_cpu_baseline(
     return CpuBaselineResult(out, data.shape[0], elapsed, n_threads=1)
 
 
-def run_threaded_cpu_baseline(
-    spn: SPN,
-    data: np.ndarray,
-    *,
-    n_threads: int = 4,
-    batch_size: int = 8192,
-    backend: str = "plan",
-) -> CpuBaselineResult:
-    """Thread-pool batch inference (numpy kernels release the GIL)."""
-    if n_threads < 1:
-        raise ReproError(f"n_threads must be >= 1, got {n_threads}")
-    if batch_size < 1:
-        raise ReproError(f"batch_size must be >= 1, got {batch_size}")
-    data = _check_data(data)
-    evaluate = _batch_evaluator(spn, backend)
-    out = np.empty(data.shape[0], dtype=np.float64)
-    ranges = [
-        (begin, min(begin + batch_size, data.shape[0]))
-        for begin in range(0, data.shape[0], batch_size)
-    ]
-
-    def work(span):
-        begin, end = span
-        out[begin:end] = evaluate(data[begin:end])
-
-    start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        list(pool.map(work, ranges))
-    elapsed = time.perf_counter() - start
-    return CpuBaselineResult(out, data.shape[0], elapsed, n_threads=n_threads)
-
-
 def run_sharded_cpu_baseline(
     spn: SPN,
     data: np.ndarray,
@@ -192,79 +152,12 @@ def run_sharded_cpu_baseline(
         out = executor.submit(data, n_shards=n_shards)
         elapsed = time.perf_counter() - start
         setup = executor.setup_seconds
+        # Read after the submit: the workers that actually ran it (1
+        # where no pool could be spawned, or the pool broke).
+        n_threads = executor.n_workers
     return CpuBaselineResult(
-        out, data.shape[0], elapsed, n_threads=n_workers, setup_seconds=setup
+        out, data.shape[0], elapsed, n_threads=n_threads, setup_seconds=setup
     )
-
-
-# Per-worker state for the legacy pickled runner: the SPN arrives once
-# via the pool initializer and each worker compiles its plan.
-_WORKER_SPN: Optional[SPN] = None
-
-
-def _sharded_worker_init(spn: SPN) -> None:
-    """Process-pool initializer: stash the SPN and precompile its plan."""
-    global _WORKER_SPN
-    _WORKER_SPN = spn
-    get_plan(spn)
-
-
-def _sharded_worker_eval(shard: np.ndarray) -> np.ndarray:
-    """Evaluate one row shard inside a worker process."""
-    assert _WORKER_SPN is not None, "worker pool initializer did not run"
-    return plan_log_likelihood(get_plan(_WORKER_SPN), shard)
-
-
-def run_pickled_sharded_cpu_baseline(
-    spn: SPN,
-    data: np.ndarray,
-    *,
-    n_workers: int = 4,
-    n_shards: Optional[int] = None,
-    metrics=None,
-) -> CpuBaselineResult:
-    """The historical pickle-based sharded runner (A/B reference).
-
-    Kept verbatim as the baseline the zero-copy executor is measured
-    against: the pool spawn, SPN pickling and per-worker plan
-    compilation all happen *inside* the timed region, and every input
-    shard / result vector crosses a pipe as a pickle.  With a
-    *metrics* registry attached the pickled array payload is accounted
-    under ``sharded.pickled_array_bytes`` — the counter the executor's
-    regression guard asserts stays at zero on its own hot path.
-    """
-    if n_workers < 1:
-        raise ReproError(f"n_workers must be >= 1, got {n_workers}")
-    data = _check_data(data)
-    if n_shards is None:
-        n_shards = n_workers
-    if n_shards < 1:
-        raise ReproError(f"n_shards must be >= 1, got {n_shards}")
-    bounds = np.linspace(0, data.shape[0], n_shards + 1).astype(np.int64)
-    spans = [
-        (int(bounds[i]), int(bounds[i + 1]))
-        for i in range(n_shards)
-        if bounds[i + 1] > bounds[i]
-    ]
-    pickled = metrics.counter("sharded.pickled_array_bytes") if metrics else None
-    out = np.empty(data.shape[0], dtype=np.float64)
-    start = time.perf_counter()
-    with ProcessPoolExecutor(
-        max_workers=n_workers,
-        initializer=_sharded_worker_init,
-        initargs=(spn,),
-    ) as pool:
-        shards = pool.map(
-            _sharded_worker_eval, (data[b:e] for b, e in spans)
-        )
-        for (begin, end), shard_out in zip(spans, shards):
-            out[begin:end] = shard_out
-            if pickled is not None:
-                # One input shard out, one result vector back.
-                pickled.add((end - begin) * data.shape[1] * data.itemsize)
-                pickled.add(shard_out.nbytes)
-    elapsed = time.perf_counter() - start
-    return CpuBaselineResult(out, data.shape[0], elapsed, n_threads=n_workers)
 
 
 def naive_log_likelihood(spn: SPN, data: np.ndarray) -> np.ndarray:

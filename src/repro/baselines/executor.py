@@ -2,55 +2,56 @@
 
 The paper's headline speedups (§V-D) are stated against a multi-core
 CPU running batch SPN inference, so the CPU baseline must not burn its
-time on artefacts of the harness.  The historical process-pool runner
-did exactly that: every call spawned a fresh pool (SPN pickling + plan
-compilation inside the timed region) and then pickled every input
-shard into the workers and every result vector back through a pipe —
-pure serialization traffic on a workload that is memory-bandwidth
-bound to begin with.
+time on artefacts of the harness: pool spawn, SPN pickling and plan
+compilation inside the timed region, or array payloads pickled through
+pipes on a workload that is memory-bandwidth bound to begin with.
 
-:class:`ParallelPlanExecutor` removes all of it:
+:class:`ParallelPlanExecutor` evaluates every batch one of two ways,
+chosen per batch by one predicate (``_pool_for``):
 
-* **persistent, prewarmed pool** — workers are started once, hold the
-  compiled :class:`~repro.spn.plan.InferencePlan` for the executor's
-  SPN, and serve every subsequent :meth:`~ParallelPlanExecutor.submit`;
-  pool construction, SPN transfer and plan compilation are paid once
-  and reported as :attr:`~ParallelPlanExecutor.setup_seconds`;
-* **zero-copy batch movement** — the batch lives in a
-  :mod:`multiprocessing.shared_memory` segment; each worker maps the
-  segment and evaluates its ``(begin, end)`` row span in place,
-  writing log-likelihoods into a shared output segment.  The only
-  thing that crosses a pipe per shard is a tuple of a few names and
-  integers — no array payload is ever pickled on the steady-state
-  path (asserted by the ``executor.pickled_array_bytes`` metric
-  staying at zero);
-* **adaptive oversharding** — more shards than workers (default 4x,
-  floored at :attr:`~ParallelPlanExecutor.min_rows_per_shard` rows per
-  shard) so an unlucky worker never strands the tail of the batch;
-* **precision control** — ``dtype=float32`` threads down into
-  :func:`~repro.spn.plan_eval.plan_log_likelihood`, halving the
-  memory traffic of the chunked evaluation (float64 accumulation in
-  the log-sum-exp keeps the error ~1e-4 absolute);
-* **backend control** — ``backend="native"`` runs every shard on the
+* **in-process** — one ``kernel.log_likelihood`` /
+  :func:`~repro.spn.plan_eval.plan_log_likelihood` call on the array
+  where it lies (the caller's batch, or a lane's arena): no staging
+  copy, no pipe.  Native kernels (codegen v2) carry their own
+  thread-parallel driver, so this path is multi-core on its own; the
+  thread count scales with the batch and is capped at ``n_workers``;
+* **a lane over the pool** — the batch lives in a lane's
+  :mod:`multiprocessing.shared_memory` arena; each worker of a
+  persistent, prewarmed process pool (spawn, SPN transfer and plan
+  compilation paid once, reported as
+  :attr:`~ParallelPlanExecutor.setup_seconds`) maps the segment and
+  evaluates its ``(begin, end)`` row span in place, writing into the
+  lane's shared output segment.  Only a tuple of a few names and
+  integers crosses a pipe per shard.  More shards than workers
+  (default 4x, floored at
+  :attr:`~ParallelPlanExecutor.min_rows_per_shard` rows per shard) so
+  an unlucky worker never strands the tail of the batch.
+
+A producer that writes rows straight into a lane arena
+(:meth:`~ParallelPlanExecutor.acquire_lane`, the serving broker) pays
+no copy at all; :meth:`~ParallelPlanExecutor.submit` takes an array
+the caller already holds, so on a pooled executor it checks out a
+lane, copies the batch into its arena once, and rides the same path.
+
+* **precision control** — ``dtype=float32`` threads down into the
+  evaluator, halving the memory traffic of the chunked evaluation
+  (float64 accumulation in the log-sum-exp keeps the error ~1e-4
+  absolute);
+* **backend control** — ``backend="native"`` runs every batch on the
   per-plan compiled C kernel (:mod:`repro.compiler.native_build`);
   the parent builds the artifact once during setup and workers only
   ``dlopen`` the inherited path, so the one-time compile cost never
   multiplies with the pool size;
-* **dispatch control** — native kernels (codegen v2) carry their own
-  thread-parallel driver, so a whole batch can run multi-core
-  *in-process* with none of the pool's fork/shm plumbing.
-  ``dispatch="auto"`` (default) routes native batches through kernel
-  threads whenever the artifact has a thread runtime — falling back
-  to the process pool for plan-backed shards or thread-less (serial)
-  artifacts on large batches — while ``"threads"`` and ``"pool"``
-  pin one path explicitly.  Whenever the threaded path is guaranteed,
-  the pool is never spawned at all (its setup cost disappears from
-  :attr:`~ParallelPlanExecutor.setup_seconds`).  Inside forked
-  workers kernel threads are always pinned to 1, so pool dispatch
-  can never nest-oversubscribe the machine;
+* **dispatch control** — ``dispatch="auto"`` (default) keeps native
+  batches in-process whenever the artifact has a thread runtime and
+  then never spawns the pool at all; plan-backed batches, and large
+  batches on a thread-less (serial) artifact, go over the pool.
+  ``"pool"`` pins the pool.  Inside forked workers kernel threads are
+  always pinned to 1, so pool dispatch can never nest-oversubscribe
+  the machine;
 * **observability** — with a :class:`~repro.obs.metrics.MetricsRegistry`
   attached the executor records shards dispatched, shared-memory bytes
-  staged in/out, per-worker busy seconds and dispatch latency under
+  in/out, per-worker busy seconds and dispatch latency under
   ``executor.*`` names, which ``repro report --host`` fuses into a
   host-side utilization report.  Without a registry every update site
   is a single ``is not None`` check — zero perturbation.
@@ -58,8 +59,8 @@ bound to begin with.
 Workers prefer the ``fork`` start method, inheriting the parent's SPN
 object *and* its compiled plan through the plan cache — on fork
 platforms not even the SPN is pickled.  Where processes cannot be
-spawned at all (restricted sandboxes) the executor degrades to an
-in-process serial evaluation with identical results.
+spawned at all (restricted sandboxes), or a worker dies mid-life, the
+executor degrades to in-process evaluation with identical results.
 """
 
 from __future__ import annotations
@@ -130,7 +131,6 @@ def check_batch(data: np.ndarray, *, dtype=np.float64) -> np.ndarray:
 # workers the pool spawns lazily, mid-life) always find their own SPN;
 # entries live until the owning executor closes.
 _FORK_REGISTRY: Dict[str, SPN] = {}
-_W_SPN: Optional[SPN] = None
 _W_PLAN: Optional[InferencePlan] = None
 _W_KERNEL = None
 _W_SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
@@ -153,22 +153,18 @@ def _worker_load_kernel(native_path: Optional[str], dtype_str: str) -> None:
     _W_KERNEL = load_kernel(native_path, _W_PLAN, np.dtype(dtype_str))
 
 
-def _worker_init_fork(token: str, native_path: Optional[str] = None,
-                      dtype_str: str = "float64") -> None:
-    """Pool initializer (fork): adopt the inherited SPN + plan."""
-    global _W_SPN, _W_PLAN
-    _W_SPN = _FORK_REGISTRY[token]
-    _W_PLAN = get_plan(_W_SPN)
-    _worker_load_kernel(native_path, dtype_str)
-
-
 def _worker_init_pickle(spn: SPN, native_path: Optional[str] = None,
                         dtype_str: str = "float64") -> None:
     """Pool initializer (spawn): receive the SPN once, compile its plan."""
-    global _W_SPN, _W_PLAN
-    _W_SPN = spn
+    global _W_PLAN
     _W_PLAN = get_plan(spn)
     _worker_load_kernel(native_path, dtype_str)
+
+
+def _worker_init_fork(token: str, native_path: Optional[str] = None,
+                      dtype_str: str = "float64") -> None:
+    """Pool initializer (fork): adopt the inherited SPN + plan."""
+    _worker_init_pickle(_FORK_REGISTRY[token], native_path, dtype_str)
 
 
 def _worker_attach(name: str) -> shared_memory.SharedMemory:
@@ -279,10 +275,9 @@ def _release_shared_state(state: Dict[str, object]) -> None:
     *state* is a plain mutable dict rather than the executor itself so
     the finalizer holds no reference that would keep the executor
     alive.  Keys: ``"token"`` the fork-registry key; every other entry
-    is a shared segment — ``"in"``/``"out"`` for the legacy staging
-    pair (absent until the first pooled submit, or after a failed
-    regrow) plus one ``"lane{k}.in"``/``"lane{k}.out"`` pair per
-    staging lane ever acquired.
+    is a shared segment — one ``"lane{k}.in"``/``"lane{k}.out"`` pair
+    per lane ever acquired on a pooled executor (one of a pair is
+    absent after a failed regrow).
     """
     token = state.pop("token", None)
     if token is not None:
@@ -307,9 +302,9 @@ class ExecutorLane:
     A lane is a pre-allocated input arena (shared-memory backed when
     the executor runs a pool, a plain array otherwise) plus a private
     output buffer.  The producer writes rows **directly** into
-    :attr:`arena` — no intermediate list, no ``np.stack``, no
-    ``np.copyto`` into staging — then calls :meth:`submit` with the
-    filled row count; the executor evaluates the arena *in place*.
+    :attr:`arena` — no intermediate list, no ``np.stack`` — then calls
+    :meth:`submit` with the filled row count; the executor evaluates
+    the arena *in place*, so this path has no copy to bill.
     Because each lane owns its own segments, any number of lanes (up
     to the executor's ``max_lanes``) can be in flight concurrently
     from different threads: this is what lets the serving broker keep
@@ -356,16 +351,23 @@ class ExecutorLane:
             )
         return self._in_view
 
+    def _drop_views(self) -> None:
+        """Forget the arena: a live numpy view keeps its segment's
+        mmap exported, and ``close()`` on the segment would raise
+        ``BufferError`` instead of releasing ``/dev/shm``."""
+        self._in_view = None
+        self._out_view = None
+        self._capacity = 0
+        self._shm_names = ()
+
     def _prepare(self, capacity_rows: int) -> None:
         """(Re)back the arena for *capacity_rows*; executor-lock held."""
         executor = self._executor
         n_cols = executor._plan.n_data_columns
         dtype = executor._dtype
         if executor._pool is not None:
-            # Drop stale views first: a regrow replaces the segment,
-            # and close() on a segment with exported views raises.
-            self._in_view = None
-            self._out_view = None
+            # Drop stale views first: a regrow replaces the segment.
+            self._drop_views()
             in_shm = executor._stage_segment(
                 f"lane{self._lane_id}.in",
                 capacity_rows * n_cols * dtype.itemsize,
@@ -381,8 +383,8 @@ class ExecutorLane:
             )
             self._shm_names = (in_shm.name, out_shm.name)
         elif self._in_view is None or self._capacity < capacity_rows:
-            # Serial / kernel-thread executors need no shm: the arena
-            # is evaluated in-process, straight off this array.
+            # No pool, no shm: the arena is evaluated in-process,
+            # straight off this array.
             self._in_view = np.empty((capacity_rows, n_cols), dtype=dtype)
             self._out_view = np.empty((capacity_rows,), dtype=np.float64)
             self._shm_names = ()
@@ -430,14 +432,16 @@ class ExecutorLane:
             )
         if marginalized is not None:
             marginalized = tuple(int(v) for v in marginalized)
-        data = self._in_view[:rows]
-        pool = executor._pool
-        if pool is None or executor._use_threads(rows) or not self._shm_names:
-            return executor._eval_lane_inline(
-                self, data, marginalized, missing_value, stamps=stamps
+        label = f"lane{self._lane_id}.shard"
+        pool = executor._pool_for(rows)
+        if pool is None:
+            return executor._eval_inline(
+                self._in_view[:rows], marginalized, missing_value, label,
+                stamps=stamps,
             )
-        return executor._eval_lane_pool(
-            self, pool, rows, marginalized, missing_value, stamps=stamps
+        return executor._eval_pool(
+            self, pool, rows, marginalized, missing_value, label,
+            stamps=stamps,
         )
 
     def release(self) -> None:
@@ -487,11 +491,8 @@ class ParallelPlanExecutor:
         the artifact supports threads (skipping pool spawn entirely);
         with a thread-less (serial) artifact it keeps small batches
         in-process and shards large ones over the pool; plan-backed
-        executors always use the pool.  ``"threads"`` forces the
-        in-process threaded path (requires a native kernel —
-        construction raises :class:`~repro.errors.ReproError` without
-        one); ``"pool"`` forces the legacy process pool.  Results are
-        identical on every path.
+        executors always use the pool.  ``"pool"`` forces the process
+        pool.  Results are identical on every path.
     min_rows_per_shard:
         Adaptive-oversharding floor: never split finer than this.
     overshard:
@@ -545,10 +546,10 @@ class ParallelPlanExecutor:
                 f"unknown executor backend {backend!r}; "
                 "pick None, 'plan' or 'native'"
             )
-        if dispatch not in ("auto", "pool", "threads"):
+        if dispatch not in ("auto", "pool"):
             raise ReproError(
                 f"unknown executor dispatch {dispatch!r}; "
-                "pick 'auto', 'pool' or 'threads'"
+                "pick 'auto' or 'pool'"
             )
 
         self._spn = spn
@@ -580,17 +581,12 @@ class ParallelPlanExecutor:
         self._lane_lock = threading.Lock()
         self._shm_lock = threading.Lock()
         self._metrics_lock = threading.Lock()
-        self._legacy_stage_lock = threading.Lock()
         if metrics is not None:
             self._m_submits = metrics.counter("executor.submits")
             self._m_rows = metrics.counter("executor.rows")
             self._m_shards = metrics.counter("executor.shards")
             self._m_bytes_in = metrics.counter("executor.bytes_in")
             self._m_bytes_out = metrics.counter("executor.bytes_out")
-            self._m_pickled = metrics.counter("executor.pickled_array_bytes")
-            self._m_staged_copied = metrics.counter(
-                "executor.staged_bytes_copied"
-            )
             self._m_dispatch = metrics.counter("executor.dispatch_seconds")
             self._m_compute = metrics.counter("executor.compute_seconds")
         else:
@@ -613,28 +609,21 @@ class ParallelPlanExecutor:
             if self._kernel is not None:
                 self._native_path = str(self._kernel.path)
         self._backend = "native" if self._kernel is not None else "plan"
-        if dispatch == "threads" and self._kernel is None:
-            raise ReproError(
-                "dispatch='threads' runs batches through the native "
-                "kernel's in-process thread driver, but no native kernel "
-                "is available for this executor - construct with "
-                "backend='native' on a host with a C compiler, or use "
-                "dispatch='auto'/'pool'"
-            )
         self._dispatch = dispatch
         # When every batch is guaranteed to take the in-process threaded
         # path, the process pool would be dead weight - skip spawning it
         # (the fork/prewarm cost vanishes from setup_seconds).
-        threads_only = self._kernel is not None and (
-            dispatch == "threads"
-            or (dispatch == "auto" and self._kernel.supports_threads)
+        threads_only = (
+            dispatch == "auto"
+            and self._kernel is not None
+            and self._kernel.supports_threads
         )
         self._pool = None if threads_only else self._start_pool()
         self.setup_seconds = time.perf_counter() - start
 
     # -- lifecycle --------------------------------------------------------------
     def _start_pool(self) -> Optional[ProcessPoolExecutor]:
-        """Spawn and prewarm the worker pool; None selects serial mode."""
+        """Spawn and prewarm the worker pool; None means in-process."""
         if self._n_workers == 1:
             return None
         context = _pool_context()
@@ -651,27 +640,15 @@ class ParallelPlanExecutor:
                 token = uuid.uuid4().hex
                 _FORK_REGISTRY[token] = self._spn
                 self._shm_state["token"] = token
-                pool = ProcessPoolExecutor(
-                    max_workers=self._n_workers,
-                    mp_context=context,
-                    initializer=_worker_init_fork,
-                    initargs=(
-                        token,
-                        self._native_path,
-                        self._dtype.name,
-                    ),
-                )
+                initializer, spn_ref = _worker_init_fork, token
             else:
-                pool = ProcessPoolExecutor(
-                    max_workers=self._n_workers,
-                    mp_context=context,
-                    initializer=_worker_init_pickle,
-                    initargs=(
-                        self._spn,
-                        self._native_path,
-                        self._dtype.name,
-                    ),
-                )
+                initializer, spn_ref = _worker_init_pickle, self._spn
+            pool = ProcessPoolExecutor(
+                max_workers=self._n_workers,
+                mp_context=context,
+                initializer=initializer,
+                initargs=(spn_ref, self._native_path, self._dtype.name),
+            )
             # Touch every worker so spawn + plan compilation happen
             # now, inside setup, not inside the first submit.
             futures = [pool.submit(_worker_warm) for _ in range(self._n_workers)]
@@ -700,16 +677,10 @@ class ParallelPlanExecutor:
             if pool is not None:
                 pool.shutdown(wait=True)
         finally:
-            # Drop every lane's arena view before unlinking: a live
-            # numpy view keeps the mmap exported and segment.close()
-            # would raise BufferError instead of releasing /dev/shm.
             with self._lane_lock:
                 for lane in self._lanes:
                     lane._released = True
-                    lane._in_view = None
-                    lane._out_view = None
-                    lane._capacity = 0
-                    lane._shm_names = ()
+                    lane._drop_views()
                 self._lane_free.clear()
             self._finalizer()
 
@@ -730,7 +701,8 @@ class ParallelPlanExecutor:
     # -- introspection ----------------------------------------------------------
     @property
     def n_workers(self) -> int:
-        """Effective pool size (1 when running in serial fallback)."""
+        """Effective pool size (1 when every batch runs in-process
+        because no pool could be spawned, or the pool broke)."""
         return self._n_workers
 
     @property
@@ -750,7 +722,7 @@ class ParallelPlanExecutor:
 
     @property
     def dispatch(self) -> str:
-        """The requested dispatch policy: "auto", "pool" or "threads"."""
+        """The requested dispatch policy: "auto" or "pool"."""
         return self._dispatch
 
     @property
@@ -763,34 +735,45 @@ class ParallelPlanExecutor:
         """Columns one batch row must have (the plan's data width)."""
         return self._plan.n_data_columns
 
-    def _use_threads(self, rows: int) -> bool:
-        """Whether this batch takes the in-process kernel-thread path.
+    def _pool_for(self, rows: int) -> Optional[ProcessPoolExecutor]:
+        """The one dispatch decision: the pool a batch of *rows* fans
+        out over, or None to evaluate it in-process.
 
-        ``"threads"`` always does, ``"pool"`` never; ``"auto"`` prefers
-        kernel threads whenever the artifact has a thread runtime, and
-        for thread-less (serial) artifacts keeps batches in-process
-        only while they are too small to fill more than one shard —
-        larger ones get real parallelism from the pool.
+        There is no pool when ``"auto"`` found a thread-capable native
+        artifact, when ``n_workers == 1``, when processes cannot be
+        spawned, or after a worker died.  With one, ``"pool"`` and
+        plan-backed executors always use it; ``"auto"`` over a
+        thread-less (serial) artifact keeps a batch in-process while
+        it is too small to fill more than one shard.
+
+        The read of ``self._pool`` is a snapshot: a concurrent
+        :meth:`close` (broker shutdown with a batch in flight) nulls
+        it, and the snapshot keeps this batch on one coherent path —
+        the staging/dispatch guards turn the race into a clear
+        :class:`~repro.errors.ReproError`.
         """
-        if self._kernel is None:
-            return False
-        if self._dispatch == "threads":
-            return True
-        if self._dispatch == "pool":
-            return False
-        if self._kernel.supports_threads:
-            return True
-        return rows // self.min_rows_per_shard <= 1
-
-    def _thread_count_for(self, rows: int) -> int:
-        """Kernel threads for a batch: scale with rows, cap at workers."""
-        return max(1, min(self._n_workers, rows // self.min_rows_per_shard))
+        pool = self._pool
+        if (
+            pool is not None
+            and self._kernel is not None
+            and self._dispatch == "auto"
+            and rows // self.min_rows_per_shard <= 1
+        ):
+            return None
+        return pool
 
     # -- shared-memory staging --------------------------------------------------
     @staticmethod
     def _new_segment(n_bytes: int) -> shared_memory.SharedMemory:
         name = f"repro-ppe-{os.getpid()}-{uuid.uuid4().hex[:12]}"
         return shared_memory.SharedMemory(name=name, create=True, size=n_bytes)
+
+    @staticmethod
+    def _closed_in_flight() -> ReproError:
+        return ReproError(
+            "ParallelPlanExecutor was close()d while a batch was in "
+            "flight; construct a new executor to keep evaluating"
+        )
 
     def _stage_segment(self, key: str, n_bytes: int) -> shared_memory.SharedMemory:
         """Reuse the ``key`` segment if large enough, else replace it.
@@ -804,10 +787,7 @@ class ParallelPlanExecutor:
         released.
         """
         if self._closed:
-            raise ReproError(
-                "ParallelPlanExecutor was close()d while a batch was in "
-                "flight; construct a new executor to keep evaluating"
-            )
+            raise self._closed_in_flight()
         with self._shm_lock:
             segment = self._shm_state.get(key)
             if segment is not None and segment.size >= n_bytes:
@@ -830,7 +810,7 @@ class ParallelPlanExecutor:
 
         Shipped with each worker task as the prune keep-set so a
         worker serving one lane's shard never unmaps another lane's
-        (or the legacy pair's) still-live attachment.
+        still-live attachment.
         """
         with self._shm_lock:
             return tuple(
@@ -846,8 +826,6 @@ class ParallelPlanExecutor:
         if n_shards is None:
             by_floor = max(1, rows // self.min_rows_per_shard)
             n_shards = min(self._n_workers * self.overshard, by_floor)
-        elif n_shards < 1:
-            raise ReproError(f"n_shards must be >= 1, got {n_shards}")
         n_shards = min(n_shards, rows)
         bounds = np.linspace(0, rows, n_shards + 1).astype(np.int64)
         return [
@@ -862,13 +840,6 @@ class ParallelPlanExecutor:
         if slot is None:
             slot = self._worker_slots[pid] = len(self._worker_slots)
         return slot
-
-    def _record_worker_busy(self, pid: int, busy: float) -> None:
-        if self._registry is None:
-            return
-        self._registry.counter(
-            f"executor.worker{self._worker_slot(pid)}.busy_seconds"
-        ).add(busy)
 
     def _record_worker_span(
         self, pid: int, label: str, begin: float, end: float
@@ -933,15 +904,18 @@ class ParallelPlanExecutor:
     ) -> np.ndarray:
         """Evaluate one batch; returns ``(batch,)`` float64 log-likelihoods.
 
-        The batch is staged into the shared input buffer (one memcpy —
-        zero copies if the caller already holds a C-contiguous array of
-        the executor's dtype that the buffer absorbs directly), fanned
-        out as ``(begin, end)`` spans, and collected from the shared
-        output buffer.  *marginalized* / *missing_value* carry the
-        query semantics of :func:`~repro.spn.plan_eval.plan_log_likelihood`.
-        *n_shards* overrides the adaptive shard count (tests/tuning);
-        on the in-process threaded path it overrides the kernel thread
-        count instead (same intent: how many ways to split the batch).
+        In-process executors evaluate *data* where it lies.  A pooled
+        executor checks out a lane, copies the batch into its
+        shared-memory arena (the one memcpy of the path), fans it out
+        as ``(begin, end)`` spans and collects the lane's shared
+        output buffer — so concurrent callers overlap on their own
+        lanes, and with all ``max_lanes`` lanes checked out the call
+        raises like :meth:`acquire_lane`.  *marginalized* /
+        *missing_value* carry the query semantics of
+        :func:`~repro.spn.plan_eval.plan_log_likelihood`.  *n_shards*
+        overrides the adaptive split (tests/tuning): pool shards, or
+        kernel threads in-process (the numpy plan evaluator chunks
+        internally and ignores it).
         """
         if self._closed:
             raise ReproError(
@@ -950,185 +924,37 @@ class ParallelPlanExecutor:
                 "segments; construct a new executor to keep evaluating"
             )
         data = check_batch(data, dtype=self._dtype)
-        rows, n_cols = data.shape
+        rows = data.shape[0]
         if marginalized is not None:
             marginalized = tuple(int(v) for v in marginalized)
-        if self._use_threads(rows):
-            return self._submit_threads(data, marginalized, missing_value,
-                                        n_shards)
-        spans = self._shard_spans(rows, n_shards)
-
-        # Snapshot: a concurrent close() (broker shutdown with a batch
-        # in flight) nulls self._pool mid-submit; the snapshot keeps
-        # this batch on one coherent path and the staging/dispatch
-        # guards below turn the race into a clear ReproError.
-        pool = self._pool
+        if n_shards is not None and n_shards < 1:
+            raise ReproError(f"n_shards must be >= 1, got {n_shards}")
+        pool = self._pool_for(rows)
         if pool is None:
-            return self._submit_serial(data, spans, marginalized, missing_value)
-
-        # The legacy path owns the shared "in"/"out" staging pair, so
-        # two threads submitting this way must take turns (lane submits
-        # run lock-free on their own segments and overlap freely).
-        with self._legacy_stage_lock:
-            in_shm = self._stage_segment("in", data.nbytes)
-            out_shm = self._stage_segment("out", rows * 8)
-            staged = np.ndarray(
-                (rows, n_cols), dtype=self._dtype, buffer=in_shm.buf
+            return self._eval_inline(
+                data, marginalized, missing_value, "shard", threads=n_shards
             )
-            np.copyto(staged, data)
-            out_view = np.ndarray((rows,), dtype=np.float64, buffer=out_shm.buf)
-
-            start = time.perf_counter()
-            keep_names = self._live_segment_names()
-            tasks = [
-                (
-                    in_shm.name,
-                    out_shm.name,
-                    begin,
-                    end,
-                    rows,
-                    n_cols,
-                    self._dtype.str,
-                    marginalized,
-                    missing_value,
-                    keep_names,
-                )
-                for begin, end in spans
-            ]
-            try:
-                busy_by_pid = self._run_pool_shards(pool, tasks, "shard")
-            except BrokenProcessPool:
-                # A worker died (OOM killer, hard crash).  Degrade to the
-                # serial path rather than losing the batch.
-                pool.shutdown(wait=False)
-                self._pool = None
-                self._n_workers = 1
-                return self._submit_serial(
-                    data, spans, marginalized, missing_value
-                )
-            except RuntimeError:
-                if self._closed:
-                    raise ReproError(
-                        "ParallelPlanExecutor was close()d while a batch "
-                        "was in flight; construct a new executor to keep "
-                        "evaluating"
-                    ) from None
-                raise
-            wall = time.perf_counter() - start
-            result = np.array(out_view[:rows])
-
-        if self._m_submits is not None:
-            with self._metrics_lock:
-                self._m_submits.add(1)
-                self._m_rows.add(rows)
-                self._m_shards.add(len(spans))
-                self._m_bytes_in.add(data.nbytes)
-                self._m_bytes_out.add(rows * 8)
-                self._m_staged_copied.add(data.nbytes)
-                self._m_compute.add(wall)
-                self._m_dispatch.add(
-                    max(0.0, wall - max(busy_by_pid.values()))
-                )
-                for pid, busy in busy_by_pid.items():
-                    self._record_worker_busy(pid, busy)
-        return result
-
-    def _submit_serial(
-        self,
-        data: np.ndarray,
-        spans: List[Tuple[int, int]],
-        marginalized: Optional[Tuple[int, ...]],
-        missing_value: Optional[float],
-    ) -> np.ndarray:
-        """In-process fallback: same shard walk, no pool, no shm."""
-        rows = data.shape[0]
-        out = np.empty(rows, dtype=np.float64)
-        start = time.perf_counter()
-        for shard, (begin, end) in enumerate(spans):
-            t0 = time.perf_counter()
-            if self._kernel is not None:
-                out[begin:end] = self._kernel.log_likelihood(
-                    data[begin:end],
-                    marginalized=marginalized,
-                    missing_value=missing_value,
-                )
-            else:
-                out[begin:end] = plan_log_likelihood(
-                    self._plan,
-                    data[begin:end],
-                    marginalized=marginalized,
-                    missing_value=missing_value,
-                    dtype=self._dtype,
-                )
-            self._record_worker_span(
-                os.getpid(), f"shard{shard}", t0, time.perf_counter()
+        lane = self.acquire_lane(rows)
+        try:
+            np.copyto(lane.arena[:rows], data)
+            return self._eval_pool(
+                lane, pool, rows, marginalized, missing_value, "shard",
+                n_shards=n_shards,
             )
-        wall = time.perf_counter() - start
-        if self._m_submits is not None:
-            with self._metrics_lock:
-                self._m_submits.add(1)
-                self._m_rows.add(rows)
-                self._m_shards.add(len(spans))
-                self._m_compute.add(wall)
-                self._record_worker_busy(os.getpid(), wall)
-        return out
+        finally:
+            lane.release()
 
-    def _submit_threads(
-        self,
-        data: np.ndarray,
-        marginalized: Optional[Tuple[int, ...]],
-        missing_value: Optional[float],
-        n_shards: Optional[int],
-    ) -> np.ndarray:
-        """In-process multi-core path: one kernel call, kernel threads.
-
-        The whole batch goes to the native kernel's thread-parallel
-        block driver — no shm staging, no pipes, no pool.  The thread
-        count scales with the batch (one thread per
-        ``min_rows_per_shard`` rows, capped at ``n_workers``); results
-        are bit-identical to every other dispatch path because the
-        kernel's block partition never depends on the thread count.
-        """
-        rows = data.shape[0]
-        if n_shards is not None:
-            if n_shards < 1:
-                raise ReproError(f"n_shards must be >= 1, got {n_shards}")
-            threads = n_shards
-        else:
-            threads = self._thread_count_for(rows)
-        t0 = time.perf_counter()
-        out = self._kernel.log_likelihood(
-            data,
-            marginalized=marginalized,
-            missing_value=missing_value,
-            threads=threads,
-        )
-        t1 = time.perf_counter()
-        self._record_worker_span(os.getpid(), "shard0", t0, t1)
-        if self._m_submits is not None:
-            with self._metrics_lock:
-                self._m_submits.add(1)
-                self._m_rows.add(rows)
-                self._m_shards.add(1)
-                self._m_compute.add(t1 - t0)
-                self._registry.counter("executor.kernel_threads").add(threads)
-                self._record_worker_busy(os.getpid(), t1 - t0)
-        return out
-
-    # -- reentrant staging lanes -------------------------------------------------
     def acquire_lane(self, capacity_rows: int) -> ExecutorLane:
         """Check out a staging lane whose arena holds *capacity_rows*.
 
         Lanes are the reentrant front door: each owns its own
-        shared-memory arena (or plain buffer in serial mode), so up to
+        shared-memory arena (or plain buffer without a pool), so up to
         ``max_lanes`` producers can stage **and** evaluate batches
-        concurrently — :meth:`ExecutorLane.submit` never touches the
-        legacy shared staging pair.  Released lanes (and their
-        segments) are pooled and reused; a re-acquire with a larger
-        capacity regrows the arena in place.  Raises
-        :class:`~repro.errors.ReproError` when all ``max_lanes`` lanes
-        are already out (the caller is holding lanes it never
-        released) or the executor is closed.
+        concurrently.  Released lanes (and their segments) are pooled
+        and reused; a re-acquire with a larger capacity regrows the
+        arena in place.  Raises :class:`~repro.errors.ReproError` when
+        all ``max_lanes`` lanes are already out (the caller is holding
+        lanes it never released) or the executor is closed.
         """
         if self._closed:
             raise ReproError(
@@ -1151,32 +977,79 @@ class ParallelPlanExecutor:
                     "out; release() one or construct the executor with "
                     "a larger max_lanes"
                 )
-            lane._prepare(capacity_rows)
+            try:
+                lane._prepare(capacity_rows)
+            except BaseException:
+                # A failed (re)backing (ENOSPC on /dev/shm) must not
+                # cost the lane: hand it back empty, or max_lanes
+                # transient failures would leave none to acquire.
+                lane._drop_views()
+                self._lane_free.append(lane)
+                raise
             lane._released = False
             return lane
 
-    def _eval_lane_inline(
+    def _fold_metrics(
         self,
-        lane: ExecutorLane,
+        rows: int,
+        shards: int,
+        wall: float,
+        busy_by_pid: Dict[int, float],
+        *,
+        shm_bytes_in: int = 0,
+        kernel_threads: int = 0,
+    ) -> None:
+        """Fold one evaluated batch into the ``executor.*`` counters."""
+        if self._m_submits is None:
+            return
+        with self._metrics_lock:
+            self._m_submits.add(1)
+            self._m_rows.add(rows)
+            self._m_shards.add(shards)
+            self._m_compute.add(wall)
+            if shm_bytes_in:
+                self._m_bytes_in.add(shm_bytes_in)
+                self._m_bytes_out.add(rows * 8)
+                self._m_dispatch.add(
+                    max(0.0, wall - max(busy_by_pid.values()))
+                )
+            if kernel_threads:
+                self._registry.counter("executor.kernel_threads").add(
+                    kernel_threads
+                )
+            for pid, busy in busy_by_pid.items():
+                self._registry.counter(
+                    f"executor.worker{self._worker_slot(pid)}.busy_seconds"
+                ).add(busy)
+
+    def _eval_inline(
+        self,
         data: np.ndarray,
         marginalized: Optional[Tuple[int, ...]],
         missing_value: Optional[float],
+        label: str,
+        *,
+        threads: Optional[int] = None,
         stamps: Optional[dict] = None,
     ) -> np.ndarray:
-        """Evaluate a lane's filled arena prefix in-process.
+        """The in-process evaluator: one call on *data* where it lies.
 
-        Covers the serial executor, kernel-thread dispatch, and the
-        degraded state after a pool death — the arena view is fed to
-        the evaluator directly, still zero-copy.
+        *data* is the caller's batch or a lane's arena prefix, never a
+        staging copy.  A native kernel runs the whole batch through
+        its thread-parallel block driver — *threads* wide, by default
+        one thread per ``min_rows_per_shard`` rows capped at
+        ``n_workers``; results are bit-identical for every count
+        because the kernel's block partition never depends on it.
+        The numpy plan evaluator chunks to its cache budget itself.
         """
         rows = data.shape[0]
+        pid = os.getpid()
         t0 = time.perf_counter()
         if self._kernel is not None:
-            threads = (
-                self._thread_count_for(rows)
-                if self._use_threads(rows) and self._kernel.supports_threads
-                else 1
-            )
+            if threads is None:
+                threads = max(
+                    1, min(self._n_workers, rows // self.min_rows_per_shard)
+                )
             out = self._kernel.log_likelihood(
                 data,
                 marginalized=marginalized,
@@ -1184,6 +1057,7 @@ class ParallelPlanExecutor:
                 threads=threads,
             )
         else:
+            threads = 0  # the numpy evaluator chunks itself: nothing to count
             out = plan_log_likelihood(
                 self._plan,
                 data,
@@ -1192,9 +1066,7 @@ class ParallelPlanExecutor:
                 dtype=self._dtype,
             )
         t1 = time.perf_counter()
-        self._record_worker_span(
-            os.getpid(), f"lane{lane.lane_id}.shard0", t0, t1
-        )
+        self._record_worker_span(pid, f"{label}0", t0, t1)
         if stamps is not None:
             stamps["kernel_start"] = t0
             stamps["kernel_end"] = t1
@@ -1202,38 +1074,45 @@ class ParallelPlanExecutor:
                 # The worker span above starts exactly at kernel_start,
                 # so a flow arrow finishing there lands inside it.
                 stamps["worker_track"] = (
-                    f"executor worker{self._worker_slot(os.getpid())}"
+                    f"executor worker{self._worker_slot(pid)}"
                 )
-        if self._m_submits is not None:
-            with self._metrics_lock:
-                self._m_submits.add(1)
-                self._m_rows.add(rows)
-                self._m_shards.add(1)
-                self._m_compute.add(t1 - t0)
-                self._record_worker_busy(os.getpid(), t1 - t0)
-        return np.asarray(out, dtype=np.float64)
+        self._fold_metrics(
+            rows, 1, t1 - t0, {pid: t1 - t0}, kernel_threads=threads
+        )
+        return out
 
-    def _eval_lane_pool(
+    def _eval_pool(
         self,
         lane: ExecutorLane,
         pool: ProcessPoolExecutor,
         rows: int,
         marginalized: Optional[Tuple[int, ...]],
         missing_value: Optional[float],
+        label: str,
+        *,
+        n_shards: Optional[int] = None,
         stamps: Optional[dict] = None,
     ) -> np.ndarray:
-        """Fan a lane's arena over the worker pool, zero staging copies.
+        """Fan a lane's filled arena prefix over the worker pool.
 
-        The producer already wrote the rows into the lane's shared
-        input segment, so dispatch is purely task tuples down the pipe
-        (``executor.staged_bytes_copied`` stays 0 on this path);
-        shards are collected in completion order like every pooled
-        submit.
+        The rows are already in the lane's shared input segment, so
+        dispatch is purely task tuples down the pipe; shards are
+        collected in completion order.  A worker that died (OOM
+        killer, hard crash) costs the pool, not the batch: it is
+        finished in-process and later batches see no pool.
         """
+        if not lane._shm_names:
+            if self._closed:
+                raise self._closed_in_flight()
+            # Backed after the pool died: plain memory no worker can
+            # map.  Same degradation as a pool that breaks mid-batch.
+            return self._eval_inline(
+                lane._in_view[:rows], marginalized, missing_value, label,
+                stamps=stamps,
+            )
         in_name, out_name = lane._shm_names
         n_cols = lane._in_view.shape[1]
-        capacity = lane._capacity
-        spans = self._shard_spans(rows, None)
+        spans = self._shard_spans(rows, n_shards)
         start = time.perf_counter()
         keep_names = self._live_segment_names()
         tasks = [
@@ -1242,7 +1121,7 @@ class ParallelPlanExecutor:
                 out_name,
                 begin,
                 end,
-                capacity,
+                lane._capacity,
                 n_cols,
                 self._dtype.str,
                 marginalized,
@@ -1252,26 +1131,18 @@ class ParallelPlanExecutor:
             for begin, end in spans
         ]
         try:
-            busy_by_pid = self._run_pool_shards(
-                pool, tasks, f"lane{lane.lane_id}.shard"
-            )
+            busy_by_pid = self._run_pool_shards(pool, tasks, label)
         except BrokenProcessPool:
-            # Same degradation contract as submit(): finish this batch
-            # in-process; later submits see self._pool is None.
             pool.shutdown(wait=False)
             self._pool = None
             self._n_workers = 1
-            return self._eval_lane_inline(
-                lane, lane._in_view[:rows], marginalized, missing_value,
+            return self._eval_inline(
+                lane._in_view[:rows], marginalized, missing_value, label,
                 stamps=stamps,
             )
         except RuntimeError:
             if self._closed:
-                raise ReproError(
-                    "ParallelPlanExecutor was close()d while a lane batch "
-                    "was in flight; construct a new executor to keep "
-                    "evaluating"
-                ) from None
+                raise self._closed_in_flight() from None
             raise
         wall = time.perf_counter() - start
         if stamps is not None:
@@ -1281,17 +1152,11 @@ class ParallelPlanExecutor:
             stamps["kernel_start"] = start
             stamps["kernel_end"] = start + wall
         result = np.array(lane._out_view[:rows])
-        if self._m_submits is not None:
-            with self._metrics_lock:
-                self._m_submits.add(1)
-                self._m_rows.add(rows)
-                self._m_shards.add(len(spans))
-                self._m_bytes_in.add(rows * n_cols * self._dtype.itemsize)
-                self._m_bytes_out.add(rows * 8)
-                self._m_compute.add(wall)
-                self._m_dispatch.add(
-                    max(0.0, wall - max(busy_by_pid.values()))
-                )
-                for pid, busy in busy_by_pid.items():
-                    self._record_worker_busy(pid, busy)
+        self._fold_metrics(
+            rows,
+            len(spans),
+            wall,
+            busy_by_pid,
+            shm_bytes_in=rows * n_cols * self._dtype.itemsize,
+        )
         return result

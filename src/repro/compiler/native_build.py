@@ -12,15 +12,14 @@ that source into a callable.  The pipeline is
    :data:`~repro.compiler.cgen.CODEGEN_VERSION` spelled out in the
    artifact name so stale-revision artifacts are invalidated rather
    than silently reused,
-3. **load** the artifact — through :mod:`cffi` when importable (the
-   preferred FFI per ISSUE/ROADMAP), else :mod:`ctypes` — and wrap it
-   in a :class:`NativeKernel` that calls the C entry point *zero-copy*:
-   the numpy batch's own buffer is handed to C, and only the float64
+3. **load** the artifact through :mod:`ctypes` and wrap it in a
+   :class:`NativeKernel` that calls the C entry point *zero-copy*: the
+   numpy batch's own buffer is handed to C, and only the float64
    result vector is allocated.
 
-Both loaders release the GIL for the duration of the C call, so the
-thread-pool baseline scales across cores with the native backend just
-like it does with the numpy kernels.
+The GIL is released for the duration of the C call, so concurrent
+executor lanes overlap on the native backend just like they do on the
+numpy kernels.
 
 Failure policy (the "loud-but-graceful" contract):
 
@@ -74,6 +73,7 @@ counters (visible in the Perfetto export).
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 import subprocess
 import time
@@ -213,8 +213,12 @@ _ISA_PROBED: Dict[str, Optional[str]] = {}
 DEFAULT_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
 
-def _probe_compile(cc0: str, source: str, flags: Sequence[str]) -> bool:
-    """Whether *cc0* compiles and links *source* with *flags*."""
+def _probe_compile(cc0: str, source: str, flags: Sequence[str],
+                   libs: Sequence[str] = ()) -> bool:
+    """Whether *cc0* compiles and links *source* with *flags*.
+
+    *libs* go after the source file: link order matters to ``ld``.
+    """
     import tempfile
 
     try:
@@ -223,7 +227,8 @@ def _probe_compile(cc0: str, source: str, flags: Sequence[str]) -> bool:
             out = Path(tmp) / "probe"
             src.write_text(source)
             result = subprocess.run(
-                [cc0, "-O2", "-std=c11", *flags, "-o", str(out), str(src)],
+                [cc0, "-O2", "-std=c11", *flags, "-o", str(out), str(src),
+                 *libs],
                 capture_output=True,
                 text=True,
             )
@@ -299,6 +304,21 @@ def _march_isa(cc0: str) -> Optional[str]:
     return isa
 
 
+def _thread_count(value, convert, source: str) -> int:
+    """*value* as a kernel-thread count, clamped to the driver's cap;
+    *source* names where it came from in the error."""
+    try:
+        count = convert(value)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise RuntimeConfigError(
+            f"{source} must be a positive integer thread count, "
+            f"got {value!r}"
+        )
+    return min(count, MAX_KERNEL_THREADS)
+
+
 def resolve_native_threads(threads: Optional[int] = None) -> int:
     """Resolve a kernel-thread count: argument > env var > 1.
 
@@ -311,37 +331,12 @@ def resolve_native_threads(threads: Optional[int] = None) -> int:
     (:data:`repro.compiler.cgen.MAX_KERNEL_THREADS`).
     """
     if threads is not None:
-        try:
-            import operator
-
-            value = operator.index(threads)
-        except TypeError:
-            raise RuntimeConfigError(
-                "threads= must be a positive integer thread count, "
-                f"got {threads!r}"
-            ) from None
-        if value < 1:
-            raise RuntimeConfigError(
-                "threads= must be a positive integer thread count, "
-                f"got {threads!r}"
-            )
-        return min(value, MAX_KERNEL_THREADS)
+        return _thread_count(threads, operator.index, "threads=")
     env = os.environ.get("REPRO_NATIVE_THREADS", "")
     if not env:
         return 1
-    try:
-        value = int(env)
-    except ValueError:
-        raise RuntimeConfigError(
-            "REPRO_NATIVE_THREADS must be a positive integer thread "
-            f"count, got {env!r}"
-        ) from None
-    if value < 1:
-        raise RuntimeConfigError(
-            "REPRO_NATIVE_THREADS must be a positive integer thread "
-            f"count, got {env!r}"
-        )
-    return min(value, MAX_KERNEL_THREADS)
+    return _thread_count(env, int, "REPRO_NATIVE_THREADS")
+
 
 #: In-process kernel memo: ``(plan id, dtype str) -> NativeKernel``.
 #: Entries are evicted by a ``weakref.finalize`` on the plan so a dead
@@ -402,33 +397,20 @@ def _vector_math_supported(cc0: str) -> bool:
     """Whether *cc0* can build against libmvec with the vec flags.
 
     Compiles and links :data:`_VEC_PROBE_SRC` with
-    :data:`_VEC_CFLAGS` + ``-lmvec`` in a throwaway directory; any
-    failure (flag unknown to the compiler, libmvec absent on a
-    non-glibc host) disables vectorized math for the process and the
-    kernels fall back to scalar libm.  Memoized per compiler path.
+    :data:`_VEC_CFLAGS` + ``-lmvec``; any failure (flag unknown to the
+    compiler, libmvec absent on a non-glibc host) disables vectorized
+    math for the process and the kernels fall back to scalar libm.
+    Memoized per compiler path.
     """
     cached = _VEC_PROBED.get(cc0)
-    if cached is not None:
-        return cached
-    import tempfile
-
-    supported = False
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-vecprobe-") as tmp:
-            src = Path(tmp) / "probe.c"
-            out = Path(tmp) / "probe"
-            src.write_text(_VEC_PROBE_SRC)
-            result = subprocess.run(
-                [cc0, "-O3", "-std=c11", "-fno-math-errno", *_VEC_CFLAGS,
-                 "-o", str(out), str(src), "-lmvec", "-lm"],
-                capture_output=True,
-                text=True,
-            )
-            supported = result.returncode == 0
-    except OSError:
-        supported = False
-    _VEC_PROBED[cc0] = supported
-    return supported
+    if cached is None:
+        cached = _VEC_PROBED[cc0] = _probe_compile(
+            cc0,
+            _VEC_PROBE_SRC,
+            ["-O3", "-fno-math-errno", *_VEC_CFLAGS],
+            libs=["-lmvec", "-lm"],
+        )
+    return cached
 
 
 def native_cache_dir() -> Path:
@@ -539,40 +521,6 @@ def build_kernel(plan: InferencePlan, dtype=np.float64) -> Path:
     return artifact
 
 
-def _load_cffi(path: Path):
-    """Load the artifact through cffi; returns the bound function."""
-    from cffi import FFI
-
-    ffi = FFI()
-    ffi.cdef(
-        "int repro_plan_eval(const void* data, long n_rows, long n_cols,"
-        " const unsigned char* marg, double missing_value,"
-        " int has_missing, double* out, long n_threads,"
-        " double* thread_stamps);"
-    )
-    lib = ffi.dlopen(str(path))
-    fn = getattr(lib, KERNEL_SYMBOL)
-
-    def call(data_ptr, n_rows, n_cols, marg_ptr, missing, has_missing,
-             out_ptr, n_threads, stamps_ptr):
-        """Invoke the kernel with raw buffer addresses (GIL released)."""
-        return fn(
-            ffi.cast("void *", data_ptr),
-            n_rows,
-            n_cols,
-            ffi.cast("unsigned char *", marg_ptr or 0),
-            missing,
-            has_missing,
-            ffi.cast("double *", out_ptr),
-            n_threads,
-            ffi.cast("double *", stamps_ptr or 0),
-        )
-
-    call.loader = "cffi"
-    call.keepalive = (ffi, lib)
-    return call
-
-
 def _load_ctypes(path: Path):
     """Load the artifact through ctypes; returns the bound function."""
     import ctypes
@@ -598,18 +546,8 @@ def _load_ctypes(path: Path):
         return fn(data_ptr, n_rows, n_cols, marg_ptr or None, missing,
                   has_missing, out_ptr, n_threads, stamps_ptr or None)
 
-    call.loader = "ctypes"
     call.keepalive = (lib,)
     return call
-
-
-def _load_fn(path: Path):
-    """Bind the kernel entry point: cffi when importable, else ctypes."""
-    try:
-        import cffi  # noqa: F401 - availability probe only
-    except ImportError:
-        return _load_ctypes(path)
-    return _load_cffi(path)
 
 
 class NativeKernel:
@@ -629,8 +567,6 @@ class NativeKernel:
         self.path = Path(path)
         #: Storage dtype the kernel was generated for.
         self.dtype = np.dtype(dtype)
-        #: FFI used to bind the symbol (``"cffi"`` or ``"ctypes"``).
-        self.loader = fn.loader
         #: Thread runtime baked into the artifact (recovered from the
         #: filename tag, so workers with a masked toolchain know it).
         self.thread_mode = _mode_from_artifact(path)
@@ -732,7 +668,7 @@ def load_kernel(path, plan: InferencePlan, dtype=np.float64) -> NativeKernel:
     path = Path(path)
     if not path.exists():
         raise NativeBackendError(f"native kernel artifact missing: {path}")
-    return NativeKernel(_load_fn(path), path, plan, dtype)
+    return NativeKernel(_load_ctypes(path), path, plan, dtype)
 
 
 def get_native_kernel(
@@ -754,7 +690,7 @@ def get_native_kernel(
         return kernel
     try:
         artifact = build_kernel(plan, dtype)
-        kernel = NativeKernel(_load_fn(artifact), artifact, plan, dtype)
+        kernel = NativeKernel(_load_ctypes(artifact), artifact, plan, dtype)
     except NativeBackendError as exc:
         if require:
             raise

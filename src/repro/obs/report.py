@@ -18,9 +18,8 @@ quantities the paper's claims are stated in:
   high-water mark of each HBM block's device memory;
 * **host-CPU executor occupancy** — when the run went through the
   zero-copy :class:`~repro.baselines.executor.ParallelPlanExecutor`
-  (``executor.*`` metrics present), per-worker busy fractions,
-  shared-memory traffic and the pickled-payload counter that the
-  zero-copy regression guard asserts stays at zero;
+  (``executor.*`` metrics present), per-worker busy fractions and
+  shared-memory traffic;
 * **serving datapath accounting** — when the run went through the
   micro-batching broker (``serving.*`` metrics present), request/
   batch/shed counts and the per-stage latency decomposition
@@ -166,9 +165,6 @@ class ExecutorUtilization:
     bytes_in: int
     #: Result bytes collected from the shared output buffer.
     bytes_out: int
-    #: Array payload bytes pickled on the hot path — zero by design;
-    #: the benchmark regression guard asserts it stays that way.
-    pickled_array_bytes: int
     #: Wall time not covered by the busiest worker (fan-out overhead).
     dispatch_seconds: float
     compute_seconds: float
@@ -342,9 +338,6 @@ class UtilizationReport:
                 shards=int(metrics.value("executor.shards")),
                 bytes_in=int(metrics.value("executor.bytes_in")),
                 bytes_out=int(metrics.value("executor.bytes_out")),
-                pickled_array_bytes=int(
-                    metrics.value("executor.pickled_array_bytes")
-                ),
                 dispatch_seconds=metrics.value("executor.dispatch_seconds"),
                 compute_seconds=metrics.value("executor.compute_seconds"),
                 workers=tuple(workers),
@@ -522,8 +515,7 @@ class UtilizationReport:
             "  host CPU executor:",
             f"    {ex.submits} submits, {ex.rows} rows in {ex.shards} shards, "
             f"{ex.bytes_in / 1e6:.2f} MB staged in / "
-            f"{ex.bytes_out / 1e6:.2f} MB out via shared memory, "
-            f"{ex.pickled_array_bytes} pickled payload bytes",
+            f"{ex.bytes_out / 1e6:.2f} MB out via shared memory",
             f"    compute {ex.compute_seconds * 1e3:.3f} ms, "
             f"dispatch overhead {ex.dispatch_seconds * 1e3:.3f} ms",
         ]

@@ -9,8 +9,8 @@ hostage.  That something is this broker.
 
 :class:`MicroBatchBroker` sits between an async request API and one
 persistent evaluation engine (normally a
-:class:`~repro.baselines.executor.ParallelPlanExecutor`, pool or
-thread dispatch, numpy or native backend):
+:class:`~repro.baselines.executor.ParallelPlanExecutor`, in-process
+or pooled, numpy or native backend):
 
 * **coalescing, write-once** — requests submitted while the engine is
   busy (or within the batching window) are grouped per *query
@@ -20,10 +20,10 @@ thread dispatch, numpy or native backend):
   (shared-memory backed when the engine exposes executor lanes), so
   the bytes a request carries are written exactly once on the whole
   serve path: no per-request allocation, no ``np.stack`` at flush, no
-  ``np.copyto`` into executor staging.  The
-  ``serving.staged_bytes_copied`` metric guards this the way
-  ``executor.pickled_array_bytes`` guards the executor: it stays 0
-  whenever the zero-copy lane path is engaged.  A batch flushes when
+  copy into executor staging.  The guarantee is structural —
+  ``lane.submit`` evaluates the arena in place and has no copy to
+  bill — and :attr:`MicroBatchBroker.zero_copy` reports whether the
+  lane path is engaged.  A batch flushes when
   it reaches ``max_batch_rows`` or when the oldest request in it has
   waited ``max_wait_ms``, whichever comes first: the two knobs of the
   batching/latency trade-off (H2PIPE and Serpens pick their batch and
@@ -103,7 +103,6 @@ class BrokerStats:
         "flush_wait",
         "flush_close",
         "arena_waits",
-        "staged_bytes_copied",
     )
 
     def __init__(self):
@@ -115,7 +114,6 @@ class BrokerStats:
         self.flush_wait = 0
         self.flush_close = 0
         self.arena_waits = 0
-        self.staged_bytes_copied = 0
 
     @property
     def mean_batch_rows(self) -> float:
@@ -187,8 +185,7 @@ class MicroBatchBroker:
         ``submit(data, *, marginalized=None, missing_value=None)``
         contract still works: rows are staged once into broker-owned
         arenas and the filled view is handed over (the engine may
-        restage internally — counted in
-        ``serving.staged_bytes_copied``).  The broker *uses* the
+        restage internally).  The broker *uses* the
         engine but does not own it — closing the broker never closes
         the engine.
     n_variables:
@@ -314,7 +311,6 @@ class MicroBatchBroker:
             self._m_batch_seconds = metrics.counter("serving.batch_seconds")
             self._m_flush_full = metrics.counter("serving.flush_full")
             self._m_flush_wait = metrics.counter("serving.flush_wait")
-            self._m_staged = metrics.counter("serving.staged_bytes_copied")
             self._m_arena_waits = metrics.counter("serving.arena_waits")
             self._m_queue = metrics.gauge("serving.queue_rows")
             self._m_arenas_busy = metrics.gauge("serving.arenas_busy")
@@ -603,8 +599,7 @@ class MicroBatchBroker:
 
         Zero-copy (lane) arenas submit by row count — the engine
         evaluates the very memory the requests were written into.
-        Lane-less engines get the filled view; whatever they restage
-        internally is what ``staged_bytes_copied`` reports.
+        Lane-less engines get the filled view.
         """
         marginalized, missing_value = batch.key
         arena = batch.arena
@@ -627,13 +622,12 @@ class MicroBatchBroker:
                     marginalized=marginalized,
                     missing_value=missing_value,
                 )
-            staged_bytes = 0
         else:
-            view = arena.view[:rows]
             out = self._engine.submit(
-                view, marginalized=marginalized, missing_value=missing_value
+                arena.view[:rows],
+                marginalized=marginalized,
+                missing_value=missing_value,
             )
-            staged_bytes = view.nbytes
         t1 = time.perf_counter()
         if self._timing:
             if stage is None:  # lane-less engine: the call is the kernel
@@ -645,12 +639,12 @@ class MicroBatchBroker:
                 f"serving lane{arena.index}", f"batch{batch_id} {rows}r",
                 t0, t1,
             )
-        return out, t1 - t0, staged_bytes, stage
+        return out, t1 - t0, stage
 
     async def _finish(self, batch: _PendingBatch, call) -> None:
         """Scatter one batch's results (or failure) onto its futures."""
         try:
-            out, seconds, staged_bytes, stage = await call
+            out, seconds, stage = await call
         except Exception as exc:  # noqa: BLE001 - forwarded, not swallowed
             for future in batch.futures:
                 if not future.done():
@@ -661,12 +655,10 @@ class MicroBatchBroker:
         else:
             self.stats.batches += 1
             self.stats.rows += len(batch.futures)
-            self.stats.staged_bytes_copied += staged_bytes
             if self._m_requests is not None:
                 self._m_batches.add(1)
                 self._m_rows.add(len(batch.futures))
                 self._m_batch_seconds.add(seconds)
-                self._m_staged.add(staged_bytes)
             values = np.asarray(out, dtype=np.float64).tolist()
             for future, value in zip(batch.futures, values):
                 if not future.done():

@@ -298,8 +298,7 @@ def run_serve_selftest(
     """Short mixed-traffic run with hard assertions; ``(text, exit code)``.
 
     Exit 0 iff every request was answered (zero shed, zero failed),
-    p99 latency stayed under the selftest SLO, the zero-copy lane path
-    was engaged (``serving.staged_bytes_copied == 0``), every returned
+    p99 latency stayed under the selftest SLO, every returned
     value — likelihood, marginal and missing-value queries interleaved
     per :data:`SELFTEST_QUERY_MIX` — is bit-identical to
     :func:`~repro.spn.plan_eval.plan_log_likelihood` on the same row
@@ -378,12 +377,6 @@ def run_serve_selftest(
         problems.append(
             f"p99 {result.p99_ms:.1f} ms over the {SELFTEST_SLO_MS:g} ms SLO"
         )
-    staged = metrics.counter("serving.staged_bytes_copied").value
-    if staged:
-        problems.append(
-            f"serving.staged_bytes_copied = {staged:g} (zero-copy arena "
-            "path not engaged)"
-        )
     n_wrong = sum(
         1
         for i, value in answers.items()
@@ -433,7 +426,7 @@ def run_serve_selftest(
     verdict = (
         "serve selftest PASS "
         f"({len(answers)} mixed queries bit-identical to plan_eval with "
-        f"telemetry on, staged_bytes_copied=0, stage medians sum "
+        f"telemetry on, stage medians sum "
         f"{stage_sum * 1e3:.2f} ms ~ e2e p50 {e2e.p50 * 1e3:.2f} ms, "
         f"{n_flows} request flows sampled)"
         if not problems

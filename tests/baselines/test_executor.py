@@ -5,9 +5,11 @@ the single-process ``run_cpu_baseline`` (the executor must be a pure
 transport, never a numerics change) and agreement with the independent
 scalar oracle ``naive_log_likelihood`` for both precisions.  The rest
 covers lifecycle, adaptive oversharding, the shared-buffer regrow
-path, and the metrics contract the benchmark regression guard relies
-on (``executor.pickled_array_bytes == 0``).
+path, the metrics contract, and the fault paths: a killed pool worker,
+lane exhaustion, transient ``/dev/shm`` allocation failures.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -134,7 +136,7 @@ def test_finalizer_releases_segments_without_close(setup):
     running.submit(data[:1024])
     names = [
         running._shm_state[key].name
-        for key in ("in", "out")
+        for key in ("lane0.in", "lane0.out")
         if key in running._shm_state
     ]
     if running.n_workers == 1:  # sandbox without fork: no segments staged
@@ -173,7 +175,7 @@ def test_failed_regrow_leaves_close_safe(setup, monkeypatch):
         running.close()
         pytest.skip("no pool in this sandbox; no shared segments to regrow")
     running.submit(data[:256])
-    assert "in" in running._shm_state
+    assert "lane0.in" in running._shm_state
 
     def boom(n_bytes):
         raise OSError("injected: /dev/shm full")
@@ -181,7 +183,7 @@ def test_failed_regrow_leaves_close_safe(setup, monkeypatch):
     monkeypatch.setattr(running, "_new_segment", boom)
     with pytest.raises(OSError, match="injected"):
         running.submit(data[:4000])  # forces an input-segment regrow
-    assert "in" not in running._shm_state  # stale entry dropped
+    assert "lane0.in" not in running._shm_state  # stale entry dropped
     monkeypatch.undo()
     out = running.submit(data[:4000])  # a fresh segment is staged
     assert np.array_equal(out, run_cpu_baseline(spn, data[:4000]).results)
@@ -209,9 +211,11 @@ def test_adaptive_oversharding_counts(setup):
         min_rows_per_shard=250,
         metrics=metrics,
     ) as running:
-        # Capped by workers * overshard (n_workers may have fallen
-        # back to 1 in sandboxes that forbid process spawning).
-        cap = running.n_workers * 4
+        # Capped by workers * overshard; an in-process evaluation
+        # (n_workers fell back to 1 in a sandbox that forbids process
+        # spawning) is one call, so one shard, whatever is asked.
+        pooled = running.n_workers > 1
+        cap = running.n_workers * 4 if pooled else 1
         running.submit(data)  # 4000 rows -> 16 by floor, capped
         total = min(cap, 16)
         assert metrics.value("executor.shards") == total
@@ -222,7 +226,7 @@ def test_adaptive_oversharding_counts(setup):
         total += 1
         assert metrics.value("executor.shards") == total
         running.submit(data, n_shards=3)  # explicit override
-        assert metrics.value("executor.shards") == total + 3
+        assert metrics.value("executor.shards") == total + (3 if pooled else 1)
 
 
 def test_metrics_traffic_accounting(setup):
@@ -235,8 +239,6 @@ def test_metrics_traffic_accounting(setup):
         parallel = running.n_workers > 1
     assert metrics.value("executor.submits") == 1
     assert metrics.value("executor.rows") == data.shape[0]
-    # The regression guard: no array payload is ever pickled.
-    assert metrics.value("executor.pickled_array_bytes") == 0
     assert metrics.value("executor.compute_seconds") > 0
     if parallel:
         assert metrics.value("executor.bytes_in") == data.nbytes
@@ -281,8 +283,6 @@ def native_setup(tmp_path_factory, setup):
 
     if compiler_command() is None:
         pytest.skip("no C compiler on this host")
-    import os
-
     previous = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = str(
         tmp_path_factory.mktemp("native-cache")
@@ -297,8 +297,9 @@ def native_setup(tmp_path_factory, setup):
 
 
 def test_threads_dispatch_matches_pool_bit_for_bit(native_setup):
-    """The in-process thread driver and the forked pool answer the
-    same queries identically — dispatch is transport, not numerics."""
+    """The in-process thread driver (the default dispatch on a
+    thread-capable artifact) and the forked pool answer the same
+    queries identically — dispatch is transport, not numerics."""
     spn, data = native_setup
     with ParallelPlanExecutor(
         spn, n_workers=2, backend="native", dispatch="pool",
@@ -307,10 +308,9 @@ def test_threads_dispatch_matches_pool_bit_for_bit(native_setup):
         via_pool = pooled.submit(data)
         marg_pool = pooled.submit(data, marginalized=[1, 2])
     with ParallelPlanExecutor(
-        spn, n_workers=2, backend="native", dispatch="threads",
-        min_rows_per_shard=256,
+        spn, n_workers=2, backend="native", min_rows_per_shard=256,
     ) as threaded:
-        assert threaded.dispatch == "threads"
+        assert threaded.dispatch == "auto"
         via_threads = threaded.submit(data)
         marg_threads = threaded.submit(data, marginalized=[1, 2])
         sharded = threaded.submit(data, n_shards=3)
@@ -344,7 +344,6 @@ def test_auto_dispatch_with_kernel_skips_pool(native_setup):
         out = running.submit(data)
     assert metrics.value("executor.kernel_threads") >= 1
     assert metrics.value("executor.submits") == 1
-    assert metrics.value("executor.pickled_array_bytes") == 0
     np.testing.assert_allclose(
         out, run_cpu_baseline(spn, data).results, rtol=1e-12, atol=1e-12
     )
@@ -365,18 +364,11 @@ def test_pool_dispatch_pins_worker_kernels(native_setup, monkeypatch):
     )
 
 
-def test_threads_dispatch_requires_native_kernel(setup):
-    """``dispatch="threads"`` without a native kernel is a loud error
-    (the plan backend has no in-process thread driver)."""
-    spn, _ = setup
-    with pytest.raises(ReproError, match="native"):
-        ParallelPlanExecutor(spn, n_workers=1, dispatch="threads")
-
-
 def test_invalid_dispatch_rejected(setup):
     spn, _ = setup
-    with pytest.raises(ReproError, match="dispatch"):
-        ParallelPlanExecutor(spn, n_workers=1, dispatch="turbo")
+    for dispatch in ("turbo", "threads"):
+        with pytest.raises(ReproError, match="dispatch"):
+            ParallelPlanExecutor(spn, n_workers=1, dispatch=dispatch)
 
 
 # -- check_batch -------------------------------------------------------------
@@ -417,14 +409,13 @@ def test_check_batch_rejects_bad_input():
 
 def test_lane_submit_bit_identical_serial_and_pooled(setup):
     """Lane evaluation is pure transport: writing rows into the arena
-    and submitting matches plan evaluation bit for bit, with zero
-    staged copies, on both the serial and the pooled executor."""
+    and submitting matches plan evaluation bit for bit, on both the
+    in-process and the pooled executor."""
     spn, data = setup
     batch = data[:300]
     for n_workers in (1, 2):
-        metrics = MetricsRegistry()
         with ParallelPlanExecutor(
-            spn, n_workers=n_workers, min_rows_per_shard=64, metrics=metrics
+            spn, n_workers=n_workers, min_rows_per_shard=64
         ) as executor:
             reference = executor.submit(batch)
             lane = executor.acquire_lane(512)
@@ -433,10 +424,6 @@ def test_lane_submit_bit_identical_serial_and_pooled(setup):
             out = lane.submit(batch.shape[0])
             lane.release()
         assert np.array_equal(out, reference)
-        assert metrics.counter("executor.staged_bytes_copied").value == (
-            batch.nbytes if n_workers > 1 else 0
-        ), "only the legacy copyto submit may stage bytes"
-        assert metrics.counter("executor.pickled_array_bytes").value == 0
 
 
 def test_lane_queries_marginal_and_missing(setup, executor):
@@ -529,6 +516,136 @@ def test_concurrent_lane_submits_are_consistent(setup):
             t.start()
         for t in threads:
             t.join()
+    assert errors == []
+
+
+# -- fault paths: each has exactly one copy in the executor ---------------------
+
+
+def _own_segments():
+    """This process's executor segments currently in ``/dev/shm``."""
+    prefix = f"repro-ppe-{os.getpid()}-"
+    return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
+
+
+@pytest.fixture
+def pooled(setup):
+    """A 2-worker, 2-lane pooled executor, and the segments that
+    existed before it; skipped where no pool can be spawned."""
+    spn, _ = setup
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm on this platform")
+    before = _own_segments()
+    running = ParallelPlanExecutor(
+        spn, n_workers=2, min_rows_per_shard=64, max_lanes=2
+    )
+    if running.n_workers == 1:
+        running.close()
+        pytest.skip("process pool unavailable in this sandbox")
+    yield running, before
+    running.close()
+
+
+def test_failed_lane_backing_does_not_leak_the_lane(setup, pooled, monkeypatch):
+    """Regression: a lane whose segment allocation failed was popped
+    from the free list and never given back, so ``max_lanes`` transient
+    ENOSPCs left the executor refusing every acquire forever."""
+    spn, data = setup
+    running, before = pooled
+
+    def boom(n_bytes):
+        raise OSError("injected: /dev/shm full")
+
+    monkeypatch.setattr(running, "_new_segment", boom)
+    for _ in range(running._max_lanes + 1):
+        with pytest.raises(OSError, match="injected"):
+            running.acquire_lane(64)
+    monkeypatch.undo()
+    reference = run_cpu_baseline(spn, data[:512]).results
+    lane = running.acquire_lane(512)
+    lane.arena[:512] = data[:512]
+    assert np.array_equal(lane.submit(512), reference)
+    lane.release()
+    assert np.array_equal(running.submit(data[:512]), reference)
+    running.close()
+    assert _own_segments() == before
+
+
+@pytest.mark.parametrize("via", ["submit", "lane"])
+def test_killed_worker_degrades_to_in_process(setup, pooled, via):
+    """A SIGKILLed pool worker costs the pool, not the batch: the batch
+    in hand is finished in-process, bit-identical, and the executor
+    keeps serving with ``n_workers == 1``."""
+    import signal
+
+    spn, data = setup
+    running, before = pooled
+    reference = run_cpu_baseline(spn, data).results
+    assert np.array_equal(running.submit(data), reference)  # pool is live
+    lane = running.acquire_lane(1024)
+    lane.arena[:1024] = data[:1024]
+    victim = next(iter(running._pool._processes.values()))
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join()
+    if via == "submit":
+        assert np.array_equal(running.submit(data), reference)
+    else:
+        assert np.array_equal(lane.submit(1024), reference[:1024])
+    assert running.n_workers == 1
+    assert running._pool is None
+    # Later batches keep working, on either entry point.
+    assert np.array_equal(lane.submit(1024), reference[:1024])
+    lane.release()
+    assert np.array_equal(running.submit(data[:700]), reference[:700])
+    running.close()
+    assert _own_segments() == before
+
+
+def test_pooled_submit_with_every_lane_out_raises(setup, pooled):
+    """submit() rides a lane, so it shares acquire_lane's bound — and a
+    refused submit must not leave a segment behind."""
+    spn, data = setup
+    running, before = pooled
+    lanes = [running.acquire_lane(8) for _ in range(running._max_lanes)]
+    held = _own_segments()
+    with pytest.raises(ReproError, match="lanes are checked out"):
+        running.submit(data[:512])
+    assert _own_segments() == held
+    lanes[0].release()
+    assert np.array_equal(
+        running.submit(data[:512]), run_cpu_baseline(spn, data[:512]).results
+    )
+    running.close()
+    assert _own_segments() == before
+
+
+def test_concurrent_pooled_submits_are_consistent(setup, pooled):
+    """Two threads calling submit() on one pooled executor overlap on
+    their own lanes and never cross results."""
+    import threading
+
+    spn, data = setup
+    running, _ = pooled
+    batches = [data[:1500], data[1500:3500]]
+    references = [run_cpu_baseline(spn, b).results for b in batches]
+    errors = []
+
+    def worker(batch, reference):
+        try:
+            for _ in range(5):
+                if not np.array_equal(running.submit(batch), reference):
+                    errors.append("submit result mismatch")
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(repr(exc))
+
+    threads = [
+        threading.Thread(target=worker, args=pair)
+        for pair in zip(batches, references)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
     assert errors == []
 
 

@@ -183,7 +183,6 @@ class TestHostExecutorSection:
         metrics.counter("executor.shards").add(8)
         metrics.counter("executor.bytes_in").add(64_000)
         metrics.counter("executor.bytes_out").add(8_000)
-        metrics.counter("executor.pickled_array_bytes")
         metrics.counter("executor.dispatch_seconds").add(0.01)
         metrics.counter("executor.compute_seconds").add(0.09)
         metrics.counter("executor.worker0.busy_seconds").add(0.05)
@@ -196,7 +195,6 @@ class TestHostExecutorSection:
         assert ex is not None
         assert ex.submits == 2 and ex.rows == 1000 and ex.shards == 8
         assert ex.bytes_in == 64_000 and ex.bytes_out == 8_000
-        assert ex.pickled_array_bytes == 0
         assert len(ex.workers) == 2
         assert ex.workers[0].busy_fraction == pytest.approx(0.5)
         assert ex.workers[1].busy_fraction == pytest.approx(0.4)

@@ -73,8 +73,6 @@ class TestRunServe:
             ), f"dangling flow step: {flow}"
 
     def test_telemetry_stream_and_live_endpoint(self, tmp_path):
-        import urllib.request
-
         telemetry_path = tmp_path / "telemetry.json"
         text, results = run_serve(
             "NIPS10",
@@ -97,7 +95,6 @@ class TestRunServe:
             metrics_port=0,
         )
         assert "http://127.0.0.1:" in text2
-        del urllib.request  # imported for parity with manual checks
 
     def test_shed_rate_reported_in_results(self):
         # Overload hard enough to shed: tiny queue, slow-ish engine.
