@@ -104,7 +104,7 @@ def _cmd_sensitivity(args) -> str:
 def _cmd_roofline(args) -> str:
     from repro.experiments import format_roofline, run_roofline
 
-    return format_roofline(run_roofline())
+    return format_roofline(run_roofline(host_rows=min(args.samples, 200_000)))
 
 
 def _cmd_plans(args) -> str:

@@ -15,13 +15,15 @@ hardware compiler) relies on:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import SPNStructureError
 from repro.spn.nodes import LeafNode, Node, ProductNode, SumNode
+
+if TYPE_CHECKING:  # networkx is imported where it is used: to_networkx()
+    import networkx as nx
 
 __all__ = ["SPN"]
 
@@ -185,6 +187,8 @@ class SPN:
         Node attributes carry ``kind`` plus the per-kind parameters;
         edges point from parent to child and sum edges carry ``weight``.
         """
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for node in self._order:
             attrs = {"kind": node.kind}

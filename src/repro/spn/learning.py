@@ -17,10 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
-from scipy.cluster.vq import kmeans2
-from scipy.stats import chi2
 
 from repro.errors import SPNStructureError
 from repro.spn.graph import SPN
@@ -101,6 +98,8 @@ def _g_test_independent(
     x: np.ndarray, y: np.ndarray, alpha: float
 ) -> bool:
     """True when the pairwise G-test does NOT reject independence."""
+    from scipy.stats import chi2
+
     xd = _discretise(x)
     yd = _discretise(y)
     kx = int(xd.max()) + 1
@@ -123,6 +122,8 @@ def _independent_components(
     data: np.ndarray, variables: Sequence[int], alpha: float
 ) -> List[List[int]]:
     """Partition *variables* into dependency-connected components."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(len(variables)))
     for i in range(len(variables)):
@@ -138,6 +139,8 @@ def _cluster_rows(
     data: np.ndarray, n_clusters: int, rng: np.random.Generator
 ) -> np.ndarray:
     """K-means row clustering with a deterministic seed."""
+    from scipy.cluster.vq import kmeans2
+
     k = min(n_clusters, len(data))
     if k < 2:
         return np.zeros(len(data), dtype=np.int64)

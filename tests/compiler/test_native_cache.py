@@ -1,6 +1,6 @@
 """On-disk kernel cache: naming, host-ISA keying, and LRU pruning.
 
-Codegen-v2 artifact names encode everything that must invalidate a
+Artifact names encode everything that must invalidate a
 cached kernel — dtype, codegen revision, thread-runtime tag, and a
 host-ISA fingerprint (or ``portable``) — so one shared cache dir can
 serve machines with different CPUs.  The cache is bounded by
@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.compiler.cgen import CODEGEN_VERSION
+from repro.compiler.cgen import CODEGEN_VERSION, generate_kernel_source
 from repro.compiler.native_build import (
     DEFAULT_CACHE_MAX_BYTES,
     build_kernel,
@@ -26,7 +26,7 @@ from repro.compiler.native_build import (
     native_thread_mode,
     prune_native_cache,
 )
-from repro.spn import compile_plan, random_spn
+from repro.spn import compile_plan, get_plan, nips_benchmark, random_spn
 
 needs_cc = pytest.mark.skipif(
     compiler_command() is None, reason="no C compiler on this host"
@@ -92,6 +92,25 @@ def test_portable_opt_out_yields_distinct_artifact(monkeypatch):
     portable = build_kernel(plan, np.float64)
     assert "-portable-" in portable.name
     assert portable != tuned
+
+
+# ---------------------------------------------------------------------------
+# Build cost
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "network, max_lines", [("NIPS10", 800), ("NIPS80", 2500)]
+)
+def test_generated_source_stays_small(network, max_lines):
+    """Compile time follows source size: codegen v2 emitted 1,348 /
+    8,427 lines for these two and NIPS80 took minutes to build; v3
+    emits about 700 / 1,900 and builds in seconds.  The bound keeps a
+    per-leaf emitter from quietly coming back."""
+    plan = get_plan(nips_benchmark(network).spn)
+    for dtype in (np.float64, np.float32):
+        n_lines = generate_kernel_source(plan, dtype).count("\n")
+        assert n_lines < max_lines, f"{network} {np.dtype(dtype).name}"
 
 
 # ---------------------------------------------------------------------------

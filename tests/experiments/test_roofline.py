@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.experiments.roofline import format_roofline, run_roofline
+from repro.compiler.native_build import compiler_command
+from repro.experiments.roofline import (
+    format_roofline,
+    host_kernel_ops,
+    run_roofline,
+)
+from repro.spn import get_plan, nips_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +76,34 @@ def test_formatting(points):
     text = format_roofline(points)
     assert "Roofline" in text
     assert "(mem)" in text
+
+
+def test_host_kernel_ops_on_nips10():
+    """The generated kernel's per-row work, read from the plan: the
+    arithmetic side of the ceiling its rows/s is judged against."""
+    ops = host_kernel_ops(get_plan(nips_benchmark("NIPS10").spn))
+    assert ops.table_gathers == 63
+    assert ops.irregular_lookups == 6
+    assert ops.closed_form_leaves == 0
+    assert ops.product_terms == 76
+    assert ops.exps == 18
+    assert ops.logs == 9
+    # 76 terms over 17 product nodes, three adds per sum child.
+    assert ops.adds == (76 - 17) + 3 * 18
+    assert (ops.bytes_in, ops.bytes_out) == (80, 8)
+
+
+def test_host_kernel_rows_are_printed(points):
+    """Unmeasured points still print the counts, with '-' for rates."""
+    assert all(p.host_rows_per_s is None for p in points)
+    text = format_roofline(points)
+    assert "Host C kernel" in text and "gathers" in text
+
+
+@pytest.mark.skipif(
+    compiler_command() is None, reason="no C compiler on this host"
+)
+def test_host_kernel_measured_rates():
+    (point,) = run_roofline(["NIPS10"], host_rows=20_000)
+    assert point.host_rows_per_s > 0
+    assert "Gop/s" in format_roofline([point])

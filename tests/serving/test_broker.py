@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.executor import ParallelPlanExecutor
+from repro.compiler.native_build import compiler_command, get_native_kernel
 from repro.errors import ReproError, ServingError, ServingOverloadError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace_export import HostSpanRecorder
 from repro.serving.broker import MicroBatchBroker
-from repro.spn import random_spn
+from repro.spn import nips_benchmark, random_spn
 from repro.spn.plan import get_plan
 from repro.spn.plan_eval import plan_log_likelihood
 
@@ -270,6 +271,44 @@ class TestTransparency:
         results = run(scenario())
         assert np.array_equal(np.array(results), reference)
         assert len(results) == data.shape[0]
+
+    @pytest.mark.skipif(
+        compiler_command() is None, reason="no C compiler on this host"
+    )
+    @pytest.mark.parametrize(
+        "query",
+        [{}, {"marginalized": (0, 3)}, {"missing_value": 255.0}],
+        ids=["likelihood", "marginal", "missing"],
+    )
+    def test_native_answers_bit_identical_to_a_direct_kernel_call(
+        self, query, tmp_path, monkeypatch
+    ):
+        """The micro-batcher moves rows to arbitrary batch positions; the
+        native kernel's answer for a row must not depend on where it
+        sits (codegen v2's vector remainder made it, in the last bit)."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        spn = nips_benchmark("NIPS10").spn
+        rng = np.random.default_rng(7)
+        data = rng.integers(0, 60, size=(4096, 10)).astype(np.float64)
+        data[rng.random(data.shape) < 0.1] = 255.0
+        kernel = get_native_kernel(get_plan(spn), np.float64, require=True)
+        reference = kernel.log_likelihood(data, **query)
+
+        async def scenario():
+            # 7-row batches: short enough that codegen v2 ran them
+            # through its scalar remainder, not the vector loop.
+            async with MicroBatchBroker(
+                executor, max_batch_rows=7, max_wait_ms=5.0
+            ) as broker:
+                return await asyncio.gather(
+                    *(broker.submit(row, **query) for row in data)
+                )
+
+        with ParallelPlanExecutor(
+            spn, n_workers=1, backend="native"
+        ) as executor:
+            results = run(scenario())
+        assert np.array_equal(np.array(results), reference)
 
 
 class TestLifecycle:

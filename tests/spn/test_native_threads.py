@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.compiler.cgen import MAX_KERNEL_THREADS, kernel_block_size
+from repro.compiler.cgen import BLOCK_ROWS, MAX_KERNEL_THREADS
 from repro.compiler.native_build import (
     clear_native_kernels,
     compiler_command,
@@ -105,7 +105,7 @@ def test_thread_count_invariance_at_chunk_seams():
     boundaries, so seams are where an off-by-one would show."""
     plan, data = _plan_and_batch(0)
     kernel = get_native_kernel(plan, np.float64, require=True)
-    block = kernel_block_size(plan, np.float64)
+    block = BLOCK_ROWS
     _, data = _plan_and_batch(2 * block + 3)
     for n in (1, 2, block - 1, block, block + 1, 2 * block + 3):
         baseline = kernel.log_likelihood(data[:n], threads=1)
@@ -177,7 +177,7 @@ def test_per_thread_busy_counters_and_spans():
     kernel = get_native_kernel(plan, np.float64, require=True)
     if not kernel.supports_threads:
         pytest.skip("kernel built in serial mode (no OpenMP/pthread)")
-    block = kernel_block_size(plan, np.float64)
+    block = BLOCK_ROWS
     _, data = _plan_and_batch(2 * block)  # exactly two chunks
     registry = MetricsRegistry()
     tracer = HostSpanRecorder()

@@ -7,7 +7,10 @@ public class/function and every public method must carry a docstring
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -64,3 +67,23 @@ def test_all_exports_resolve():
 def test_top_level_all_is_complete():
     for name in repro.__all__:
         assert getattr(repro, name) is not None
+
+
+def test_import_repro_defers_scipy_and_networkx():
+    """``import repro`` must not pay for scipy/networkx (~0.9 s, ~80 MiB):
+    only structure learning and ``SPN.to_networkx`` use them, and they
+    import them where they are called."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = (
+        "import sys, repro\n"
+        "heavy = sorted({m.split('.')[0] for m in sys.modules} "
+        "& {'scipy', 'networkx'})\n"
+        "print(heavy)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]", result.stdout
