@@ -37,7 +37,8 @@ from repro.spn import (
     set_inference_backend,
 )
 from repro.spn.inference import node_log_values, reference_node_log_values
-from repro.spn.plan_eval import plan_node_log_values
+from repro.spn.nodes import LeafNode
+from repro.spn.plan_eval import plan_leaf_log_values, plan_node_log_values
 
 
 def _hist(var, masses):
@@ -405,3 +406,180 @@ def test_invalid_dtype_rejected():
         plan_log_likelihood(
             compile_plan(spn), _random_data(spn, 3, seed=30), dtype=np.int64
         )
+
+
+# ---------------------------------------------------------------------------
+# Per-variable leaf groups: irregular bins, shared variables, zero column
+# ---------------------------------------------------------------------------
+
+
+class _Laplace(LeafNode):
+    """A leaf family without a fused kernel: the per-leaf Python path."""
+
+    kind = "laplace"
+
+    def log_density(self, values):
+        return np.log(0.5) - np.abs(np.asarray(values, dtype=np.float64) - 2.0)
+
+
+#: Two interleaved irregular leaves per variable (one pair of breaks
+#: 1e-9 apart, one one-bin leaf).
+_IRREGULAR = (
+    np.array([-1.5, 0.5, 1.0, 1.0 + 1e-9, 2.25, 3.0, 7.75]),
+    np.array([0.0, 1.5, 2.5, 6.0]),
+    np.array([1.25, 4.0]),
+)
+
+
+def _irregular(var, breaks, rng):
+    masses = rng.random(len(breaks) - 1) + 0.05
+    return HistogramLeaf(var, breaks, masses / masses.sum() / np.diff(breaks))
+
+
+def _group_spn():
+    """Variable 0 carries unit-bin *and* interleaved irregular leaves,
+    variable 1 unit-bin leaves only, variable 2 irregular leaves only,
+    variable 3 a Gaussian and variable 4 a leaf of a foreign family, so
+    every lowered leaf path and the row renumbering are exercised."""
+    rng = np.random.default_rng(31)
+
+    def unit(var, lo, n):
+        masses = rng.random(n) + 0.05
+        return HistogramLeaf(var, np.arange(lo, lo + n + 1, dtype=float), masses / masses.sum())
+
+    def branch(shift):
+        mixed = SumNode(
+            [unit(0, shift, 5), _irregular(0, _IRREGULAR[shift], rng), unit(0, 2, 6)],
+            [0.5, 0.3, 0.2],
+        )
+        return ProductNode(
+            [
+                unit(1, shift - 1, 4),
+                mixed,
+                _irregular(2, _IRREGULAR[2 - shift], rng),
+                GaussianLeaf(3, float(shift), 1.5),
+                _Laplace(4),
+            ][::1 if shift else -1]
+        )
+
+    return SPN(SumNode([branch(0), branch(1)], [0.4, 0.6]))
+
+
+def _group_batch(n_rows, seed=33):
+    """Every irregular break and its neighbouring doubles, non-finite
+    and huge values and every integer of the domains in each column,
+    then a random mix of those and fractional values."""
+    rng = np.random.default_rng(seed)
+    breaks = np.concatenate(_IRREGULAR)
+    probes = np.concatenate([
+        breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+        [np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0], np.arange(-2.0, 10.0),
+    ])
+    data = rng.uniform(-2.5, 9.0, size=(n_rows, 5))
+    mask = rng.random(data.shape) < 0.5
+    data[mask] = rng.choice(probes, size=int(mask.sum()))
+    data[: len(probes)] = probes[:, np.newaxis]
+    return data
+
+
+def _assert_leaf_values(got, leaf, expected):
+    """Bit for bit, except the Gaussian closed form, which folds its
+    normaliser into one constant (a different rounding order)."""
+    if isinstance(leaf, GaussianLeaf):
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+    else:
+        assert np.array_equal(got, expected, equal_nan=True), leaf
+
+
+def test_plan_leaf_values_equal_log_density_bit_for_bit():
+    spn = _group_spn()
+    data = _group_batch(300)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        got = plan_leaf_log_values(compile_plan(spn), data)
+        for leaf in spn.leaves:
+            _assert_leaf_values(got[leaf.id], leaf, leaf.log_density(data[:, leaf.variable]))
+
+
+def test_plan_leaf_values_equal_log_density_on_nips10():
+    from repro.spn import nips_benchmark
+
+    spn = nips_benchmark("NIPS10").spn
+    plan = get_plan(spn)
+    assert plan.generic_block is not None  # NIPS10 has irregular-bin leaves
+    edges = np.concatenate([leaf.breaks for leaf in plan.generic_block.leaves])
+    data = np.tile(np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [np.nan, np.inf, -np.inf, 1e300, 3.5],
+    ])[:, np.newaxis], (1, plan.n_data_columns))
+    got = plan_leaf_log_values(plan, data)
+    for leaf in spn.leaves:
+        assert np.array_equal(got[leaf.id], leaf.log_density(data[:, leaf.variable]))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [{"marginalized": [0]}, {"marginalized": [0, 2, 4]}, {"missing_value": 1.0},
+     {"missing_value": 2.25, "marginalized": [1]}],
+)
+def test_zero_column_on_a_mixed_variable(query):
+    spn = _group_spn()
+    plan = compile_plan(spn)
+    data = _group_batch(200)
+    data[::3, 0] = data[::4, 2] = 2.25  # missing entries on searched variables
+    data[1::5, 0] = 1.0
+    marg = set(query.get("marginalized", ()))
+    missing = query.get("missing_value")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        leaves = plan_leaf_log_values(plan, data, **query)
+        for leaf in spn.leaves:
+            expected = leaf.log_density(data[:, leaf.variable])
+            expected[data[:, leaf.variable] == missing] = 0.0
+            if leaf.variable in marg:
+                expected[:] = 0.0
+            _assert_leaf_values(leaves[leaf.id], leaf, expected)
+        mask = data == missing if missing is not None else None
+        reference = reference_node_log_values(
+            spn, data, marginalized=sorted(marg), missing_mask=mask
+        )[spn.root.id]
+        got = plan_log_likelihood(plan, data, **query)
+    np.testing.assert_allclose(got, reference, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "query", [{}, {"marginalized": [0, 4]}, {"missing_value": 2.25}]
+)
+def test_seam_batch_sizes_are_invisible(tiny_chunks, dtype, query):
+    """Rows answer the same whatever batch they arrive in: sizes 1,
+    15, 16, 17 and the 256-row chunk +- 1, both storage dtypes."""
+    spn = _group_spn()
+    plan = compile_plan(spn)
+    with np.errstate(divide="ignore", over="ignore"):
+        data = _group_batch(600).astype(dtype)
+        whole = plan_log_likelihood(plan, data, dtype=dtype, **query)
+        for size in (1, 15, 16, 17, 255, 256, 257):
+            n = min(len(data), size * max(1, 40 // size))
+            pieces = np.concatenate([
+                plan_log_likelihood(plan, data[i: i + size], dtype=dtype, **query)
+                for i in range(0, n, size)
+            ])
+            assert np.array_equal(pieces, whole[: len(pieces)], equal_nan=True), size
+        exact = plan_log_likelihood(plan, data.astype(np.float64), **query)
+    finite = np.isfinite(exact)
+    np.testing.assert_allclose(whole[finite], exact[finite], atol=1e-4, rtol=1e-5)
+    np.testing.assert_array_equal(whole[~finite], exact[~finite])
+
+
+def test_evaluate_plan_rows_follow_node_ids_with_irregular_leaves():
+    spn = _group_spn()
+    plan = compile_plan(spn)
+    data = _group_batch(120)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        matrix = evaluate_plan(plan, data, missing_value=2.25)
+        reference = reference_node_log_values(spn, data, missing_mask=data == 2.25)
+    leaves = {leaf.id: leaf for leaf in spn.leaves}
+    for row, node_id in enumerate(plan.node_ids):
+        if int(node_id) in leaves:
+            _assert_leaf_values(matrix[row], leaves[int(node_id)], reference[int(node_id)])
+        else:
+            np.testing.assert_allclose(matrix[row], reference[int(node_id)], rtol=1e-12)
