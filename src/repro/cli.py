@@ -6,8 +6,8 @@ Usage::
 
 where ``<artifact>`` is one of ``fig2``, ``table1``, ``fig4``,
 ``fig5``, ``fig6``, ``speedups``, ``outlook``, ``ablations``,
-``plans``, ``report``, ``trace``, ``bench``, ``cache``, ``serve`` or
-``all``.  Each command
+``plans``, ``report``, ``trace``, ``cache``, ``serve`` or ``all``.
+Each command
 prints the same rows/series the paper reports (see EXPERIMENTS.md for
 the interpretation); ``report`` prints the per-channel/per-PE
 utilization of one instrumented run (see docs/observability.md), or —
@@ -15,10 +15,8 @@ with ``--host`` — the worker/shared-memory utilization of a real
 zero-copy executor run on the local CPU (see docs/cpu_baselines.md).
 
 ``trace`` exports one instrumented simulation run *and* one real
-executor run as a single Chrome/Perfetto JSON file (``--out``), and
-``bench`` records/gates the repo's own performance trajectory (see
-docs/observability.md); both are excluded from ``all`` because they
-write files / can exit nonzero by design.  ``cache`` reports the
+executor run as a single Chrome/Perfetto JSON file (``--out``); it is
+excluded from ``all`` because it writes a file.  ``cache`` reports the
 on-disk native-kernel cache and — with ``--prune [--max-bytes N]`` —
 evicts least-recently-used artifacts down to a byte budget (see
 docs/native_backend.md); it is excluded from ``all`` too.
@@ -198,33 +196,6 @@ def _cmd_trace(args) -> str:
     )
 
 
-def _cmd_bench(args):
-    from repro.errors import ReproError
-    from repro.obs.bench import (
-        check_scenarios,
-        format_check,
-        format_record,
-        record_scenarios,
-    )
-
-    if not args.record and not args.check:
-        return "bench needs --record and/or --check (see --help)", 2
-    names = args.scenarios or None
-    pieces = []
-    try:
-        if args.record:
-            samples = record_scenarios(names, bench_dir=args.bench_dir)
-            pieces.append(format_record(samples, names or _bench_scenario_names()))
-        if args.check:
-            results = check_scenarios(names, bench_dir=args.bench_dir)
-            pieces.append(format_check(results))
-            if not all(result.ok for result in results):
-                return "\n\n".join(pieces), 1
-    except ReproError as exc:
-        return f"bench error: {exc}", 2
-    return "\n\n".join(pieces), 0
-
-
 def _cmd_serve(args):
     from repro.serving.scenarios import DEFAULT_RATES, run_serve, run_serve_selftest
 
@@ -290,12 +261,6 @@ def _cmd_cache(args) -> str:
     return "\n".join(lines)
 
 
-def _bench_scenario_names():
-    from repro.obs.bench import SCENARIOS
-
-    return list(SCENARIOS)
-
-
 _COMMANDS: Dict[str, Callable] = {
     "fig2": _cmd_fig2,
     "table1": _cmd_table1,
@@ -311,17 +276,16 @@ _COMMANDS: Dict[str, Callable] = {
     "plans": _cmd_plans,
     "report": _cmd_report,
     "trace": _cmd_trace,
-    "bench": _cmd_bench,
     "cache": _cmd_cache,
     "serve": _cmd_serve,
 }
 
-#: Commands excluded from ``all``: they write files (``trace``), are
-#: gates that exit nonzero by design (``bench``, ``serve
-#: --selftest``), mutate on-disk state (``cache`` with ``--prune``
-#: deletes artifacts), or measure live wall-clock behaviour that a
-#: batch regeneration run has no use for (``serve``).
-_NOT_IN_ALL = frozenset({"trace", "bench", "cache", "serve"})
+#: Commands excluded from ``all``: they write files (``trace``),
+#: mutate on-disk state (``cache`` with ``--prune`` deletes
+#: artifacts), or measure live wall-clock behaviour that a batch
+#: regeneration run has no use for and can exit nonzero by design
+#: (``serve``, whose ``--selftest`` is a gate).
+_NOT_IN_ALL = frozenset({"trace", "cache", "serve"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,33 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="run.perfetto.json",
         help="output path for the Chrome/Perfetto trace "
         "(default run.perfetto.json)",
-    )
-    bench = parser.add_argument_group("bench options")
-    bench.add_argument(
-        "--record",
-        action="store_true",
-        help="run the bench scenarios and append samples to their "
-        "BENCH_<scenario>.json histories",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="gate each scenario's newest sample against the "
-        "fingerprint-matched baseline; exits 1 on regression",
-    )
-    bench.add_argument(
-        "--scenarios",
-        nargs="+",
-        metavar="NAME",
-        default=None,
-        help="subset of bench scenarios (default: all; see "
-        "docs/observability.md)",
-    )
-    bench.add_argument(
-        "--bench-dir",
-        default=None,
-        help="directory holding BENCH_*.json histories "
-        "(default benchmarks/trajectory/ at the repo root)",
     )
     serve = parser.add_argument_group("serve options")
     serve.add_argument(

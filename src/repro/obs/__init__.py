@@ -1,4 +1,4 @@
-"""Observability: metrics, tracing, telemetry export, reports, bench.
+"""Observability: metrics, tracing, telemetry export, reports.
 
 See :mod:`repro.obs.metrics` for the registry the simulated components
 update (counters, gauges, time-weighted stats and log-bucketed
@@ -6,21 +6,13 @@ update (counters, gauges, time-weighted stats and log-bucketed
 request-scoped tracing through the serving datapath,
 :mod:`repro.obs.exporter` for streaming telemetry snapshots
 (Prometheus text / JSON) and SLO error-budget burn tracking,
-:mod:`repro.obs.report` for the fused :class:`UtilizationReport`,
+:mod:`repro.obs.report` for the fused :class:`UtilizationReport` and
 :mod:`repro.obs.trace_export` for the Chrome/Perfetto exporter
-(``repro trace``) and :mod:`repro.obs.bench` for the benchmark
-trajectory recorder (``repro bench``); ``docs/observability.md`` maps
-every report field to the paper claim it measures.
+(``repro trace``); ``docs/observability.md`` maps every report field
+to the paper claim it measures.  The repo's own performance is
+measured by the end-to-end benchmark, ``benchmarks/e2e/run.py``.
 """
 
-from repro.obs.bench import (
-    BenchSample,
-    BenchScenario,
-    CheckResult,
-    check_scenarios,
-    env_fingerprint,
-    record_scenarios,
-)
 from repro.obs.exporter import (
     PeriodicTelemetryWriter,
     SLOTracker,
@@ -78,10 +70,4 @@ __all__ = [
     "HostSpan",
     "HostSpanRecorder",
     "export_run_trace",
-    "BenchSample",
-    "BenchScenario",
-    "CheckResult",
-    "check_scenarios",
-    "env_fingerprint",
-    "record_scenarios",
 ]

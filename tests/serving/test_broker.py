@@ -528,9 +528,13 @@ class TestPipelinedDatapath:
     """The PR 9 contract: write-once arenas evaluated in place on the
     lane path, and n_lanes batches genuinely in flight at once."""
 
-    def test_zero_copy_over_executor_lanes(self):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_zero_copy_over_executor_lanes(self, n_workers):
         """Executor-backed serving stages zero bytes: rows are written
-        once into the lane arena the kernel evaluates in place."""
+        once into the lane arena the kernel evaluates in place.  With
+        two workers the plan-backed executor dispatches every batch
+        through the shared-memory pool lanes, and the answers stay
+        bit-identical there too."""
         spn = random_spn(5, depth=3, n_bins=6, seed=17)
         rng = np.random.default_rng(23)
         data = rng.integers(0, 6, size=(41, 5)).astype(np.float64)
@@ -550,7 +554,9 @@ class TestPipelinedDatapath:
                     *(broker.submit(row) for row in data)
                 )
 
-        with ParallelPlanExecutor(spn, n_workers=1, metrics=metrics) as executor:
+        with ParallelPlanExecutor(
+            spn, n_workers=n_workers, metrics=metrics
+        ) as executor:
             results = run(scenario())
         assert np.array_equal(np.array(results), reference)
 

@@ -7,15 +7,16 @@ from repro.cli import build_parser, main
 
 def test_parser_accepts_all_artifacts():
     parser = build_parser()
-    for name in ("fig2", "table1", "fig4", "fig5", "fig6", "speedups", "outlook", "ablations", "formats", "sensitivity", "roofline", "plans", "report", "trace", "bench", "cache", "serve", "all"):
+    for name in ("fig2", "table1", "fig4", "fig5", "fig6", "speedups", "outlook", "ablations", "formats", "sensitivity", "roofline", "plans", "report", "trace", "cache", "serve", "all"):
         args = parser.parse_args([name])
         assert args.artifact == name
 
 
 def test_parser_rejects_unknown_artifact():
     parser = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["fig99"])
+    for name in ("fig99", "bench"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([name])
 
 
 def test_fig5_command_prints_table(capsys):
@@ -84,11 +85,11 @@ def test_trace_command_writes_chrome_trace(tmp_path, capsys):
             assert field in event
 
 
-def test_trace_bench_cache_serve_are_excluded_from_all():
+def test_trace_cache_serve_are_excluded_from_all():
     from repro.cli import _COMMANDS, _NOT_IN_ALL
 
-    assert {"trace", "bench", "cache", "serve"} <= set(_COMMANDS)
-    assert _NOT_IN_ALL == frozenset({"trace", "bench", "cache", "serve"})
+    assert {"trace", "cache", "serve"} <= set(_COMMANDS)
+    assert _NOT_IN_ALL == frozenset({"trace", "cache", "serve"})
 
 
 def test_serve_command_prints_result_table(capsys):
