@@ -12,8 +12,8 @@ chosen per batch by one predicate (``_pool_for``):
 * **in-process** — one ``kernel.log_likelihood`` /
   :func:`~repro.spn.plan_eval.plan_log_likelihood` call on the array
   where it lies (the caller's batch, or a lane's arena): no staging
-  copy, no pipe.  Native kernels (codegen v2) carry their own
-  thread-parallel driver, so this path is multi-core on its own; the
+  copy, no pipe.  Native kernels carry their own pthread
+  driver, so this path is multi-core on its own; the
   thread count scales with the batch and is capped at ``n_workers``;
 * **a lane over the pool** — the batch lives in a lane's
   :mod:`multiprocessing.shared_memory` arena; each worker of a
@@ -43,9 +43,8 @@ lane, copies the batch into its arena once, and rides the same path.
   ``dlopen`` the inherited path, so the one-time compile cost never
   multiplies with the pool size;
 * **dispatch control** — ``dispatch="auto"`` (default) keeps native
-  batches in-process whenever the artifact has a thread runtime and
-  then never spawns the pool at all; plan-backed batches, and large
-  batches on a thread-less (serial) artifact, go over the pool.
+  batches in-process and then never spawns the pool at all;
+  plan-backed batches go over the pool.
   ``"pool"`` pins the pool.  Inside forked workers kernel threads are
   always pinned to 1, so pool dispatch can never nest-oversubscribe
   the machine;
@@ -433,7 +432,7 @@ class ExecutorLane:
         if marginalized is not None:
             marginalized = tuple(int(v) for v in marginalized)
         label = f"lane{self._lane_id}.shard"
-        pool = executor._pool_for(rows)
+        pool = executor._pool_for()
         if pool is None:
             return executor._eval_inline(
                 self._in_view[:rows], marginalized, missing_value, label,
@@ -487,12 +486,10 @@ class ParallelPlanExecutor:
         inherited path — never rebuild per fork.
     dispatch:
         How batches reach the cores.  ``"auto"`` (default) runs native
-        batches through the kernel's in-process thread driver whenever
-        the artifact supports threads (skipping pool spawn entirely);
-        with a thread-less (serial) artifact it keeps small batches
-        in-process and shards large ones over the pool; plan-backed
-        executors always use the pool.  ``"pool"`` forces the process
-        pool.  Results are identical on every path.
+        batches through the kernel's in-process thread driver
+        (skipping pool spawn entirely); plan-backed executors always
+        use the pool.  ``"pool"`` forces the process pool.  Results
+        are identical on every path.
     min_rows_per_shard:
         Adaptive-oversharding floor: never split finer than this.
     overshard:
@@ -613,11 +610,7 @@ class ParallelPlanExecutor:
         # When every batch is guaranteed to take the in-process threaded
         # path, the process pool would be dead weight - skip spawning it
         # (the fork/prewarm cost vanishes from setup_seconds).
-        threads_only = (
-            dispatch == "auto"
-            and self._kernel is not None
-            and self._kernel.supports_threads
-        )
+        threads_only = dispatch == "auto" and self._kernel is not None
         self._pool = None if threads_only else self._start_pool()
         self.setup_seconds = time.perf_counter() - start
 
@@ -735,16 +728,13 @@ class ParallelPlanExecutor:
         """Columns one batch row must have (the plan's data width)."""
         return self._plan.n_data_columns
 
-    def _pool_for(self, rows: int) -> Optional[ProcessPoolExecutor]:
-        """The one dispatch decision: the pool a batch of *rows* fans
-        out over, or None to evaluate it in-process.
+    def _pool_for(self) -> Optional[ProcessPoolExecutor]:
+        """The one dispatch decision: the pool a batch fans out over,
+        or None to evaluate it in-process.
 
-        There is no pool when ``"auto"`` found a thread-capable native
-        artifact, when ``n_workers == 1``, when processes cannot be
-        spawned, or after a worker died.  With one, ``"pool"`` and
-        plan-backed executors always use it; ``"auto"`` over a
-        thread-less (serial) artifact keeps a batch in-process while
-        it is too small to fill more than one shard.
+        There is no pool when ``"auto"`` found a native kernel, when
+        ``n_workers == 1``, when processes cannot be spawned, or after
+        a worker died.
 
         The read of ``self._pool`` is a snapshot: a concurrent
         :meth:`close` (broker shutdown with a batch in flight) nulls
@@ -752,15 +742,7 @@ class ParallelPlanExecutor:
         the staging/dispatch guards turn the race into a clear
         :class:`~repro.errors.ReproError`.
         """
-        pool = self._pool
-        if (
-            pool is not None
-            and self._kernel is not None
-            and self._dispatch == "auto"
-            and rows // self.min_rows_per_shard <= 1
-        ):
-            return None
-        return pool
+        return self._pool
 
     # -- shared-memory staging --------------------------------------------------
     @staticmethod
@@ -929,7 +911,7 @@ class ParallelPlanExecutor:
             marginalized = tuple(int(v) for v in marginalized)
         if n_shards is not None and n_shards < 1:
             raise ReproError(f"n_shards must be >= 1, got {n_shards}")
-        pool = self._pool_for(rows)
+        pool = self._pool_for()
         if pool is None:
             return self._eval_inline(
                 data, marginalized, missing_value, "shard", threads=n_shards

@@ -44,7 +44,6 @@ from repro.compiler.native_build import (
     compiler_command,
     get_native_kernel,
     load_kernel,
-    native_log_likelihood,
     native_or_plan_log_likelihood,
     set_native_observability,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "compiler_command",
     "get_native_kernel",
     "load_kernel",
-    "native_log_likelihood",
     "native_or_plan_log_likelihood",
     "set_native_observability",
 ]

@@ -80,7 +80,8 @@ __all__ = [
 #: v2: thread-parallel block driver (n_threads/thread_stamps params).
 #: v3: histogram leaves gathered inline from per-variable code tiles,
 #: grid lookup for irregular bins, padded row loops.
-CODEGEN_VERSION = 3
+#: v4: one pthread driver, no build-time choice of thread runtime.
+CODEGEN_VERSION = 4
 
 #: Exported entry-point symbol of every generated kernel.
 KERNEL_SYMBOL = "repro_plan_eval"
@@ -427,9 +428,9 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
     ``data`` is the row-major ``(n_rows, n_cols)`` batch in the storage
     dtype, ``marg`` an optional per-variable byte mask (NULL when no
     variables are marginalised), and ``out`` the float64 root
-    log-likelihood vector.  ``n_threads`` asks for that many worker
-    threads (clamped to [1, min(n_blocks, MAX_THREADS)]; forced to 1
-    when the artifact was built without a thread runtime) over a
+    log-likelihood vector.  ``n_threads`` asks for that many pthreads
+    (clamped to [1, min(n_blocks, MAX_THREADS)]; the calling thread
+    runs the first chunk, so one thread creates none) over a
     *thread-count-independent* static partition of the fixed BLOCK
     grid, so results are bit-identical for any ``n_threads``.
     ``thread_stamps`` (optional, ``2 * n_threads`` doubles) receives
@@ -498,9 +499,7 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
         "#include <stdint.h>",
         "#include <stdlib.h>",
         "#include <time.h>",
-        "#ifdef REPRO_THREADS_PTHREADS",
         "#include <pthread.h>",
-        "#endif",
         "",
         f"typedef {real} real_t;",
         f"#define BLOCK {BLOCK_ROWS}L",
@@ -590,13 +589,11 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
         "    c->t1 = repro_mono_seconds();",
         "}",
         "",
-        "#ifdef REPRO_THREADS_PTHREADS",
         "static void* repro_chunk_main(void* arg)",
         "{",
         "    repro_run_chunk((repro_chunk_t*) arg);",
         "    return 0;",
         "}",
-        "#endif",
         "",
         f"int {KERNEL_SYMBOL}(const void* data, long n_rows, long n_cols,",
         "                    const unsigned char* marg, double missing_value,",
@@ -609,10 +606,6 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
         "    if (nt < 1) nt = 1;",
         "    if (nt > MAX_THREADS) nt = MAX_THREADS;",
         "    if (n_blocks > 0 && nt > n_blocks) nt = n_blocks;",
-        "#if !defined(REPRO_THREADS_OPENMP) && "
-        "!defined(REPRO_THREADS_PTHREADS)",
-        "    nt = 1; /* serial build: no thread runtime compiled in */",
-        "#endif",
         "    repro_chunk_t chunks[MAX_THREADS];",
         "    for (long t = 0; t < nt; ++t) {",
         "        chunks[t].d = d;",
@@ -628,11 +621,6 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
         "        chunks[t].t0 = 0.0;",
         "        chunks[t].t1 = 0.0;",
         "    }",
-        "#if defined(REPRO_THREADS_OPENMP)",
-        "    #pragma omp parallel for schedule(static) "
-        "num_threads((int) nt)",
-        "    for (long t = 0; t < nt; ++t) repro_run_chunk(&chunks[t]);",
-        "#elif defined(REPRO_THREADS_PTHREADS)",
         "    pthread_t tids[MAX_THREADS];",
         "    int started[MAX_THREADS];",
         "    for (long t = 1; t < nt; ++t)",
@@ -643,9 +631,6 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
         "        if (started[t]) pthread_join(tids[t], 0);",
         "        else repro_run_chunk(&chunks[t]);",
         "    }",
-        "#else",
-        "    for (long t = 0; t < nt; ++t) repro_run_chunk(&chunks[t]);",
-        "#endif",
         "    int rc = 0;",
         "    for (long t = 0; t < nt; ++t) {",
         "        rc |= chunks[t].rc;",

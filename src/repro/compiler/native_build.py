@@ -23,8 +23,8 @@ numpy kernels.
 
 Failure policy (the "loud-but-graceful" contract):
 
-* the *explicit* APIs — :func:`native_log_likelihood`,
-  :func:`get_native_kernel` with ``require=True`` — raise
+* the *explicit* API — :func:`get_native_kernel` with
+  ``require=True`` — raises
   :class:`~repro.errors.NativeBackendError` when no C compiler exists,
   the plan is uncompilable (generic leaves), or the build fails;
 * the *implicit* path — :func:`native_or_plan_log_likelihood`, used by
@@ -36,12 +36,8 @@ Set ``REPRO_NATIVE_CC`` to pick a specific compiler binary; pointing it
 at a nonexistent path masks the toolchain entirely (used by the no-cc
 CI leg and the fallback tests).
 
-**Threading.**  Generated kernels (codegen v2) carry their own
-thread-parallel block driver; this module probes the toolchain once
-per compiler for the best available runtime — OpenMP, then a raw
-pthread pool, then serial — and bakes the winning mode into both the
-build flags and the artifact name (``-omp-`` / ``-pth-`` / ``-st-``
-tag).  The per-call thread count resolves through
+**Threading.**  Generated kernels carry their own pthread block
+driver.  The per-call thread count resolves through
 :func:`resolve_native_threads`: an explicit ``threads=`` argument wins,
 then ``REPRO_NATIVE_THREADS``, then 1 — invalid values raise
 :class:`~repro.errors.RuntimeConfigError` naming the source.  Results
@@ -56,8 +52,8 @@ with different vector extensions; the sibling transparently builds its
 own.  ``REPRO_NATIVE_PORTABLE=1`` opts back into the portable flag set
 (artifacts tagged ``-portable-``).
 
-**Cache bounding.**  The cache now grows per (plan, dtype, codegen
-revision, thread mode, ISA); :func:`prune_native_cache` (CLI:
+**Cache bounding.**  The cache grows per (plan, dtype, codegen
+revision, ISA); :func:`prune_native_cache` (CLI:
 ``repro cache --prune``) evicts least-recently-used artifact groups —
 cache hits refresh mtime — down to a byte budget.
 
@@ -102,13 +98,11 @@ from repro.compiler.cgen import (
 __all__ = [
     "compiler_command",
     "native_cache_dir",
-    "native_thread_mode",
     "resolve_native_threads",
     "NativeKernel",
     "build_kernel",
     "load_kernel",
     "get_native_kernel",
-    "native_log_likelihood",
     "native_or_plan_log_likelihood",
     "set_native_observability",
     "clear_native_kernels",
@@ -126,6 +120,7 @@ _CFLAGS: Tuple[str, ...] = (
     "-fPIC",
     "-shared",
     "-fno-math-errno",
+    "-pthread",
 )
 
 #: Extra flags that unlock glibc's vectorized math library (libmvec).
@@ -161,49 +156,6 @@ _VEC_PROBED: Dict[str, bool] = {}
 #: Candidate compiler binaries, probed in order.
 _CC_CANDIDATES: Tuple[str, ...] = ("cc", "gcc", "clang")
 
-#: Thread-runtime build flags per mode.  The ``-D`` define selects the
-#: matching driver in the generated source (see cgen); a serial build
-#: compiles the same source with the driver forced to one chunk.
-_THREAD_FLAGS: Dict[str, Tuple[str, ...]] = {
-    "openmp": ("-fopenmp", "-DREPRO_THREADS_OPENMP"),
-    "pthreads": ("-pthread", "-DREPRO_THREADS_PTHREADS"),
-    "serial": (),
-}
-
-#: Short artifact-name tag per thread mode (and its inverse, used by
-#: :func:`load_kernel` to recover the mode without a toolchain).
-_THREAD_TAGS: Dict[str, str] = {
-    "openmp": "omp",
-    "pthreads": "pth",
-    "serial": "st",
-}
-_TAG_MODES: Dict[str, str] = {v: k for k, v in _THREAD_TAGS.items()}
-
-#: Probe program for OpenMP support (must compile *and* link).
-_OMP_PROBE_SRC = (
-    "#include <omp.h>\n"
-    "int main(void) {\n"
-    "    int n = 0;\n"
-    "    #pragma omp parallel reduction(+:n)\n"
-    "    n += 1;\n"
-    "    return n > 0 ? 0 : 1;\n"
-    "}\n"
-)
-
-#: Probe program for pthread support.
-_PTHREAD_PROBE_SRC = (
-    "#include <pthread.h>\n"
-    "static void* f(void* a) { return a; }\n"
-    "int main(void) {\n"
-    "    pthread_t t;\n"
-    "    if (pthread_create(&t, 0, f, 0) != 0) return 1;\n"
-    "    return pthread_join(t, 0);\n"
-    "}\n"
-)
-
-#: Memoized thread-mode probe results keyed by compiler path.
-_MODE_PROBED: Dict[str, str] = {}
-
 #: Memoized ``-march=native`` ISA identities keyed by compiler path:
 #: an 8-hex digest of the march-predefined-macro dump (None when the
 #: flag is unsupported).
@@ -235,34 +187,6 @@ def _probe_compile(cc0: str, source: str, flags: Sequence[str],
             return result.returncode == 0
     except OSError:
         return False
-
-
-def _thread_mode(cc0: str) -> str:
-    """Best thread runtime *cc0* supports: openmp > pthreads > serial."""
-    cached = _MODE_PROBED.get(cc0)
-    if cached is not None:
-        return cached
-    if _probe_compile(cc0, _OMP_PROBE_SRC, ["-fopenmp"]):
-        mode = "openmp"
-    elif _probe_compile(cc0, _PTHREAD_PROBE_SRC, ["-pthread"]):
-        mode = "pthreads"
-    else:
-        mode = "serial"
-    _MODE_PROBED[cc0] = mode
-    return mode
-
-
-def native_thread_mode() -> Optional[str]:
-    """The thread runtime new builds will use on this host.
-
-    ``"openmp"``, ``"pthreads"`` or ``"serial"`` — or None when no C
-    compiler is available at all.  Probed once per compiler path and
-    memoized for the process.
-    """
-    cc = compiler_command()
-    if cc is None:
-        return None
-    return _thread_mode(cc[0])
 
 
 def _portable_requested() -> bool:
@@ -426,47 +350,37 @@ def _sanitize(name: str) -> str:
 
 
 def _artifact_stem(plan: InferencePlan, dtype: np.dtype, source: str,
-                   compiler_id: str, mode: str, isa: Optional[str]) -> str:
-    """Cache key: plan + dtype + codegen rev + thread mode + ISA + hash.
+                   compiler_id: str, isa: Optional[str]) -> str:
+    """Cache key: plan + dtype + codegen rev + ISA + hash.
 
-    The dtype tag, ``cg<version>``, the thread-mode tag (``omp`` /
-    ``pth`` / ``st``) and the host-ISA identity (8 hex chars, or
-    ``portable``) are spelled out (not only folded into the hash) so a
-    directory listing shows exactly which revision, precision, thread
-    runtime and ISA produced each artifact — and so
-    :func:`load_kernel` can recover the thread mode from the filename
-    alone, without a toolchain.
+    The dtype tag, ``cg<version>`` and the host-ISA identity (8 hex
+    chars, or ``portable``) are spelled out (not only folded into the
+    hash) so a directory listing shows exactly which revision,
+    precision and ISA produced each artifact.
     """
     digest = hashlib.blake2b(
         (source + "\0" + compiler_id).encode(), digest_size=8
     ).hexdigest()
     return (
         f"{_sanitize(plan.name)}-{dtype.name}-cg{CODEGEN_VERSION}"
-        f"-{_THREAD_TAGS[mode]}-{isa if isa else 'portable'}-{digest}"
+        f"-{isa if isa else 'portable'}-{digest}"
     )
-
-
-def _mode_from_artifact(path: Path) -> str:
-    """Recover the thread mode from an artifact filename tag."""
-    for part in Path(path).name.split("-"):
-        if part in _TAG_MODES:
-            return _TAG_MODES[part]
-    return "serial"
 
 
 def build_kernel(plan: InferencePlan, dtype=np.float64) -> Path:
     """Compile (or reuse) the kernel artifact for *plan*; returns its path.
 
-    Builds carry the best available thread runtime (OpenMP > pthreads >
-    serial) and, unless ``REPRO_NATIVE_PORTABLE`` is set, tune with
+    Unless ``REPRO_NATIVE_PORTABLE`` is set, builds tune with
     ``-march=native`` keyed by the host-ISA identity.  Cache hits
     refresh the artifact mtime so :func:`prune_native_cache` evicts in
     true LRU order.
 
     Raises :class:`~repro.errors.NativeBackendError` when no compiler
     is available, the plan is uncompilable, or compilation fails.  The
-    build is atomic (tmp file + ``os.replace``) so concurrent processes
-    racing on the same plan converge on one valid artifact.
+    source and the artifact are both written under per-process temp
+    names and ``os.replace``-d into place after a successful compile,
+    so concurrent processes racing on the same plan never read each
+    other's half-written files and converge on one valid artifact.
     """
     dtype = np.dtype(dtype)
     cc = compiler_command()
@@ -481,8 +395,6 @@ def build_kernel(plan: InferencePlan, dtype=np.float64) -> Path:
     if _vector_math_supported(cc[0]):
         flags += list(_VEC_CFLAGS)
         libs = ["-lmvec", "-lm"]
-    mode = _thread_mode(cc[0])
-    flags += list(_THREAD_FLAGS[mode])
     isa = None if _portable_requested() else _march_isa(cc[0])
     if isa is not None:
         flags.append("-march=native")
@@ -490,7 +402,7 @@ def build_kernel(plan: InferencePlan, dtype=np.float64) -> Path:
     stem = _artifact_stem(
         plan, dtype, source,
         cc[0] + ":" + ",".join(flags) + ":" + (isa or "portable"),
-        mode, isa,
+        isa,
     )
     artifact = cache / f"{stem}.so"
     if artifact.exists():
@@ -501,22 +413,28 @@ def build_kernel(plan: InferencePlan, dtype=np.float64) -> Path:
             pass
         return artifact
     _count("native.cache_misses")
-    c_path = cache / f"{stem}.c"
+    # Both temps share the ``<stem>.so.tmp.`` prefix, so a crashed
+    # build's leftovers prune with their artifact group.
     tmp = cache / f"{stem}.so.tmp.{os.getpid()}"
+    c_tmp = Path(f"{tmp}.c")
     began = time.perf_counter()
-    c_path.write_text(source)
-    result = subprocess.run(
-        cc + flags + ["-o", str(tmp), str(c_path)] + libs,
-        capture_output=True,
-        text=True,
-    )
-    if result.returncode != 0:
-        tmp.unlink(missing_ok=True)
-        raise NativeBackendError(
-            f"native kernel build failed for plan {plan.name!r} "
-            f"(compiler {cc[0]}):\n{result.stderr[:2000]}"
+    try:
+        c_tmp.write_text(source)
+        result = subprocess.run(
+            cc + flags + ["-o", str(tmp), str(c_tmp)] + libs,
+            capture_output=True,
+            text=True,
         )
-    os.replace(tmp, artifact)
+        if result.returncode != 0:
+            raise NativeBackendError(
+                f"native kernel build failed for plan {plan.name!r} "
+                f"(compiler {cc[0]}):\n{result.stderr[:2000]}"
+            )
+        os.replace(c_tmp, cache / f"{stem}.c")
+        os.replace(tmp, artifact)
+    finally:
+        c_tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
     _count("native.build_seconds", time.perf_counter() - began)
     return artifact
 
@@ -567,13 +485,6 @@ class NativeKernel:
         self.path = Path(path)
         #: Storage dtype the kernel was generated for.
         self.dtype = np.dtype(dtype)
-        #: Thread runtime baked into the artifact (recovered from the
-        #: filename tag, so workers with a masked toolchain know it).
-        self.thread_mode = _mode_from_artifact(path)
-        #: Whether ``threads > 1`` can actually run concurrently.  A
-        #: serial artifact still accepts any ``threads=`` value — the
-        #: driver just clamps it to one chunk.
-        self.supports_threads = self.thread_mode in ("openmp", "pthreads")
         self._n_data_columns = plan.n_data_columns
         self._scope = plan.scope
         self._plan = plan
@@ -689,8 +600,7 @@ def get_native_kernel(
     if kernel is not None:
         return kernel
     try:
-        artifact = build_kernel(plan, dtype)
-        kernel = NativeKernel(_load_ctypes(artifact), artifact, plan, dtype)
+        kernel = load_kernel(build_kernel(plan, dtype), plan, dtype)
     except NativeBackendError as exc:
         if require:
             raise
@@ -718,31 +628,6 @@ def clear_native_kernels() -> None:
     """
     _KERNELS.clear()
     _WARNED.clear()
-
-
-def native_log_likelihood(
-    plan: InferencePlan,
-    data: np.ndarray,
-    *,
-    marginalized: Optional[Sequence[int]] = None,
-    missing_value: Optional[float] = None,
-    dtype=np.float64,
-    threads: Optional[int] = None,
-) -> np.ndarray:
-    """Root log-likelihood via the native kernel; raises if unavailable.
-
-    The explicit-request API: signature-compatible with
-    :func:`repro.spn.plan_eval.plan_log_likelihood` but never silently
-    degrades — no compiler or an uncompilable plan is a
-    :class:`~repro.errors.NativeBackendError`.  *threads* resolves via
-    :func:`resolve_native_threads`; results are identical for every
-    value.
-    """
-    kernel = get_native_kernel(plan, dtype, require=True)
-    return kernel.log_likelihood(
-        data, marginalized=marginalized, missing_value=missing_value,
-        threads=threads,
-    )
 
 
 def native_or_plan_log_likelihood(
@@ -818,8 +703,8 @@ def prune_native_cache(
     """Evict least-recently-used kernel artifacts down to *max_bytes*.
 
     The cache grows one artifact group (``.so`` + ``.c`` + any stale
-    build temps) per (plan, dtype, codegen revision, thread mode, ISA)
-    key; this walks groups oldest-first by mtime — cache hits refresh
+    build temps) per (plan, dtype, codegen revision, ISA) key; this
+    walks groups oldest-first by mtime — cache hits refresh
     mtime, so recency means *use*, not build time — and deletes whole
     groups until the directory fits the budget
     (default :data:`DEFAULT_CACHE_MAX_BYTES`).  Artifacts already

@@ -15,9 +15,10 @@ Three backends implement the pass:
 * **native** — the plan additionally code-generated into one
   specialized C kernel and executed zero-copy
   (:mod:`repro.compiler.cgen` / :mod:`repro.compiler.native_build`).
-  The kernel carries its own thread-parallel block driver: set
-  ``REPRO_NATIVE_THREADS`` (or pass ``threads=`` to the explicit
-  native APIs) to run one call across that many cores in-process —
+  The kernel carries its own pthread block driver: set
+  ``REPRO_NATIVE_THREADS`` (or pass ``threads=`` to
+  ``NativeKernel.log_likelihood``) to run one call across that many
+  cores in-process —
   results are bit-identical for every thread count, and invalid
   values raise :class:`~repro.errors.RuntimeConfigError` naming the
   source.  Selecting the backend process-wide is *graceful*:

@@ -326,8 +326,8 @@ def test_threads_dispatch_matches_pool_bit_for_bit(native_setup):
 
 
 def test_auto_dispatch_with_kernel_skips_pool(native_setup):
-    """``auto`` with a thread-capable kernel never forks workers and
-    reports the thread counts it actually used."""
+    """``auto`` with a native kernel never forks workers and reports
+    the thread counts it actually used."""
     spn, data = native_setup
     metrics = MetricsRegistry()
     with ParallelPlanExecutor(
@@ -338,8 +338,6 @@ def test_auto_dispatch_with_kernel_skips_pool(native_setup):
         metrics=metrics,
     ) as running:
         assert running.dispatch == "auto"
-        if not running._kernel.supports_threads:
-            pytest.skip("kernel built in serial mode")
         assert running._pool is None  # no fork ever happened
         out = running.submit(data)
     assert metrics.value("executor.kernel_threads") >= 1

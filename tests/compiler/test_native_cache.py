@@ -1,15 +1,20 @@
-"""On-disk kernel cache: naming, host-ISA keying, and LRU pruning.
+"""On-disk kernel cache: naming, host-ISA keying, concurrent builds,
+and LRU pruning.
 
 Artifact names encode everything that must invalidate a
-cached kernel — dtype, codegen revision, thread-runtime tag, and a
-host-ISA fingerprint (or ``portable``) — so one shared cache dir can
-serve machines with different CPUs.  The cache is bounded by
+cached kernel — dtype, codegen revision and a host-ISA fingerprint
+(or ``portable``) — so one shared cache dir can serve machines with
+different CPUs.  The cache is bounded by
 :func:`~repro.compiler.native_build.prune_native_cache`, which evicts
 whole artifact groups least-recently-*used* first (cache hits refresh
 mtime).
 """
 
 import os
+import re
+import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -21,12 +26,19 @@ from repro.compiler.native_build import (
     build_kernel,
     clear_native_kernels,
     compiler_command,
+    load_kernel,
     native_cache_dir,
     native_cache_stats,
-    native_thread_mode,
     prune_native_cache,
 )
-from repro.spn import compile_plan, get_plan, nips_benchmark, random_spn
+from repro.errors import NativeBackendError
+from repro.spn import (
+    compile_plan,
+    get_plan,
+    nips_benchmark,
+    plan_log_likelihood,
+    random_spn,
+)
 
 needs_cc = pytest.mark.skipif(
     compiler_command() is None, reason="no C compiler on this host"
@@ -61,24 +73,81 @@ def _backdate(cache, stem, age_seconds):
 
 
 @needs_cc
-def test_artifact_name_encodes_mode_and_isa():
-    """The filename carries the codegen revision, the probed thread
-    runtime, and a host-ISA fingerprint tag."""
-    path = build_kernel(_plan(40), np.float64)
-    name = path.name
-    assert f"cg{CODEGEN_VERSION}" in name
-    tag = {"openmp": "omp", "pthreads": "pth", "serial": "st"}[
-        native_thread_mode()
-    ]
-    assert f"-{tag}-" in name
-    # ``-march=native`` builds key by an 8-hex ISA fingerprint; hosts
-    # where the probe fails key as portable instead.
-    assert "-portable-" in name or any(
-        part
-        and len(part) == 8
-        and all(c in "0123456789abcdef" for c in part)
-        for part in name.split("-")
+def test_artifact_name_encodes_revision_and_isa():
+    """The filename is ``<plan>-<dtype>-cg<rev>-<isa>-<hash>.so``: the
+    host-ISA fingerprint (or ``portable``) follows the codegen revision
+    directly, with no thread-runtime tag in between."""
+    name = build_kernel(_plan(40), np.float64).name
+    assert re.fullmatch(
+        rf".+-float64-cg{CODEGEN_VERSION}-(portable|[0-9a-f]{{8}})"
+        r"-[0-9a-f]{16}\.so",
+        name,
+    ), name
+    assert not any(f"-{tag}-" in name for tag in ("omp", "pth", "st"))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_generated_source_has_one_thread_driver(dtype):
+    """The kernel ships one driver, pthreads: no preprocessor
+    conditional selects a runtime at build time, and no ``omp``
+    pragma or header is left."""
+    source = generate_kernel_source(_plan(39), dtype)
+    assert "pthread_create" in source
+    assert "#if" not in source
+    assert not re.search(r"\bomp\b", source)
+
+
+@needs_cc
+def test_concurrent_builds_converge_on_one_artifact(tmp_path):
+    """Four processes building one plan into one empty cache at once
+    all succeed and load the same artifact.  Each compiles its own
+    temp source, so none reads a ``.c`` file another is rewriting."""
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
     )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "shared")
+    code = (
+        "import numpy as np\n"
+        "from repro.compiler.native_build import build_kernel\n"
+        "from repro.spn import compile_plan, random_spn\n"
+        "plan = compile_plan(random_spn(4, depth=3, n_bins=5, seed=38))\n"
+        "print(build_kernel(plan, np.float64))\n"
+    )
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        for _ in range(4)
+    ]
+    outputs = [proc.communicate(timeout=300) for proc in procs]
+    for proc, (_, err) in zip(procs, outputs):
+        assert proc.returncode == 0, err
+    paths = {out.strip() for out, _ in outputs}
+    assert len(paths) == 1, paths
+    cache = tmp_path / "shared" / "native"
+    assert sorted(p.suffix for p in cache.iterdir()) == [".c", ".so"]
+    plan = compile_plan(random_spn(4, depth=3, n_bins=5, seed=38))
+    kernel = load_kernel(paths.pop(), plan, np.float64)
+    data = np.random.default_rng(0).integers(
+        0, 5, size=(300, plan.n_data_columns)
+    ).astype(np.float64)
+    np.testing.assert_allclose(
+        kernel.log_likelihood(data), plan_log_likelihood(plan, data),
+        rtol=1e-12, atol=1e-12,
+    )
+
+
+@pytest.mark.skipif(shutil.which("false") is None, reason="no false(1)")
+def test_failed_build_leaves_no_files(monkeypatch):
+    """A compile that fails publishes nothing: ``<stem>.c`` appears
+    only beside a built ``.so``, and the temps are removed."""
+    monkeypatch.setenv("REPRO_NATIVE_CC", "false")
+    with pytest.raises(NativeBackendError, match="build failed"):
+        build_kernel(_plan(37), np.float64)
+    assert list(native_cache_dir().iterdir()) == []
 
 
 @needs_cc

@@ -27,7 +27,6 @@ from repro.compiler.native_build import (
     compiler_command,
     get_native_kernel,
     load_kernel,
-    native_log_likelihood,
     native_or_plan_log_likelihood,
     set_native_observability,
 )
@@ -557,9 +556,6 @@ def test_no_compiler_explicit_requests_raise(_no_compiler):
     """Explicit ``native`` asks fail loudly instead of degrading."""
     spn = random_spn(3, depth=2, n_bins=4, seed=16)
     plan = compile_plan(spn)
-    data = _batch(plan, 8, 17, high=4)
-    with pytest.raises(NativeBackendError, match="no C compiler"):
-        native_log_likelihood(plan, data)
     with pytest.raises(NativeBackendError, match="no C compiler"):
         get_native_kernel(plan, np.float64, require=True)
     from repro.baselines import ParallelPlanExecutor

@@ -1,7 +1,6 @@
 """Thread-parallel native kernel: determinism, config, and fallback.
 
-The codegen-v2 kernels carry an in-process thread driver (OpenMP,
-pthread pool, or serial, probed at build time).  The load-bearing
+Generated kernels carry an in-process pthread driver.  The load-bearing
 contract is *bit-identical results for every thread count*: the row
 partition splits on fixed compile-time block boundaries, so threading
 never reorders a reduction.  This suite locks that in across dtypes,
@@ -171,12 +170,9 @@ def test_threads_resolution_order_and_clamp(monkeypatch):
 
 @needs_cc
 def test_per_thread_busy_counters_and_spans():
-    """Multi-threaded calls surface per-chunk busy counters and spans
-    (when the kernel was built with a threaded runtime)."""
+    """Multi-threaded calls surface per-chunk busy counters and spans."""
     plan, _ = _plan_and_batch(0)
     kernel = get_native_kernel(plan, np.float64, require=True)
-    if not kernel.supports_threads:
-        pytest.skip("kernel built in serial mode (no OpenMP/pthread)")
     block = BLOCK_ROWS
     _, data = _plan_and_batch(2 * block)  # exactly two chunks
     registry = MetricsRegistry()
