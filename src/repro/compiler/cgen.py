@@ -11,30 +11,29 @@ constant so the C compiler can unroll and vectorize.
 
 The datapath follows the paper's accelerator core, where histogram
 leaves are BRAM lookup tables feeding the adder tree with no memory in
-between: a unit-bin histogram leaf is *never materialised*.  Per row
-block the kernel fills one ``int32`` row-code tile per histogram
-variable, and every product or sum node reads a histogram child as
-``T_HIST[code_v[r] + column]`` inline, in the plan's child order — the
-same adds in the same order as the numpy kernels.  The value slab
-holds only Gaussian, categorical and irregular-bin leaves and interior
-nodes.
+between: a histogram leaf is *never materialised*.  Per row block the
+kernel fills one ``int32`` cell-code tile per histogram group
+(:class:`~repro.spn.plan.HistogramGroup`, one per variable), and every
+product or sum node reads a histogram child as ``T_HIST[c_v[r] + j]``
+inline, in the plan's child order — the same adds in the same order as
+the numpy kernels.  The value slab holds only Gaussian and categorical
+leaves and interior nodes.
 
 Kernel semantics mirror :func:`repro.spn.plan_eval.plan_log_likelihood`
 exactly:
 
-* histogram row codes clamp with ``(x < hi) ? x : hi`` /
-  ``(x > lo) ? x : lo`` — ``fmin``/``fmax`` for every input including
-  NaN (which lands on a sentinel row), but plain selects the compiler
-  vectorizes instead of scalar libm calls.  A marginalised variable, a
-  missing entry and a pad row all select one all-zero row appended to
-  the variable's table slab, so node loops carry no ``marg`` /
+* a group whose breaks are consecutive integers codes its cells with
+  ``floor`` and the clamps ``(x < hi) ? x : hi`` / ``(x > lo) ? x : lo``
+  — ``fmin``/``fmax`` for every input including NaN (which lands on the
+  top cell), but plain selects the compiler vectorizes instead of
+  scalar libm calls.  Any other group resolves ``searchsorted(side=
+  "right")`` over its breaks through a uniform grid, a start-index
+  table and *K* compares (*K* <= 2 on every NIPS network).  A
+  marginalised variable, a missing entry and a pad row all select the
+  group's all-zero cell, so node loops carry no ``marg`` /
   ``has_missing`` branch;
-* irregular-bin :class:`~repro.spn.nodes.HistogramLeaf` instances (the
-  plan's generic block; the NIPS networks contain a few) resolve
-  ``searchsorted(side="right")`` through a uniform grid, a start-index
-  table and *K* compares (*K* = 1 on every NIPS leaf).  A generic block
-  containing any *other* leaf family evaluates through arbitrary Python
-  callables and cannot be compiled; generation then raises
+* a generic leaf block evaluates through arbitrary Python callables
+  and cannot be compiled; generation then raises
   :class:`~repro.errors.NativeBackendError` and the caller falls back
   to the numpy plan backend;
 * Gaussian leaves use the closed form, categorical leaves the LUT
@@ -62,7 +61,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import NativeBackendError
-from repro.spn.nodes import HistogramLeaf
 from repro.spn.plan import CsrLayer, InferencePlan
 
 __all__ = [
@@ -81,7 +79,9 @@ __all__ = [
 #: v3: histogram leaves gathered inline from per-variable code tiles,
 #: grid lookup for irregular bins, padded row loops.
 #: v4: one pthread driver, no build-time choice of thread runtime.
-CODEGEN_VERSION = 4
+#: v5: every histogram leaf gathered inline from its variable's group;
+#: irregular bins coded by a grid over the group's breaks.
+CODEGEN_VERSION = 5
 
 #: Exported entry-point symbol of every generated kernel.
 KERNEL_SYMBOL = "repro_plan_eval"
@@ -92,7 +92,7 @@ MAX_KERNEL_THREADS = 256
 
 #: Rows per block: the unit of the thread partition and the width of
 #: the value slab and code tiles, sized so both stay L1/L2-resident
-#: (NIPS80: 56 slab rows + 80 tiles = 192 KiB).  128-1024 measure the
+#: (NIPS80: 47 slab rows + 80 tiles = 174 KiB).  128-1024 measure the
 #: same; it is a constant, not an option.
 BLOCK_ROWS = 256
 
@@ -138,14 +138,15 @@ def _const_real(name: str, values, dtype: np.dtype) -> str:
 def _row_refs(plan: InferencePlan, n_inline: int) -> List[str]:
     """The C expression that reads each plan row at block row ``r``.
 
-    Rows ``[0, n_inline)`` are the histogram block (it always starts at
-    row 0): gathered inline, never stored.  Every other row lives in
+    Rows ``[0, n_inline)`` are the histogram groups (they always start
+    at row 0): gathered inline, never stored.  Every other row lives in
     the value slab at ``row - n_inline``.
     """
-    block = plan.histogram_block
+    groups = plan.histogram_block.groups if n_inline else ()
     return [
-        f"T_HIST[c{int(block.variables[i])}[r] + {int(block.columns[i])}]"
-        for i in range(n_inline)
+        f"T_HIST[c{group.variable}[r] + {j}]"
+        for group in groups
+        for j in range(len(group))
     ] + [
         f"v[{row - n_inline}L * BLOCK + r]"
         for row in range(n_inline, plan.n_nodes)
@@ -155,49 +156,52 @@ def _row_refs(plan: InferencePlan, n_inline: int) -> List[str]:
 def _emit_histogram(
     block, dtype: np.dtype, tables: List[str], lines: List[str]
 ) -> int:
-    """Row-code tiles for the unit-bin histogram block; returns how many.
+    """Cell-code tiles for the histogram groups; returns how many.
 
-    One ``int32`` tile per variable, shared by all its leaves: clamp,
-    scale, offset into ``T_HIST``.  Each variable's composite slab gets
-    one all-zero row appended (log 1 for every leaf of the variable) —
-    the row a marginalised variable, a missing entry and a pad row
-    select, so no reader of the tile needs a mask.
+    One ``int32`` tile per group, shared by all its leaves: the cell,
+    times the group's leaf count, plus the group's offset into
+    ``T_HIST``, where the group's table is stored cell-major (its last
+    row all zero, log 1 — the row a marginalised variable, a missing
+    entry and a pad row select, so no reader of the tile needs a mask).
     """
     parts: List[np.ndarray] = []
     offset = 0
-    variables = sorted({int(v) for v in block.variables})
-    for slot, var in enumerate(variables):
-        k = int(block.code_scale[var])
-        first = int(block.code_base[var])
-        size = int(block.code_hi[var] - block.code_lo[var] + 1) * k
-        parts += [block.table[first: first + size], np.zeros(k)]
-        zero = offset + size
-        lo = _c_double(block.code_lo[var])
-        hi = _c_double(block.code_hi[var])
+    for slot, group in enumerate(block.groups):
+        var, breaks, k = group.variable, group.breaks, len(group)
+        parts.append(group.table.T.ravel())
+        zero = offset + (len(breaks) + 1) * k
+        masked = f"(skip | (has_missing & (xr == miss))) ? {zero}"
         lines += [
             f"    int32_t* restrict c{var} = code + {slot}L * BLOCK;",
             f"    {{ /* row codes, variable {var} */",
             f"        const int skip = marg != 0 && marg[{var}];",
-            "        for (long r = 0; r < rows; ++r) {",
-            f"            const double xr = (double) d[r * n_cols + {var}];",
-            "            double x = floor(xr);",
-            f"            x = (x < {hi}) ? x : {hi};",
-            f"            x = (x > {lo}) ? x : {lo};",
-            f"            c{var}[r] = (skip | (has_missing & (xr == miss))) ? "
-            f"{zero}",
-            f"                : (int32_t)((x - {lo}) * {_c_double(k)} + "
-            f"{_c_double(offset)});",
-            "        }",
+        ]
+        if group.unit_bins:
+            lo, hi = _c_double(breaks[0] - 1.0), _c_double(breaks[-1])
+            lines += [
+                "        for (long r = 0; r < rows; ++r) {",
+                f"            const double xr = (double) d[r * n_cols + {var}];",
+                "            double x = floor(xr);",
+                f"            x = (x < {hi}) ? x : {hi};",
+                f"            x = (x > {lo}) ? x : {lo};",
+                f"            c{var}[r] = {masked}",
+                f"                : (int32_t)((x - {lo}) * {_c_double(k)} + "
+                f"{_c_double(offset)});",
+                "        }",
+            ]
+        else:
+            lines += _grid_codes(var, breaks, masked, k, offset, tables)
+        lines += [
             f"        for (long r = rows; r < n16; ++r) c{var}[r] = {zero};",
             "    }",
         ]
         offset = zero + k
     tables.append(_const_real("T_HIST", np.concatenate(parts), dtype))
-    return len(variables)
+    return len(block.groups)
 
 
 def _emit_slab_leaf(label: str, slab: int, var: int, value: List[str],
-                    lines: List[str], setup: Tuple[str, ...] = ()) -> None:
+                    lines: List[str]) -> None:
     """A stored leaf: *value* computes ``val`` from ``x`` (``xr`` in the
     storage type) per row, unless the variable is marginalised."""
     lines += [
@@ -206,7 +210,6 @@ def _emit_slab_leaf(label: str, slab: int, var: int, value: List[str],
         f"        if (marg != 0 && marg[{var}]) {{",
         "            for (long r = 0; r < rows; ++r) dst[r] = (real_t) 0;",
         "        } else {",
-        *setup,
         "            for (long r = 0; r < rows; ++r) {",
         f"                const real_t xr = d[r * n_cols + {var}];",
         "                const double x = (double) xr;",
@@ -272,7 +275,7 @@ def _bin_grid(breaks: np.ndarray) -> Tuple[float, int, np.ndarray, int]:
     share a cell with ``x``: those below the cell are all ``<= x``
     (``start[cell]`` of them), those above all ``> x``, and at most
     *k* sit inside it and must be compared.  The grid is refined until
-    *k* = 1 (any evenly spaced leaf) or 64 cells per bin.  ``start`` is
+    *k* = 1 (evenly spaced breaks) or 64 cells per bin.  ``start`` is
     clamped to ``len(breaks) - k`` so the *k* compares never leave the
     array; the breaks pulled in that way lie below the cell, so they
     compare ``<= x`` and the count is unchanged.
@@ -294,48 +297,40 @@ def _bin_grid(breaks: np.ndarray) -> Tuple[float, int, np.ndarray, int]:
     return inv_width, top, np.minimum(start, n - k), k
 
 
-def _emit_irregular(block, slab: int, dtype: np.dtype,
-                    lines: List[str]) -> None:
-    """Leaf stage for irregular histogram leaves in the generic block.
+def _grid_codes(var: int, breaks: np.ndarray, masked: str, k: int,
+                offset: int, tables: List[str]) -> List[str]:
+    """Cell codes of a group whose breaks are not consecutive integers.
 
-    Replicates ``HistogramLeaf.log_density`` exactly: ``searchsorted
-    (side='right')`` is the count of breaks ``<= x``, found as
-    :func:`_bin_grid`'s start index plus *k* compares, then one lookup
-    in ``[floor, bins..., floor]``.  NaN clamps to cell 0 and compares
-    false everywhere, landing on the floor — the result numpy reaches
-    through its NaN-sorts-last convention.  Two loops (cell tile, then
-    gather): fused, GCC threads the clamps into unpredictable branches.
+    Exactly ``searchsorted(breaks, x, side='right')``: :func:`_bin_grid`'s
+    start index plus *K* compares.  NaN clamps to cell 0 and compares
+    false everywhere, landing on cell 0 — like the last cell numpy's
+    NaN-sorts-last reaches, it holds every leaf's floor.  Two loops
+    (grid cell into the tile, then compares and code over it): fused,
+    GCC threads the clamps into unpredictable branches.
     """
-    for i, leaf in enumerate(block.leaves):
-        row = slab + i  # slab row: also names the leaf's tables
-        var = int(block.variables[i])
-        inv_width, top, start, k = _bin_grid(leaf.breaks)
-        log_floor = math.log(leaf.floor)
-        log_probs = np.log(np.maximum(leaf.densities, leaf.floor))
-        setup = (
-            "            " + _const_array(
-                "double", f"brk_{row}", [_c_double(b) for b in leaf.breaks]
-            ),
-            "            " + _const_array(
-                "int32_t", f"st_{row}", [str(int(s)) for s in start]
-            ),
-            "            " + _const_real(
-                f"lp_{row}", [log_floor, *log_probs, log_floor], dtype
-            ),
-            "            for (long r = 0; r < rows; ++r) {",
-            f"                double t = ((double) d[r * n_cols + {var}] - "
-            f"{_c_double(leaf.breaks[0])}) * {_c_double(inv_width)};",
-            "                t = (t > 0.0) ? t : 0.0;",
-            f"                t = (t < {top}.0) ? t : {top}.0;",
-            "                cell[r] = (int32_t) t;",
-            "            }",
-        )
-        compares = "".join(f" + (x >= brk_{row}[s + {j}])" for j in range(k))
-        value = [
-            f"                const int32_t s = st_{row}[cell[r]];",
-            f"                real_t val = lp_{row}[s{compares}];",
-        ]
-        _emit_slab_leaf("irregular histogram", row, var, value, lines, setup)
+    inv_width, top, start, n_compares = _bin_grid(breaks)
+    tables += [
+        _const_array("double", f"brk_{var}", [_c_double(b) for b in breaks]),
+        _const_array("int32_t", f"st_{var}", [str(int(s)) for s in start]),
+    ]
+    compares = "".join(
+        f" + (xr >= brk_{var}[s + {j}])" for j in range(n_compares)
+    )
+    return [
+        "        for (long r = 0; r < rows; ++r) {",
+        f"            double t = ((double) d[r * n_cols + {var}] - "
+        f"{_c_double(breaks[0])}) * {_c_double(inv_width)};",
+        "            t = (t > 0.0) ? t : 0.0;",
+        f"            t = (t < {top}.0) ? t : {top}.0;",
+        f"            c{var}[r] = (int32_t) t;",
+        "        }",
+        "        for (long r = 0; r < rows; ++r) {",
+        f"            const double xr = (double) d[r * n_cols + {var}];",
+        f"            const int32_t s = st_{var}[c{var}[r]];",
+        f"            c{var}[r] = {masked}",
+        f"                : (s{compares}) * {k} + {offset};",
+        "        }",
+    ]
 
 
 def _emit_product_node(row: int, dst: str, terms: List[str],
@@ -439,9 +434,9 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
     chunk that never ran.  Returns 0 on success, 1 on allocation
     failure.
 
-    Raises :class:`~repro.errors.NativeBackendError` when the plan
-    contains leaves without a fused kernel (generic leaf block) — those
-    evaluate through arbitrary Python callables and cannot be compiled.
+    Raises :class:`~repro.errors.NativeBackendError` when the plan has a
+    generic leaf block — those leaves evaluate through arbitrary Python
+    callables and cannot be compiled.
     """
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -451,15 +446,13 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
     if plan.generic_block is not None:
         foreign = sorted({
             type(leaf).__name__ for leaf in plan.generic_block.leaves
-            if not isinstance(leaf, HistogramLeaf)
         })
-        if foreign:
-            raise NativeBackendError(
-                f"plan {plan.name!r} has generic leaves of type "
-                f"{', '.join(foreign)} that evaluate through Python "
-                "callables; the native backend cannot compile them - use "
-                "the numpy plan backend"
-            )
+        raise NativeBackendError(
+            f"plan {plan.name!r} has generic leaves of type "
+            f"{', '.join(foreign)} that evaluate through Python "
+            "callables; the native backend cannot compile them - use "
+            "the numpy plan backend"
+        )
 
     real = "float" if dtype == np.dtype(np.float32) else "double"
     hist = plan.histogram_block
@@ -473,13 +466,9 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
         tables.append(
             _const_real("T_CAT", plan.categorical_block.table, dtype)
         )
-    if plan.generic_block is not None:  # one more tile: irregular-bin cells
-        body.append(f"    int32_t* restrict cell = code + {n_tiles}L * BLOCK;")
-        n_tiles += 1
     for block, emit in (
         (plan.gaussian_block, _emit_gaussian),
         (plan.categorical_block, _emit_categorical),
-        (plan.generic_block, _emit_irregular),
     ):
         if block is not None:
             emit(block, block.row_start - n_inline, dtype, body)

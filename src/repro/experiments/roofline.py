@@ -85,12 +85,13 @@ def _platform_envelopes(n_ops: int) -> List[PlatformEnvelope]:
 class HostKernelOps:
     """What the generated C kernel does per row, read from the plan."""
 
-    #: Unit-bin histogram lookups: one ``T_HIST`` gather per reference
-    #: from a product or sum node (the leaves are never stored).
+    #: Histogram lookups: one ``T_HIST`` gather per reference from a
+    #: product or sum node (no histogram leaf is stored).
     table_gathers: int
-    #: Irregular-bin histogram leaves: grid cell, start index, compare.
+    #: Grid-coded histogram variables (breaks not consecutive
+    #: integers): grid cell, start index and *K* compares per row.
     irregular_lookups: int
-    #: Gaussian and categorical leaves (closed form / LUT).
+    #: Non-histogram leaves: Gaussian and categorical (closed form / LUT).
     closed_form_leaves: int
     #: Child terms over all product nodes (a node of k terms is k-1 adds).
     product_terms: int
@@ -122,8 +123,8 @@ class HostKernelOps:
 
 def host_kernel_ops(plan: InferencePlan) -> HostKernelOps:
     """Count the float64 kernel's per-row operations for *plan*."""
-    hist, generic = plan.histogram_block, plan.generic_block
-    n_inline = len(hist) if hist is not None else 0
+    groups = plan.histogram_block.groups if plan.histogram_block else ()
+    n_inline = sum(len(group) for group in groups)
     gathers = product_terms = n_products = sum_terms = n_sums = 0
     for layer in plan.layers:
         gathers += int(np.count_nonzero(layer.child_rows < n_inline))
@@ -133,11 +134,10 @@ def host_kernel_ops(plan: InferencePlan) -> HostKernelOps:
         else:
             sum_terms += len(layer.child_rows)
             n_sums += layer.n_nodes
-    irregular = len(generic) if generic is not None else 0
     return HostKernelOps(
         table_gathers=gathers,
-        irregular_lookups=irregular,
-        closed_form_leaves=plan.n_leaves - n_inline - irregular,
+        irregular_lookups=sum(not group.unit_bins for group in groups),
+        closed_form_leaves=plan.n_leaves - n_inline,
         product_terms=product_terms,
         adds=(product_terms - n_products) + 3 * sum_terms,
         exps=sum_terms,

@@ -180,6 +180,8 @@ class HistogramLeaf(LeafNode):
             )
         if len(densities) == 0:
             raise SPNStructureError("histogram needs at least one bin")
+        if not np.all(np.isfinite(breaks)):
+            raise SPNStructureError("histogram breaks must be finite")
         if np.any(np.diff(breaks) <= 0):
             raise SPNStructureError("histogram breaks must be strictly increasing")
         if np.any(densities < 0) or not np.all(np.isfinite(densities)):

@@ -7,17 +7,17 @@ batch on NIPS80.  The paper's whole premise is that SPN inference is a
 bandwidth; this module is the software form of that move (the same one
 HBM spMV accelerators make): a one-time pass flattens the DAG into
 
-* **leaf blocks** — grouped per leaf family.  Unit-bin histogram
-  leaves (the paper's Mixed-SPN case) are fused into *per-variable
-  composite tables*: one table per variable whose rows span the union
-  of that variable's leaf supports (plus two sentinel rows for
-  out-of-support values) and whose columns are the variable's leaves,
-  with each leaf's support clipping and probability floor folded into
-  the table content.  The whole block then evaluates as one int32
-  row-code per variable followed by one flat-table gather — the
-  software image of the FPGA's BRAM lookup.  Gaussian and categorical
-  leaves fuse into closed-form / LUT blocks; anything else falls back
-  to a per-leaf block.
+* **leaf blocks** — grouped per leaf family.  Every histogram leaf
+  joins its variable's *group* (the paper's Mixed-SPN case): the sorted
+  union of the group's breaks cuts the real line into cells, and one
+  table holds each leaf's log-density per cell (support clipping and
+  probability floor folded in) plus an all-zero column for marginalised
+  or missing entries.  The leaf stage is then one cell code per
+  variable followed by one gather per group — the software image of the
+  FPGA reading a feature once and looking it up in all its leaves' BRAM
+  tables side by side.  Gaussian and categorical leaves fuse into
+  closed-form / LUT blocks; any other family falls back to a per-leaf
+  block.
 * **topologically layered CSR buffers** — per layer, per node kind,
   ``(indptr, child_rows, log_weights)`` triples that drive
   segment-reduction kernels (:mod:`repro.spn.plan_eval`).
@@ -58,6 +58,7 @@ from repro.spn.nodes import (
 )
 
 __all__ = [
+    "HistogramGroup",
     "HistogramLeafBlock",
     "GaussianLeafBlock",
     "CategoricalLeafBlock",
@@ -78,49 +79,72 @@ __all__ = [
 #: native-kernel build cache) — is invalidated when the plan format
 #: changes, instead of silently serving a stale layout.  Bump on any
 #: change to row assignment, leaf-block encoding or layer structure.
-PLAN_FORMAT_VERSION = 1
+#: v2: every histogram leaf in its variable's group, no composite codes.
+PLAN_FORMAT_VERSION = 2
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-#: Largest union-domain span (rows) a variable's composite histogram
-#: table may use; leaves on wider domains take the generic path so a
-#: single outlier leaf cannot blow the table up.
+#: Widest span a group's unit-bin leaves may fill with every integer;
+#: beyond it the group keeps only its leaves' own breaks, so a single
+#: outlier leaf cannot blow the table up.
 MAX_COMPOSITE_DOMAIN = 4096
+
+
+def _unit_breaks(breaks: np.ndarray) -> bool:
+    """True when *breaks* are consecutive integers."""
+    return bool(
+        np.all(np.diff(breaks) == 1.0) and np.all(breaks == np.rint(breaks))
+    )
+
+
+@dataclass(frozen=True)
+class HistogramGroup:
+    """All histogram leaves of one variable, on the union of their breaks.
+
+    Cell *c* of an input ``x`` is ``searchsorted(breaks, x, side="right")``:
+    cell 0 is ``[-inf, breaks[0])``, cell *c* starts at ``breaks[c - 1]``.
+    Every leaf's breaks are in the union, so each leaf is constant over
+    a cell, and ``table[j, c]`` is leaf *j*'s log-density there.  The
+    last column is all zero (log 1): the cell a marginalised variable or
+    a missing entry selects.  NaN sorts last, onto the last real cell,
+    which like cell 0 holds every leaf's ``log(floor)``.
+    """
+
+    #: Data column (variable index) all the group's leaves read.
+    variable: int
+    #: First value-matrix row of the group (one row per leaf).
+    row_start: int
+    #: Sorted union of the leaves' breaks (finite).
+    breaks: np.ndarray
+    #: ``(n_leaves, len(breaks) + 2)`` float64 log-densities per cell.
+    table: np.ndarray
+
+    def __len__(self) -> int:
+        """Number of leaves in the group."""
+        return len(self.table)
+
+    @property
+    def unit_bins(self) -> bool:
+        """True when the breaks are consecutive integers: the cell is
+        then ``clamp(floor(x), breaks[0] - 1, breaks[-1]) - breaks[0] + 1``
+        (NaN clamped to the top), no search needed."""
+        return _unit_breaks(self.breaks)
 
 
 @dataclass(frozen=True)
 class HistogramLeafBlock:
-    """Unit-bin histogram leaves fused via per-variable composite tables.
+    """Every histogram leaf, in per-variable :class:`HistogramGroup` s.
 
-    For each variable the block holds a ``(domain + 2, n_leaves_of_var)``
-    slab inside the flat :attr:`table`: row 0 and the last row are
-    sentinels (every leaf's ``log(floor)``), interior row *r* holds each
-    leaf's log-density at integer value ``domain_lo + r - 1`` with the
-    leaf's own support clipping already applied.  Evaluation is then
-    ``table[row_code[variable] + column]`` — one gather per (sample,
-    leaf), with the row code shared by all leaves of a variable.
+    The block starts at row 0; groups follow the variable order and
+    own contiguous rows, so the block's rows run group by group.
     """
 
-    #: First value-matrix row of the block (rows are contiguous).
-    row_start: int
-    #: Data column (variable index) read by each leaf, in block order.
-    variables: np.ndarray
-    #: Flat-table column offset of each leaf inside its variable slab.
-    columns: np.ndarray
-    #: Per data column: ``domain_lo - 1`` (clip floor, sentinel row 0).
-    code_lo: np.ndarray
-    #: Per data column: ``domain_hi`` (clip ceiling, last sentinel row).
-    code_hi: np.ndarray
-    #: Per data column: leaves in the variable's slab (row stride).
-    code_scale: np.ndarray
-    #: Per data column: flat offset of the variable's slab in the table.
-    code_base: np.ndarray
-    #: Concatenated per-variable composite log-density tables.
-    table: np.ndarray
+    #: The groups, in row order (variables sorted).
+    groups: Tuple[HistogramGroup, ...]
 
     def __len__(self) -> int:
         """Number of leaves in the block."""
-        return len(self.variables)
+        return sum(len(group) for group in self.groups)
 
 
 @dataclass(frozen=True)
@@ -167,7 +191,7 @@ class CategoricalLeafBlock:
 
 @dataclass(frozen=True)
 class GenericLeafBlock:
-    """Fallback for leaves without a fused kernel (e.g. irregular bins).
+    """Fallback for leaf families without a fused kernel.
 
     Evaluated one leaf at a time through ``leaf.log_density`` — the
     same cost as the legacy walk, but only for the (typically few)
@@ -248,7 +272,7 @@ class InferencePlan:
     n_leaves: int
     #: Variable index of every leaf, aligned with its row.
     leaf_variables: np.ndarray
-    #: Fused unit-bin histogram leaves (None when absent).
+    #: Every histogram leaf, grouped per variable (None when absent).
     histogram_block: Optional[HistogramLeafBlock]
     #: Fused Gaussian leaves (None when absent).
     gaussian_block: Optional[GaussianLeafBlock]
@@ -264,24 +288,6 @@ class InferencePlan:
         """Number of interior CSR layers."""
         return len(self.layers)
 
-    def leaf_blocks(self):
-        """The non-empty leaf blocks, fused families first."""
-        blocks = (
-            self.histogram_block,
-            self.gaussian_block,
-            self.categorical_block,
-            self.generic_block,
-        )
-        return [b for b in blocks if b is not None]
-
-
-def _is_unit_bin_histogram(leaf: HistogramLeaf) -> bool:
-    """True when the breaks are consecutive integers (LUT-indexable)."""
-    breaks = leaf.breaks
-    return bool(
-        np.all(np.diff(breaks) == 1.0) and np.all(breaks == np.rint(breaks))
-    )
-
 
 def _int_array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
@@ -291,56 +297,24 @@ def _f64_array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _build_histogram_block(
-    hist: List[HistogramLeaf], row_start: int, n_data_columns: int
-) -> HistogramLeafBlock:
-    """Fuse unit-bin histogram leaves into per-variable composite tables."""
-    by_var: Dict[int, List[int]] = {}
-    for i, leaf in enumerate(hist):
-        by_var.setdefault(leaf.variable, []).append(i)
-
-    code_lo = np.zeros(n_data_columns)
-    code_hi = np.zeros(n_data_columns)
-    code_scale = np.zeros(n_data_columns)
-    code_base = np.zeros(n_data_columns)
-    columns = np.zeros(len(hist), dtype=np.intp)
-    tables: List[np.ndarray] = []
-    base = 0
-    for var in sorted(by_var):
-        members = by_var[var]
-        lows = [int(hist[i].breaks[0]) for i in members]
-        highs = [int(hist[i].breaks[-1]) for i in members]
-        dom_lo, dom_hi = min(lows), max(highs)
-        n_rows = dom_hi - dom_lo + 2  # domain + below/above sentinels
-        k = len(members)
-        slab = np.empty((n_rows, k))
-        for col, i in enumerate(members):
-            leaf = hist[i]
-            log_floor = np.log(leaf.floor)
-            slab[:, col] = log_floor
-            offset = int(leaf.breaks[0]) - dom_lo + 1
-            slab[offset: offset + leaf.n_bins, col] = leaf.bin_log_probs()
-            columns[i] = col
-        # Row code: (clip(floor(x), dom_lo-1, dom_hi) - (dom_lo-1)) * k
-        # + base selects the slab row; adding the leaf column finishes
-        # the flat index.  Sentinel rows catch everything out of domain.
-        code_lo[var] = dom_lo - 1
-        code_hi[var] = dom_hi
-        code_scale[var] = k
-        code_base[var] = base
-        tables.append(slab.reshape(-1))
-        base += n_rows * k
-
-    return HistogramLeafBlock(
-        row_start=row_start,
-        variables=_int_array([n.variable for n in hist]),
-        columns=columns,
-        code_lo=code_lo,
-        code_hi=code_hi,
-        code_scale=code_scale,
-        code_base=code_base,
-        table=np.concatenate(tables),
-    )
+def _histogram_group(
+    row_start: int, leaves: List[HistogramLeaf]
+) -> HistogramGroup:
+    """The group of one variable's *leaves*; unit-bin leaves fill their
+    whole span."""
+    breaks = [leaf.breaks for leaf in leaves]
+    unit = [b for b in breaks if _unit_breaks(b)]
+    if unit:
+        lo, hi = min(b[0] for b in unit), max(b[-1] for b in unit)
+        if hi - lo <= MAX_COMPOSITE_DOMAIN:
+            breaks.append(np.arange(lo, hi + 1.0))
+    # Not np.unique: it imports numpy.ma (~1 MiB) into every process.
+    union = np.array(sorted(set(np.concatenate(breaks).tolist())))
+    starts = np.concatenate(([-np.inf], union))  # first point of each cell
+    table = np.zeros((len(leaves), len(union) + 2))
+    for j, leaf in enumerate(leaves):
+        table[j, :-1] = leaf.log_density(starts)
+    return HistogramGroup(leaves[0].variable, row_start, union, table)
 
 
 def compile_plan(spn: SPN) -> InferencePlan:
@@ -361,57 +335,47 @@ def compile_plan(spn: SPN) -> InferencePlan:
         else:
             level[node.id] = 0
 
-    # Union-domain width per variable, to keep composite tables bounded.
-    span: Dict[int, Tuple[int, int]] = {}
-    for node in order:
-        if isinstance(node, HistogramLeaf) and _is_unit_bin_histogram(node):
-            lo, hi = int(node.breaks[0]), int(node.breaks[-1])
-            old = span.get(node.variable)
-            span[node.variable] = (
-                (lo, hi) if old is None else (min(old[0], lo), max(old[1], hi))
-            )
-
-    hist: List[HistogramLeaf] = []
+    hist: Dict[int, List[HistogramLeaf]] = {}
     gauss: List[GaussianLeaf] = []
     cat: List[CategoricalLeaf] = []
     generic: List[LeafNode] = []
     interior: Dict[Tuple[int, str], List[Node]] = {}
     for node in order:
-        if isinstance(node, LeafNode):
-            if (
-                isinstance(node, HistogramLeaf)
-                and _is_unit_bin_histogram(node)
-                and span[node.variable][1] - span[node.variable][0]
-                <= MAX_COMPOSITE_DOMAIN
-            ):
-                hist.append(node)
-            elif isinstance(node, GaussianLeaf):
-                gauss.append(node)
-            elif isinstance(node, CategoricalLeaf):
-                cat.append(node)
-            else:
-                generic.append(node)
+        if isinstance(node, HistogramLeaf):
+            hist.setdefault(node.variable, []).append(node)
+        elif isinstance(node, GaussianLeaf):
+            gauss.append(node)
+        elif isinstance(node, CategoricalLeaf):
+            cat.append(node)
+        elif isinstance(node, LeafNode):
+            generic.append(node)
         elif isinstance(node, (ProductNode, SumNode)):
             key = (level[node.id], node.kind)
             interior.setdefault(key, []).append(node)
         else:  # pragma: no cover - graph validation rules this out
             raise SPNStructureError(f"unknown node type {type(node).__name__}")
 
-    # Row assignment: leaf families first (in DFS order inside each
-    # family, which keeps a tree product's children adjacent), then the
-    # interior layers bottom-up.
+    # Row assignment: histogram groups (variables sorted), then the
+    # other leaf families, each in DFS order (which keeps a tree
+    # product's children adjacent), then the interior layers bottom-up.
+    groups = [hist[var] for var in sorted(hist)]
     row: Dict[int, int] = {}
     ordered_leaves: List[LeafNode] = []
     next_row = 0
-    for family in (hist, gauss, cat, generic):
+    for family in (*groups, gauss, cat, generic):
         for leaf in family:
             row[leaf.id] = next_row
             ordered_leaves.append(leaf)
             next_row += 1
 
-    histogram_block = (
-        _build_histogram_block(hist, 0, n_data_columns) if hist else None
-    )
+    histogram_block = None
+    if hist:
+        histogram_block = HistogramLeafBlock(
+            groups=tuple(
+                _histogram_group(row[leaves[0].id], leaves)
+                for leaves in groups
+            ),
+        )
 
     gaussian_block = None
     if gauss:

@@ -3,25 +3,24 @@
 Executes an :class:`~repro.spn.plan.InferencePlan` on a whole batch
 with a handful of fused numpy kernels instead of one Python iteration
 per node.  The value matrix is ``(n_nodes, batch)`` — nodes on rows —
-so every stage reads and writes contiguous slabs.  Each plan is first
-*lowered* once per storage dtype (:func:`_lower`), the way
-:mod:`repro.compiler.cgen` lowers it for C:
+so every stage reads and writes contiguous slabs.  The plan already
+holds the leaf layout both backends read; :func:`_lower` only casts it
+to the storage dtype, once per plan and dtype:
 
-* every histogram leaf, unit-bin or irregular, joins the *group* of its
-  variable: one ``(k_v, W_v + 1)`` table with a row per leaf, a column
-  per row code and an all-zero column (log 1) that a marginalised
-  variable or a missing entry selects.  The leaf stage is one integer
-  code per (variable, sample) — the ``floor``/``fmin``/``fmax`` clamp,
-  or ``searchsorted`` over the union of the variable's breaks when it
-  has an irregular-bin leaf — then one ``take`` per group into the
+* every histogram leaf sits in its variable's group
+  (:class:`~repro.spn.plan.HistogramGroup`): one table with a row per
+  leaf, a column per cell and an all-zero column (log 1) that a
+  marginalised variable or a missing entry selects.  The leaf stage is
+  one integer cell code per (variable, sample) — the ``floor``/``fmin``/
+  ``fmax`` clamp when the group's breaks are consecutive integers, else
+  ``searchsorted`` over them — then one ``take`` per group into the
   group's rows: the FPGA's read-a-feature-once, look-it-up-in-every-
   histogram-BRAM datapath;
 * Gaussian / categorical blocks are closed forms / LUT gathers over all
   their leaves; only other leaf families call ``leaf.log_density``;
-* leaf rows are renumbered group by group and the layers' child rows
-  remapped in child order, so product layers (``np.add.reduceat``) and
-  sum layers (a segment-wise *stable* log-sum-exp) add the same values
-  in the same order; tables and weights are cast to the dtype once.
+* product layers (``np.add.reduceat``) and sum layers (a segment-wise
+  *stable* log-sum-exp) add their children in child order; tables and
+  weights are cast to the dtype once.
 
 The batch is processed in cache-sized column chunks
 (:func:`plan_log_likelihood`): on memory-bandwidth-bound hosts the
@@ -47,12 +46,11 @@ group's zero column, and zero (log 1) the rows of other leaf blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SPNStructureError
-from repro.spn.nodes import HistogramLeaf
 from repro.spn.plan import (
     CategoricalLeafBlock,
     CsrLayer,
@@ -119,85 +117,46 @@ def _check_marginalized(
 class _Lowering:
     """A plan lowered for one storage dtype (see :func:`_lower`)."""
 
-    rows: np.ndarray  # lowered value-matrix row of each plan row
     code_lo: np.ndarray  # per data column: floor/clamp bounds of the code
     code_hi: np.ndarray
     zero: np.ndarray  # per data column: its group's all-zero column
-    searched: Tuple[Tuple[int, np.ndarray], ...]  # (variable, union breaks)
+    searched: Tuple[Tuple[int, np.ndarray], ...]  # (variable, breaks)
     groups: Tuple[Tuple[int, int, np.ndarray], ...]  # (variable, row, table)
-    blocks: tuple  # the other leaf blocks, renumbered and cast
-    layers: Tuple[CsrLayer, ...]  # child rows remapped, weights cast
+    blocks: tuple  # the other leaf blocks, cast
+    layers: Tuple[CsrLayer, ...]  # weights cast
 
 
 def _lower(plan: InferencePlan, dtype: np.dtype) -> _Lowering:
-    """Lower *plan* into per-variable histogram groups (module docstring).
-
-    A unit-bin-only variable's table is its composite slab, transposed.
-    A variable with an irregular-bin leaf is coded by ``searchsorted``
-    over the union of its leaves' breaks (unit-bin breaks included);
-    table column *c* holds each leaf's value at the first point of cell
-    *c* — constant over the cell, as every leaf's breaks are in the
-    union, and NaN lands in the last cell, on the floor, as it does in
-    ``log_density``.
-    """
-    hist, generic = plan.histogram_block, plan.generic_block
-    # variable -> [(plan row, composite-table column or irregular leaf)]
-    members: Dict[int, List[Tuple[int, object]]] = {}
-    for i, var in enumerate(hist.variables if hist is not None else ()):
-        members.setdefault(int(var), []).append((hist.row_start + i, int(hist.columns[i])))
-    foreign = []
-    for i, leaf in enumerate(generic.leaves if generic is not None else ()):
-        if isinstance(leaf, HistogramLeaf):
-            members.setdefault(leaf.variable, []).append((generic.row_start + i, leaf))
-        else:
-            foreign.append(generic.row_start + i)
+    """Cast *plan*'s tables and weights to *dtype*; pick each histogram
+    group's code: the clamp bounds of a unit-bin group, else a search
+    over its breaks."""
     n_cols = plan.n_data_columns
-    code_lo, code_hi = (hist.code_lo, hist.code_hi) if hist is not None else (np.zeros(n_cols),) * 2
+    code_lo, code_hi = np.zeros(n_cols), np.zeros(n_cols)
     zero = np.zeros(n_cols, dtype=np.intp)
-    order, searched, groups = [], [], []
-    for var in sorted(members):
-        lo, hi = code_lo[var], code_hi[var]
-        irregular = [m for _, m in members[var] if isinstance(m, HistogramLeaf)]
-        breaks = np.unique(np.concatenate(
-            [np.arange(lo + 1.0, hi + 1.0), *(leaf.breaks for leaf in irregular)]))
-        points = np.concatenate(([-np.inf], breaks))
-        if hist is not None and hist.code_scale[var]:
-            k, base = int(hist.code_scale[var]), int(hist.code_base[var])
-            slab = hist.table[base: base + int(hi - lo + 1) * k].reshape(-1, k).T
-            slab = slab[:, (np.clip(np.floor(points), lo, hi) - lo).astype(np.intp)]
-        table = np.zeros((len(members[var]), len(points) + 1), dtype=dtype)
-        for j, (_, m) in enumerate(members[var]):
-            table[j, :-1] = m.log_density(points) if isinstance(m, HistogramLeaf) else slab[m]
-        if irregular:
+    searched, groups = [], []
+    for group in plan.histogram_block.groups if plan.histogram_block else ():
+        var, breaks = group.variable, group.breaks
+        if group.unit_bins:
+            code_lo[var], code_hi[var] = breaks[0] - 1.0, breaks[-1]
+        else:
             searched.append((var, breaks))
-        groups.append((var, len(order), table))
-        zero[var] = len(points)
-        order += [row for row, _ in members[var]]
+        zero[var] = len(breaks) + 1
+        groups.append((var, group.row_start, group.table.astype(dtype)))
     blocks = []
     for block in (plan.gaussian_block, plan.categorical_block):
         if block is not None:
             params = {name: getattr(block, name).astype(dtype) for name in (
                 ("means", "stdevs", "log_norm") if isinstance(block, GaussianLeafBlock)
                 else ("table", "log_floor"))}
-            blocks.append(replace(block, row_start=len(order), **params))
-            order += range(block.row_start, block.row_start + len(block))
-    if foreign:
-        blocks.append(GenericLeafBlock(
-            row_start=len(order), variables=plan.leaf_variables[foreign],
-            leaves=tuple(generic.leaves[r - generic.row_start] for r in foreign)))
-        order += foreign
-    rows = np.arange(plan.n_nodes)
-    rows[order] = np.arange(len(order))
-    layers = []
-    for layer in plan.layers:
-        child_rows = rows[layer.child_rows]
-        first = child_rows[0]
-        layers.append(replace(
-            layer, child_rows=child_rows,
-            contiguous=bool(np.array_equal(child_rows, np.arange(first, first + len(child_rows)))),
-            log_weights=None if layer.log_weights is None else layer.log_weights.astype(dtype)))
-    return _Lowering(rows, code_lo, code_hi, zero, tuple(searched), tuple(groups),
-                     tuple(blocks), tuple(layers))
+            blocks.append(replace(block, **params))
+    if plan.generic_block is not None:
+        blocks.append(plan.generic_block)
+    layers = tuple(
+        layer if layer.log_weights is None
+        else replace(layer, log_weights=layer.log_weights.astype(dtype))
+        for layer in plan.layers)
+    return _Lowering(code_lo, code_hi, zero, tuple(searched), tuple(groups),
+                     tuple(blocks), layers)
 
 
 def _lowering(plan: InferencePlan, dtype: np.dtype) -> _Lowering:
@@ -429,7 +388,6 @@ def evaluate_plan(
         stop = min(start + chunk, batch)
         data_t = np.ascontiguousarray(data[start:stop, : plan.n_data_columns].T)
         _evaluate_into(lowered, data_t, values[:, start:stop], marg, missing_value)
-    values[: plan.n_leaves] = values[lowered.rows[: plan.n_leaves]]
     return values
 
 
@@ -454,7 +412,6 @@ def plan_log_likelihood(
     data = _as_batch(data, plan.n_data_columns, dtype)
     marg = _check_marginalized(plan, marginalized)
     lowered = _lowering(plan, dtype)
-    root = lowered.rows[plan.root_row]
     batch = data.shape[0]
     out = np.empty(batch)
     chunk = _chunk_size(plan, batch, dtype.itemsize)
@@ -466,7 +423,7 @@ def plan_log_likelihood(
         data_t = np.ascontiguousarray(data[start:stop, : plan.n_data_columns].T)
         buffer = values[:, : stop - start]
         _evaluate_into(lowered, data_t, buffer, marg, missing_value)
-        out[start:stop] = buffer[root]
+        out[start:stop] = buffer[plan.root_row]
     return out
 
 
@@ -491,9 +448,7 @@ def plan_leaf_log_values(
     data_t = np.ascontiguousarray(data[:, : plan.n_data_columns].T)
     values = np.empty((plan.n_leaves, data.shape[0]))
     _eval_leaves(lowered, data_t, values, marg, missing_value)
-    return {
-        int(plan.node_ids[i]): values[lowered.rows[i]] for i in range(plan.n_leaves)
-    }
+    return {int(plan.node_ids[i]): values[i] for i in range(plan.n_leaves)}
 
 
 def plan_node_log_values(

@@ -77,8 +77,8 @@ def _isolated_native_cache(tmp_path, monkeypatch):
 def _mixed_spn():
     """One SPN exercising every leaf family the codegen emits.
 
-    Variable 3's histograms have irregular bin widths, forcing them
-    through the generic-leaf path rather than the composite table.
+    Variable 3's histograms have irregular bin widths, so their group
+    codes cells through the grid lookup rather than the integer clamp.
     """
     return SPN(
         SumNode(
@@ -153,7 +153,7 @@ def test_native_matches_plan_on_random_spns(seed):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_native_all_query_types_mixed_leaves(dtype):
     """Likelihood, marginal and missing-value queries on every leaf
-    family (incl. the generic irregular-histogram path), both dtypes."""
+    family (incl. a grid-coded irregular-histogram group), both dtypes."""
     plan = compile_plan(_mixed_spn())
     kernel = get_native_kernel(plan, dtype, require=True)
     rng = np.random.default_rng(5)
@@ -243,9 +243,9 @@ def _edge_spn():
     * ``leaf_sum`` / ``wide_sum`` — sum nodes whose children are leaves
       (2 inline ones; 26, i.e. more than one add statement's worth);
     * two 30-child products (> 24 terms: chunked adds) mixing inline
-      histogram leaves with stored irregular / Gaussian / categorical
-      leaves, so marginalising or masking a variable hits a gather
-      that is fused into a product.
+      histogram leaves (irregular ones included) with stored Gaussian /
+      categorical leaves, so marginalising or masking a variable hits
+      a gather that is fused into a product.
     """
     rng = np.random.default_rng(42)
 
@@ -399,17 +399,22 @@ def test_irregular_breaks_and_their_neighbours(edge, dtype):
 
 @needs_cc
 def test_irregular_lookup_on_nips_leaves():
-    """Same, on the 32-bin leaves of NIPS10 (one compare per lookup)."""
-    plan = get_plan(nips_benchmark("NIPS10").spn)
-    kernel = get_native_kernel(plan, np.float64, require=True)
-    rows = []
-    for leaf in plan.generic_block.leaves:
-        for b in leaf.breaks:
-            for x in (np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf)):
-                row = np.ones(plan.n_data_columns)
-                row[leaf.variable] = x
-                rows.append(row)
-    _assert_matches_plan(kernel, plan, np.array(rows))
+    """Same, on the grid-coded groups of NIPS10 and NIPS30 (NIPS30's
+    variable 0 carries two irregular leaves: two compares per lookup)."""
+    for name in ("NIPS10", "NIPS30"):
+        plan = get_plan(nips_benchmark(name).spn)
+        kernel = get_native_kernel(plan, np.float64, require=True)
+        rows = []
+        for group in plan.histogram_block.groups:
+            if group.unit_bins:
+                continue
+            for b in group.breaks:
+                for x in (np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf)):
+                    row = np.ones(plan.n_data_columns)
+                    row[group.variable] = x
+                    rows.append(row)
+        _assert_matches_plan(kernel, plan, np.array(rows))
+    assert "(xr >= brk_0[s + 1])" in generate_kernel_source(plan)
 
 
 @needs_cc
@@ -423,12 +428,15 @@ def test_single_leaf_network():
 
 
 def test_generated_source_structure():
-    """No libm clamp calls, and no value-slab row for a unit-bin
-    histogram leaf: the slab holds exactly the other nodes."""
+    """No libm clamp calls, and no value-slab row for any histogram
+    leaf, irregular bins included: the slab holds exactly the interior
+    nodes."""
     plan = get_plan(nips_benchmark("NIPS10").spn)
     source = generate_kernel_source(plan, np.float64)
     assert "fmin(" not in source and "fmax(" not in source
-    n_stored = plan.n_nodes - len(plan.histogram_block)
+    assert "irregular histogram" not in source
+    n_stored = plan.n_nodes - plan.n_leaves
+    assert n_stored == 26
     assert f"slab rows: {n_stored}  " in source
     assert f"v + {n_stored - 1}L * BLOCK;" in source
     assert f"v + {n_stored}L * BLOCK;" not in source

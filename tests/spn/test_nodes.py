@@ -94,6 +94,16 @@ class TestHistogramLeaf:
         with pytest.raises(SPNStructureError):
             HistogramLeaf(0, [0.0, 0.0, 1.0], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "breaks",
+        # NaN passes a `diff <= 0` check; a +-inf break makes the mass
+        # infinite and every density silently 0.
+        [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]],
+    )
+    def test_non_finite_breaks_rejected(self, breaks):
+        with pytest.raises(SPNStructureError, match="finite"):
+            HistogramLeaf(0, breaks, [0.5, 0.5])
+
     def test_break_density_length_mismatch_rejected(self):
         with pytest.raises(SPNStructureError):
             HistogramLeaf(0, [0.0, 1.0], [0.5, 0.5])

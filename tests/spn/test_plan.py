@@ -440,7 +440,7 @@ def _group_spn():
     """Variable 0 carries unit-bin *and* interleaved irregular leaves,
     variable 1 unit-bin leaves only, variable 2 irregular leaves only,
     variable 3 a Gaussian and variable 4 a leaf of a foreign family, so
-    every lowered leaf path and the row renumbering are exercised."""
+    every group coding path and the group-by-group rows are exercised."""
     rng = np.random.default_rng(31)
 
     def unit(var, lo, n):
@@ -505,8 +505,9 @@ def test_plan_leaf_values_equal_log_density_on_nips10():
 
     spn = nips_benchmark("NIPS10").spn
     plan = get_plan(spn)
-    assert plan.generic_block is not None  # NIPS10 has irregular-bin leaves
-    edges = np.concatenate([leaf.breaks for leaf in plan.generic_block.leaves])
+    edges = np.concatenate([  # NIPS10 has irregular-bin leaves
+        group.breaks for group in plan.histogram_block.groups if not group.unit_bins
+    ])
     data = np.tile(np.concatenate([
         edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
         [np.nan, np.inf, -np.inf, 1e300, 3.5],
@@ -514,6 +515,48 @@ def test_plan_leaf_values_equal_log_density_on_nips10():
     got = plan_leaf_log_values(plan, data)
     for leaf in spn.leaves:
         assert np.array_equal(got[leaf.id], leaf.log_density(data[:, leaf.variable]))
+
+
+@pytest.mark.parametrize("name", ["NIPS10", "NIPS20", "NIPS30", "NIPS40", "NIPS80"])
+def test_nips_histogram_leaves_all_join_their_variable_group(name):
+    """No generic block; rows run group by group, variables sorted; each
+    table has a column per cell plus the all-zero column."""
+    from repro.spn import nips_benchmark
+
+    plan = get_plan(nips_benchmark(name).spn)
+    assert plan.generic_block is None
+    groups = plan.histogram_block.groups
+    assert len(plan.histogram_block) == plan.n_leaves
+    assert [g.variable for g in groups] == sorted(plan.scope)
+    row = 0
+    for group in groups:
+        assert group.row_start == row
+        assert np.all(plan.leaf_variables[row: row + len(group)] == group.variable)
+        assert group.table.shape == (len(group), len(group.breaks) + 2)
+        assert not group.table[:, -1].any()
+        row += len(group)
+    assert row == plan.n_leaves
+
+
+def test_unit_bin_fill_is_bounded_by_max_composite_domain():
+    """Unit-bin leaves further apart than MAX_COMPOSITE_DOMAIN keep only
+    their own breaks: the group is searched, not filled, and still
+    answers bit for bit."""
+    from repro.spn.plan import MAX_COMPOSITE_DOMAIN
+
+    far = MAX_COMPOSITE_DOMAIN + 10.0
+    left = HistogramLeaf(0, np.arange(0.0, 4.0), [0.2, 0.3, 0.5])
+    right = HistogramLeaf(0, np.arange(far, far + 4.0), [0.6, 0.3, 0.1])
+    plan = compile_plan(SPN(SumNode([left, right], [0.5, 0.5])))
+    (group,) = plan.histogram_block.groups
+    assert len(group.breaks) == 8 and not group.unit_bins
+    data = np.concatenate([
+        group.breaks, np.nextafter(group.breaks, -np.inf),
+        np.nextafter(group.breaks, np.inf), [np.nan, np.inf, -np.inf, 50.0],
+    ])[:, np.newaxis]
+    got = plan_leaf_log_values(plan, data)
+    for leaf in (left, right):
+        assert np.array_equal(got[leaf.id], leaf.log_density(data[:, 0]))
 
 
 @pytest.mark.parametrize(

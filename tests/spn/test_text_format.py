@@ -132,6 +132,13 @@ class TestParse:
             loads(text)
         assert loads(text, validate=False) is not None
 
+    def test_non_finite_histogram_break_rejected(self):
+        # 1e999 parses to inf; the leaf itself refuses it.
+        from repro.errors import SPNStructureError
+
+        with pytest.raises(SPNStructureError, match="finite"):
+            loads("Histogram(V0|[0,1,1e999];[0.5,0.5])")
+
 
 class TestRoundTrip:
     def test_file_round_trip(self):
