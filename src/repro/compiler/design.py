@@ -3,9 +3,9 @@
 A *core* is one compiled SPN accelerator (datapath + its load/store
 infrastructure).  A *design* replicates a core N times, adds the
 platform's base infrastructure (host interface/shell, interconnect)
-and one memory-interface instance per core (an HBM SmartConnect, or a
-soft DDR controller on the prior-work platform), then checks device
-fit and estimates the achievable clock.
+and one memory-interface instance per core (an AXI interconnect to an
+HBM channel, or a soft DDR controller on the prior-work platform),
+then checks device fit and estimates the achievable clock.
 
 This module is platform-agnostic; the concrete platform descriptions
 (XUP-VVH with HBM, AWS F1 with DDR) live in :mod:`repro.platforms`.
@@ -40,7 +40,7 @@ class PlatformResources:
     #: Always-present infrastructure: shell/host interface, control
     #: interconnect, DMA engine.
     base_infrastructure: ResourceVector
-    #: Per-core memory-path infrastructure (SmartConnect + register
+    #: Per-core memory-path infrastructure (AXI interconnect + register
     #: slices for HBM; AXI plumbing for DDR).
     per_core_memory_path: ResourceVector
     #: One memory controller instance (zero vector when controllers

@@ -2,10 +2,10 @@
 
 Reproduces the paper's microbenchmark: linear read and write streams
 against one channel, swept over request sizes, for the two attachment
-configurations (native 450 MHz x 256 bit, and SmartConnect-converted
-225 MHz x 512 bit).  Both the discrete-event measurement and the
-closed-form model are reported; they must agree (cross-validated in
-the test suite).
+configurations (native 450 MHz x 256 bit, and the clock/width-converted
+225 MHz x 512 bit core port).  Both the discrete-event measurement and
+the closed-form model are reported; they must agree (cross-validated
+in the test suite).
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.experiments.reporting import format_series
-from repro.mem.hbm import channel_throughput
+from repro.mem.hbm import CORE_PORT_WIDTH_BITS, channel_throughput, core_port_clock_hz
 from repro.mem.traffic import run_channel_benchmark
-from repro.units import GIB, KIB, MIB
+from repro.platforms.specs import HBM_XUPVVH
+from repro.units import GIB, KIB, MHZ, MIB
 
 __all__ = ["Fig2Result", "run_fig2", "format_fig2", "DEFAULT_REQUEST_SIZES"]
 
@@ -86,12 +87,17 @@ def run_fig2(
 
 def format_fig2(result: Fig2Result) -> str:
     """Render the Fig. 2 series (GiB/s per request size)."""
+    native_mhz = HBM_XUPVVH.channel_clock_hz / MHZ
+    # The converted series is labelled from the half-clock x
+    # double-width equivalence the model runs.
+    core_mhz = core_port_clock_hz() / MHZ
+    widths = CORE_PORT_WIDTH_BITS // HBM_XUPVVH.channel_width_bits
     return format_series(
         "request",
         [f"{s // KIB} KiB" for s in result.request_sizes],
         {
-            "450MHz native (GiB/s)": result.native_450mhz,
-            "225MHz x2 width (GiB/s)": result.converted_225mhz,
+            f"{native_mhz:.0f}MHz native (GiB/s)": result.native_450mhz,
+            f"{core_mhz:.0f}MHz x{widths} width (GiB/s)": result.converted_225mhz,
             "analytic (GiB/s)": result.analytic_native,
         },
         title=(

@@ -28,9 +28,10 @@ from repro.compiler.datapath import build_datapath
 from repro.compiler.native_build import compiler_command, get_native_kernel
 from repro.compiler.operators import HWOp
 from repro.experiments.reporting import format_table
+from repro.platforms.specs import HBM_XUPVVH, XUPVVH_HBM_PLATFORM
 from repro.spn.nips import NIPS_BENCHMARKS, nips_benchmark
 from repro.spn.plan import InferencePlan, get_plan
-from repro.units import GIB
+from repro.units import MHZ
 
 __all__ = [
     "PlatformEnvelope",
@@ -73,8 +74,9 @@ def _platform_envelopes(n_ops: int) -> List[PlatformEnvelope]:
     return [
         PlatformEnvelope(
             "HBM FPGA (8 cores)",
-            bandwidth=8 * 12 * GIB,
-            compute=8 * 225e6 * n_ops,  # spatial: all ops, every cycle
+            bandwidth=8 * HBM_XUPVVH.practical_channel_bandwidth,
+            # Spatial: all ops, every cycle.
+            compute=8 * (XUPVVH_HBM_PLATFORM.target_clock_mhz * MHZ) * n_ops,
         ),
         PlatformEnvelope("Tesla V100", bandwidth=900e9, compute=17e9),
         PlatformEnvelope("Xeon E5-2680v3", bandwidth=60e9, compute=30e9),

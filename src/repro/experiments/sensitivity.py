@@ -27,9 +27,9 @@ from repro.experiments.reporting import format_table
 from repro.experiments.sweep import parallel_map
 from repro.platforms.cpu_model import XEON_E5_2680_V3
 from repro.platforms.f1_model import AWS_F1_SYSTEM
-from repro.platforms.specs import HBM_XUPVVH, PCIE_GEN3_X16
+from repro.platforms.specs import HBM_XUPVVH, PCIE_GEN3_X16, XUPVVH_HBM_PLATFORM
 from repro.spn.nips import NIPS_BENCHMARKS, nips_benchmark
-from repro.units import GIB
+from repro.units import MHZ
 
 __all__ = ["SensitivityResult", "run_sensitivity", "format_sensitivity"]
 
@@ -73,7 +73,8 @@ def _conclusions(
 ) -> Tuple[bool, bool, bool]:
     """Re-derive the three headline conclusions from the constants."""
     block_samples = (1 << 20) // 10  # 1 MiB of NIPS10 inputs
-    per_core = block_samples / (dispatch_overhead + block_samples / 225e6)
+    core_clock_hz = XUPVVH_HBM_PLATFORM.target_clock_mhz * MHZ
+    per_core = block_samples / (dispatch_overhead + block_samples / core_clock_hz)
     pcie_bound_nips10 = weighted_capacity / (10 + 0.8 * 8)
     # 1. At 8 cores the PCIe bound must sit below the compute capacity.
     pcie_is_bottleneck = pcie_bound_nips10 < 8 * per_core

@@ -28,7 +28,14 @@ from repro.sim.engine import Engine, Event
 from repro.sim.resource import SimResource, TokenBucket
 from repro.units import GIB
 
-__all__ = ["HBMChannel", "HBMSubsystem", "channel_throughput"]
+__all__ = [
+    "HBMChannel",
+    "HBMSubsystem",
+    "benchmark_extra_latency",
+    "channel_throughput",
+    "core_port_clock_hz",
+    "plateau_bandwidth",
+]
 
 #: Fraction of raw channel bandwidth left after refresh and protocol
 #: overheads.  Calibrated so the Fig. 2 plateau lands at the measured
@@ -63,9 +70,54 @@ BENCHMARK_TURNAROUND_SECONDS = 2.8e-6
 #: Extra per-request latency when the optional crossbar is enabled.
 CROSSBAR_LATENCY_SECONDS = 0.35e-6
 
+#: Extra per-request latency of the converted attachment: the AXI
+#: interconnect between a core port and its channel crosses clock
+#: domains and packs/unpacks beats, a few cycles of each clock.
+CONVERSION_LATENCY_SECONDS = 100e-9
+
+#: Data width of an accelerator core's AXI4 memory port (§IV-A).
+CORE_PORT_WIDTH_BITS = 512
+
 #: Shared-switch ceiling of the crossbar, bytes/s.  Accessing foreign
 #: channels funnels through the inter-stack switch network.
 CROSSBAR_SHARED_BANDWIDTH = 96.0 * GIB
+
+
+def plateau_bandwidth(spec: HBMSpec = HBM_XUPVVH) -> float:
+    """Refresh- and protocol-derated channel rate, bytes/s: the level
+    Fig. 2 saturates at (~12 GiB/s)."""
+    return spec.raw_channel_bandwidth * REFRESH_PROTOCOL_EFFICIENCY
+
+
+def core_port_clock_hz(spec: HBMSpec = HBM_XUPVVH) -> float:
+    """Clock at which a core port moves a channel's raw byte rate.
+
+    The §II-B/§IV-A equivalence: a :data:`CORE_PORT_WIDTH_BITS` port
+    is twice as wide as a 256-bit channel, so it keeps up at half the
+    450 MHz channel clock, i.e. at the cores' 225 MHz target.  The
+    conversion between the two therefore costs latency
+    (:data:`CONVERSION_LATENCY_SECONDS`), not bandwidth.
+    """
+    return spec.raw_channel_bandwidth / (CORE_PORT_WIDTH_BITS // 8)
+
+
+def benchmark_extra_latency(
+    *, use_smartconnect: bool = False, crossbar: bool = False
+) -> float:
+    """Per-request latency of the Fig. 2 benchmark block beyond the
+    channel's intrinsic :data:`REQUEST_OVERHEAD_SECONDS`, seconds.
+
+    The block keeps one request outstanding per direction, so it pays
+    :data:`BENCHMARK_TURNAROUND_SECONDS` on every request, plus the
+    conversion and crossbar latencies of the chosen attachment.  Both
+    the closed form and the DES benchmark read this one sum.
+    """
+    extra = BENCHMARK_TURNAROUND_SECONDS
+    if use_smartconnect:
+        extra += CONVERSION_LATENCY_SECONDS
+    if crossbar:
+        extra += CROSSBAR_LATENCY_SECONDS
+    return extra
 
 
 def channel_throughput(
@@ -86,8 +138,8 @@ def channel_throughput(
     request_bytes:
         Size of each linear read and each linear write request.
     use_smartconnect:
-        Model the 225 MHz x 512 bit attachment through a SmartConnect
-        (adds conversion latency per request) instead of the native
+        Model the 225 MHz x 512 bit core-port attachment (adds the
+        conversion latency per request) instead of the native
         450 MHz x 256 bit attachment.
     crossbar:
         Route through the optional crossbar (adds latency; the shared
@@ -96,16 +148,12 @@ def channel_throughput(
     """
     if request_bytes <= 0:
         raise MemoryModelError(f"request_bytes must be positive, got {request_bytes}")
-    raw = spec.channel_clock_hz * (spec.channel_width_bits // 8)
-    effective = raw * REFRESH_PROTOCOL_EFFICIENCY
-    # The closed form models the Fig. 2 benchmark block, which pays
-    # the single-outstanding turnaround on top of the channel cost.
-    overhead = REQUEST_OVERHEAD_SECONDS + BENCHMARK_TURNAROUND_SECONDS
-    if use_smartconnect:
-        overhead += 100e-9  # CDC + width conversion (see axi.py)
+    effective = plateau_bandwidth(spec)
     if crossbar:
-        overhead += CROSSBAR_LATENCY_SECONDS
         effective = min(effective, CROSSBAR_SHARED_BANDWIDTH)
+    overhead = REQUEST_OVERHEAD_SECONDS + benchmark_extra_latency(
+        use_smartconnect=use_smartconnect, crossbar=crossbar
+    )
     # The channel's single command engine serialises requests: each
     # request occupies the channel for its overhead plus its data time,
     # regardless of direction (reads and writes share the DRAM bus).
@@ -138,13 +186,12 @@ class HBMChannel:
         self.index = index
         self.spec = spec
         self.explicit_refresh = explicit_refresh
-        raw = spec.channel_clock_hz * (spec.channel_width_bits // 8)
         if explicit_refresh:
             # Refresh stalls are simulated as events; only the bus
             # protocol derating is folded into the data rate.
-            self.effective_bandwidth = raw * PROTOCOL_EFFICIENCY
+            self.effective_bandwidth = spec.raw_channel_bandwidth * PROTOCOL_EFFICIENCY
         else:
-            self.effective_bandwidth = raw * REFRESH_PROTOCOL_EFFICIENCY
+            self.effective_bandwidth = plateau_bandwidth(spec)
         self.request_overhead = REQUEST_OVERHEAD_SECONDS + extra_request_latency
         # A single command engine serves one request at a time: the
         # per-request overhead occupies the channel, it does not
@@ -172,9 +219,7 @@ class HBMChannel:
             # The Fig. 2 plateau this channel is judged against is the
             # refresh-derated rate even when refresh is simulated
             # explicitly (the stalls then show up as stall time).
-            metrics.gauge(prefix + ".plateau_bandwidth").set(
-                raw * REFRESH_PROTOCOL_EFFICIENCY
-            )
+            metrics.gauge(prefix + ".plateau_bandwidth").set(plateau_bandwidth(spec))
         else:
             self._m_requests = None
             self._m_bytes_read = None
@@ -353,6 +398,8 @@ class HBMSubsystem:
         """
         if not 0 <= port < self.spec.n_channels:
             raise MemoryModelError(f"port {port} out of range")
+        if n_bytes <= 0:
+            raise MemoryModelError(f"n_bytes must be positive, got {n_bytes}")
         owner = self.channel_for_address(address)
         end_owner = self.channel_for_address(address + n_bytes - 1)
         if owner != end_owner:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import MemoryModelError
-from repro.mem.hbm import HBMChannel
+from repro.mem.hbm import HBMChannel, benchmark_extra_latency
 from repro.platforms.specs import HBMSpec, HBM_XUPVVH
 from repro.sim.engine import Engine
 
@@ -82,15 +82,7 @@ def run_channel_benchmark(
     two are cross-validated in the test suite.
     """
     env = Engine()
-    # The benchmark block keeps one request outstanding per direction,
-    # paying its turnaround on every request (see repro.mem.hbm).
-    from repro.mem.hbm import BENCHMARK_TURNAROUND_SECONDS, CROSSBAR_LATENCY_SECONDS
-
-    extra = BENCHMARK_TURNAROUND_SECONDS
-    if use_smartconnect:
-        extra += 100e-9
-    if crossbar:
-        extra += CROSSBAR_LATENCY_SECONDS
+    extra = benchmark_extra_latency(use_smartconnect=use_smartconnect, crossbar=crossbar)
     channel = HBMChannel(env, 0, spec, extra_request_latency=extra)
     generator = LinearTrafficGenerator(env, channel, request_bytes, n_requests)
     done = env.process(generator.run(), name="traffic")

@@ -13,7 +13,7 @@ from typing import Dict
 
 from repro.compiler.design import PlatformResources
 from repro.compiler.resources import DeviceResources, ResourceVector
-from repro.units import GB, GIB, MHZ, MIB
+from repro.units import GB, GIB, MHZ
 
 __all__ = [
     "VU37P",
@@ -63,7 +63,7 @@ VU9P_F1 = DeviceResources(
 # ---------------------------------------------------------------------------
 
 #: This work's platform: TaPaSCo infrastructure, QDMA-class PCIe DMA,
-#: per-core AXI SmartConnect (width/clock/protocol conversion) and
+#: per-core AXI interconnect (width/clock/protocol conversion) and
 #: register slices; HBM controllers are hard IP (zero soft logic).
 #: Base/infra constants calibrated so 4-core NIPS10..NIPS40 designs
 #: reproduce Table I's "New" columns.
@@ -156,13 +156,16 @@ class HBMSpec:
     #: Measured practical per-channel read+write ceiling, bytes/s
     #: (Fig. 2 plateau, ~12 GiB/s) — calibration anchor.
     practical_channel_bandwidth: float
-    #: Request size where throughput saturates (Fig. 2: 1 MiB).
-    saturating_request_bytes: int
 
     @property
     def channel_capacity_bytes(self) -> int:
         """Address space behind one pseudo-channel (no crossbar)."""
         return self.capacity_bytes // self.n_channels
+
+    @property
+    def raw_channel_bandwidth(self) -> float:
+        """Raw byte rate of one channel: clock x width (14.4 GB/s)."""
+        return self.channel_clock_hz * (self.channel_width_bits // 8)
 
     @property
     def practical_total_bandwidth(self) -> float:
@@ -179,7 +182,6 @@ HBM_XUPVVH = HBMSpec(
     channel_width_bits=256,
     theoretical_bandwidth=460 * GB,
     practical_channel_bandwidth=12 * GIB,
-    saturating_request_bytes=1 * MIB,
 )
 
 

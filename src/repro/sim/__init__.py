@@ -3,7 +3,7 @@
 A minimal, dependency-free DES kernel in the style of SimPy, sized for
 this project's needs: coroutine processes, one-shot events, timeouts,
 bounded FIFO channels with backpressure, shared resources with FIFO
-arbitration, and throughput probes.
+arbitration, and span tracing.
 
 The kernel is deliberately *burst-granular*, not cycle-granular: model
 components schedule events at transaction boundaries (an AXI burst, a
@@ -28,7 +28,6 @@ Example
 from repro.sim.engine import Engine, Event, Process, Timeout, AllOf, AnyOf
 from repro.sim.channel import Channel, ClosedChannelError
 from repro.sim.resource import SimResource, TokenBucket
-from repro.sim.stats import Counter, ThroughputProbe, UtilizationProbe
 from repro.sim.trace import Span, SpanHandle, Tracer
 
 __all__ = [
@@ -42,9 +41,6 @@ __all__ = [
     "ClosedChannelError",
     "SimResource",
     "TokenBucket",
-    "Counter",
-    "ThroughputProbe",
-    "UtilizationProbe",
     "Span",
     "SpanHandle",
     "Tracer",

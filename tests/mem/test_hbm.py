@@ -4,9 +4,10 @@ import pytest
 
 from repro.errors import MemoryModelError
 from repro.mem import HBMChannel, HBMSubsystem, channel_throughput, run_channel_benchmark
-from repro.platforms.specs import HBM_XUPVVH
+from repro.mem.hbm import CONVERSION_LATENCY_SECONDS, CORE_PORT_WIDTH_BITS, core_port_clock_hz
+from repro.platforms.specs import HBM_XUPVVH, XUPVVH_HBM_PLATFORM
 from repro.sim import Engine
-from repro.units import GIB, KIB, MIB
+from repro.units import GIB, KIB, MHZ, MIB
 
 
 class TestChannelThroughputCurve:
@@ -37,6 +38,18 @@ class TestChannelThroughputCurve:
             converted = channel_throughput(size, use_smartconnect=True)
             assert abs(native - converted) / native < 0.04
 
+    def test_half_clock_double_width_is_the_core_clock(self):
+        """§II-B/§IV-A: a 512-bit core port matches a 450 MHz x 256 bit
+        channel byte for byte at half the clock, which is the platform's
+        225 MHz target, so conversion costs latency, not bandwidth."""
+        assert CORE_PORT_WIDTH_BITS == 2 * HBM_XUPVVH.channel_width_bits
+        assert core_port_clock_hz() == HBM_XUPVVH.channel_clock_hz / 2
+        assert core_port_clock_hz() == XUPVVH_HBM_PLATFORM.target_clock_mhz * MHZ
+        # Per request, conversion adds its latency and no data time.
+        native = 1 * MIB / channel_throughput(1 * MIB)
+        converted = 1 * MIB / channel_throughput(1 * MIB, use_smartconnect=True)
+        assert converted - native == pytest.approx(CONVERSION_LATENCY_SECONDS)
+
     def test_crossbar_costs_performance(self):
         assert channel_throughput(64 * KIB, crossbar=True) < channel_throughput(64 * KIB)
 
@@ -45,11 +58,26 @@ class TestChannelThroughputCurve:
             channel_throughput(0)
 
 
+_ATTACHMENTS = {
+    "native": {},
+    "smartconnect": {"use_smartconnect": True},
+    "crossbar": {"crossbar": True},
+}
+
+
 class TestDesMatchesAnalytic:
-    @pytest.mark.parametrize("size", [4 * KIB, 64 * KIB, 1 * MIB])
-    def test_des_equals_closed_form(self, size):
-        analytic = channel_throughput(size)
-        measured = run_channel_benchmark(size, n_requests=32).throughput
+    @pytest.mark.parametrize(
+        "size,attachment",
+        [
+            pytest.param(size, name, id=str(size) if name == "native" else f"{size}-{name}")
+            for name in _ATTACHMENTS
+            for size in (4 * KIB, 64 * KIB, 1 * MIB)
+        ],
+    )
+    def test_des_equals_closed_form(self, size, attachment):
+        options = _ATTACHMENTS[attachment]
+        analytic = channel_throughput(size, **options)
+        measured = run_channel_benchmark(size, n_requests=32, **options).throughput
         assert measured == pytest.approx(analytic, rel=0.02)
 
 
@@ -108,6 +136,13 @@ class TestHBMSubsystem:
         hbm = HBMSubsystem(env)
         with pytest.raises(MemoryModelError):
             hbm.channel_for_address(HBM_XUPVVH.capacity_bytes)
+
+    @pytest.mark.parametrize("n_bytes", [0, -5])
+    def test_non_positive_size_rejected_before_address(self, n_bytes):
+        env = Engine()
+        hbm = HBMSubsystem(env)
+        with pytest.raises(MemoryModelError, match="n_bytes must be positive"):
+            hbm.transfer(port=0, address=0, n_bytes=n_bytes)
 
     def test_foreign_channel_needs_crossbar(self):
         env = Engine()
