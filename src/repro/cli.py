@@ -86,11 +86,14 @@ def _cmd_outlook(args) -> str:
 def _cmd_formats(args) -> str:
     from repro.experiments.format_comparison import (
         format_format_comparison,
+        format_range_coverage,
         run_format_comparison,
+        run_range_coverage,
     )
 
     rows = run_format_comparison(n_samples=args.samples // 500 or 500)
-    return format_format_comparison(rows)
+    return (format_format_comparison(rows) + "\n\n"
+            + format_range_coverage(run_range_coverage()))
 
 
 def _cmd_sensitivity(args) -> str:

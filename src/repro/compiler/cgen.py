@@ -20,7 +20,7 @@ the numpy kernels.  The value slab holds only Gaussian and categorical
 leaves and interior nodes.
 
 Kernel semantics mirror :func:`repro.spn.plan_eval.plan_log_likelihood`
-exactly:
+(the same values, up to rounding):
 
 * a group whose breaks are consecutive integers codes its cells with
   ``floor`` and the clamps ``(x < hi) ? x : hi`` / ``(x > lo) ? x : lo``
@@ -38,10 +38,14 @@ exactly:
   to the numpy plan backend;
 * Gaussian leaves use the closed form, categorical leaves the LUT
   gather with numpy's ``isclose`` integrality test;
-* product nodes are adds in child order, sum nodes a stable max-shift
-  log-sum-exp whose accumulation always runs in ``double`` — on
-  float32 storage this is the paper-motivated "float64 accumulation
-  over float32 storage" split.
+* like the paper's datapath, which has no ``exp`` or ``log``, a node
+  whose static bound fits the storage dtype runs in the linear domain
+  (:func:`linear_rows`): it gathers ``T_LIN = exp(T_HIST)``, a product
+  multiplies, a sum adds ``w_j * x_j``, in child order.  Above the cut
+  a product adds and a sum is a stable max-shift log-sum-exp; a cut
+  edge (log-domain node reading a linear one) or a linear root takes
+  one ``log``.  Sums accumulate in ``double`` — on float32 storage the
+  paper-motivated "float64 accumulation over float32 storage" split.
 
 Every node loop runs over the block's rows rounded up to whole 16-row
 tiles (pad rows read log 1), so a row goes through the same vector
@@ -69,6 +73,8 @@ __all__ = [
     "MAX_KERNEL_THREADS",
     "BLOCK_ROWS",
     "generate_kernel_source",
+    "linear_range",
+    "linear_rows",
 ]
 
 #: Version of the generated-kernel ABI/semantics.  Bump on ANY change
@@ -81,7 +87,8 @@ __all__ = [
 #: v4: one pthread driver, no build-time choice of thread runtime.
 #: v5: every histogram leaf gathered inline from its variable's group;
 #: irregular bins coded by a grid over the group's breaks.
-CODEGEN_VERSION = 5
+#: v6: nodes below the static underflow cut run in the linear domain.
+CODEGEN_VERSION = 6
 
 #: Exported entry-point symbol of every generated kernel.
 KERNEL_SYMBOL = "repro_plan_eval"
@@ -100,6 +107,11 @@ BLOCK_ROWS = 256
 #: fill 512 bits): a constant trip count, so the compiler emits no
 #: vector remainder.  Divides :data:`BLOCK_ROWS`.
 _ROW_PAD = 16
+
+#: Nats kept between a linear row's bound and the storage dtype's normal
+#: range (-708.4 / +709.8 in float64, -87.3 / +88.7 in float32): room for
+#: the bound's and float32 tables' few-ULP rounding.
+_LINEAR_MARGIN = 8.0
 
 #: Terms per emitted add statement; wider product nodes continue with
 #: ``acc = acc + ...`` statements, which keeps the add order.
@@ -135,34 +147,78 @@ def _const_real(name: str, values, dtype: np.dtype) -> str:
     return _const_array("real_t", name, [_c_real(v, dtype) for v in values])
 
 
-def _row_refs(plan: InferencePlan, n_inline: int) -> List[str]:
-    """The C expression that reads each plan row at block row ``r``.
+def linear_range(dtype) -> Tuple[float, float]:
+    """The log-values *dtype* holds in the linear domain: its normal
+    range less :data:`_LINEAR_MARGIN` at both ends."""
+    info = np.finfo(dtype)
+    return math.log(info.tiny) + _LINEAR_MARGIN, math.log(info.max) - _LINEAR_MARGIN
+
+
+def linear_rows(plan: InferencePlan, dtype=np.float64) -> np.ndarray:
+    """Which rows the *dtype* kernel evaluates in the linear domain.
+
+    A histogram leaf or interior row qualifies when its static bound
+    (:attr:`~repro.spn.plan.InferencePlan.log_bounds`) lies inside
+    *dtype*'s normal range less :data:`_LINEAR_MARGIN`, an interior row
+    only if all its children qualify (Gaussian and categorical leaves
+    never do).  Then, root first, a product no linear node reads (the
+    output reads the root in the log domain) drops back to the log
+    domain: linear, it would cost a ``log`` per reader, saving no ``exp``.
+    """
+    (floor, top), (lo, hi, _) = linear_range(dtype), plan.log_bounds
+    linear = (lo >= floor) & (hi <= top)
+    n_inline = len(plan.histogram_block) if plan.histogram_block else 0
+    linear[n_inline: plan.n_leaves] = False
+    for layer in plan.layers:
+        for j, children in enumerate(_node_children(layer)):
+            linear[layer.row_start + j] &= linear[children].all()
+    read = np.zeros(plan.n_nodes, dtype=bool)  # by a linear node
+    for layer in reversed(plan.layers):
+        for j, children in enumerate(_node_children(layer)):
+            row = layer.row_start + j
+            linear[row] &= layer.kind == "sum" or read[row]
+            read[children] |= linear[row]
+    return linear
+
+
+def _node_children(layer: CsrLayer) -> List[np.ndarray]:
+    """Each node's child rows, in node order."""
+    return np.split(layer.child_rows, layer.indptr[1:-1])
+
+
+def _row_refs(plan: InferencePlan, n_inline: int,
+              linear: np.ndarray) -> List[Tuple[str, str]]:
+    """The ``(log-domain, linear)`` C expressions reading each plan row
+    at block row ``r``.
 
     Rows ``[0, n_inline)`` are the histogram groups (they always start
-    at row 0): gathered inline, never stored.  Every other row lives in
-    the value slab at ``row - n_inline``.
+    at row 0): gathered inline from ``T_HIST`` / ``T_LIN``, never
+    stored.  Every other row lives in the value slab at ``row -
+    n_inline`` in its own domain (a cut edge reads the ``log``).
     """
     groups = plan.histogram_block.groups if n_inline else ()
-    return [
-        f"T_HIST[c{group.variable}[r] + {j}]"
+    refs = [
+        (f"T_HIST[c{group.variable}[r] + {j}]",
+         f"T_LIN[c{group.variable}[r] + {j}]")
         for group in groups
         for j in range(len(group))
-    ] + [
-        f"v[{row - n_inline}L * BLOCK + r]"
-        for row in range(n_inline, plan.n_nodes)
     ]
+    for row in range(n_inline, plan.n_nodes):
+        slab = f"v[{row - n_inline}L * BLOCK + r]"
+        refs.append((f"(real_t) log({slab})", slab) if linear[row]
+                    else (slab, ""))
+    return refs
 
 
-def _emit_histogram(
-    block, dtype: np.dtype, tables: List[str], lines: List[str]
-) -> int:
-    """Cell-code tiles for the histogram groups; returns how many.
+def _emit_histogram(block, tables: List[str], lines: List[str]) -> np.ndarray:
+    """Cell-code tiles for the histogram groups; returns ``T_HIST``.
 
     One ``int32`` tile per group, shared by all its leaves: the cell,
     times the group's leaf count, plus the group's offset into
-    ``T_HIST``, where the group's table is stored cell-major (its last
-    row all zero, log 1 — the row a marginalised variable, a missing
-    entry and a pad row select, so no reader of the tile needs a mask).
+    ``T_HIST`` (and ``T_LIN``), where the group's table is stored
+    cell-major (its last row all zero, log 1 — the row a marginalised
+    variable, a missing entry and a pad row select, so no reader of
+    the tile needs a mask).
     """
     parts: List[np.ndarray] = []
     offset = 0
@@ -196,8 +252,7 @@ def _emit_histogram(
             "    }",
         ]
         offset = zero + k
-    tables.append(_const_real("T_HIST", np.concatenate(parts), dtype))
-    return len(block.groups)
+    return np.concatenate(parts)
 
 
 def _emit_slab_leaf(label: str, slab: int, var: int, value: List[str],
@@ -333,19 +388,20 @@ def _grid_codes(var: int, breaks: np.ndarray, masked: str, k: int,
     ]
 
 
-def _emit_product_node(row: int, dst: str, terms: List[str],
+def _emit_product_node(row: int, dst: str, terms: List[str], op: str,
                        lines: List[str]) -> None:
-    """One product node: adds over its children, in child order."""
-    step = _TERMS_PER_STATEMENT
+    """One product node: *op* (``+`` on log-values, ``*`` on linear
+    ones) over its children, in child order."""
+    step, op = _TERMS_PER_STATEMENT, f" {op} "
     lines += [
         f"    {{ /* product row {row} */",
         f"        real_t* restrict dst = {dst};",
         "        FOR_PADDED_ROWS(r, n16) {",
-        f"            real_t acc = {' + '.join(terms[:step])};",
+        f"            real_t acc = {op.join(terms[:step])};",
     ]
     for i in range(step, len(terms), step):
         lines.append(
-            f"            acc = acc + {' + '.join(terms[i: i + step])};"
+            f"            acc = acc{op}{op.join(terms[i: i + step])};"
         )
     lines += ["            dst[r] = acc;", "        }", "    }"]
 
@@ -391,22 +447,44 @@ def _emit_sum_node(row: int, dst: str, terms: List[str],
     ]
 
 
-def _emit_layer(layer: CsrLayer, refs: List[str], n_inline: int,
-                dtype: np.dtype, lines: List[str]) -> None:
-    """Emit every node of one CSR layer with its constants inlined."""
+def _emit_linear_sum(row: int, dst: str, terms: List[str],
+                     weights: List[float], lines: List[str]) -> None:
+    """One linear sum node: ``w_j * x_j`` added in ``double``, in order."""
+    lines += [
+        f"    {{ /* sum row {row}, linear */",
+        f"        real_t* restrict dst = {dst};",
+        "        FOR_PADDED_ROWS(r, n16) {",
+    ]
+    for j, (term, weight) in enumerate(zip(terms, weights)):
+        lines.append(
+            f"            {'double acc =' if j == 0 else 'acc +='} "
+            f"{_c_double(math.exp(weight))} * (double) {term};"
+        )
+    lines += ["            dst[r] = (real_t) acc;", "        }", "    }"]
+
+
+def _emit_layer(layer: CsrLayer, refs: List[Tuple[str, str]],
+                linear: np.ndarray, n_inline: int, dtype: np.dtype,
+                lines: List[str]) -> None:
+    """Emit every node of one CSR layer with its constants inlined, each
+    in its domain."""
     lines.append(
         f"    /* layer: {layer.kind}, {layer.n_nodes} node(s), "
         f"rows [{layer.row_start}, {layer.row_start + layer.n_nodes}) */"
     )
-    for j in range(layer.n_nodes):
-        start, stop = int(layer.indptr[j]), int(layer.indptr[j + 1])
-        terms = [refs[int(c)] for c in layer.child_rows[start:stop]]
+    for j, children in enumerate(_node_children(layer)):
         row = layer.row_start + j
+        lin = bool(linear[row])
+        terms = [refs[int(c)][lin] for c in children]
         dst = f"v + {row - n_inline}L * BLOCK"
         if layer.kind == "product":
-            _emit_product_node(row, dst, terms, lines)
+            _emit_product_node(row, dst, terms, "*" if lin else "+", lines)
+            continue
+        start, stop = int(layer.indptr[j]), int(layer.indptr[j + 1])
+        weights = [float(w) for w in layer.log_weights[start:stop]]
+        if lin:
+            _emit_linear_sum(row, dst, terms, weights, lines)
         else:
-            weights = [float(w) for w in layer.log_weights[start:stop]]
             _emit_sum_node(row, dst, terms, weights, dtype, lines)
 
 
@@ -458,10 +536,12 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
     hist = plan.histogram_block
     n_inline = len(hist) if hist is not None else 0
     n_slab = plan.n_nodes - n_inline
-    refs = _row_refs(plan, n_inline)
+    linear = linear_rows(plan, dtype)
+    refs = _row_refs(plan, n_inline, linear)
     tables: List[str] = []  # file-scope constants
     body: List[str] = []  # eval_block statements
-    n_tiles = _emit_histogram(hist, dtype, tables, body) if n_inline else 0
+    n_tiles = len(hist.groups) if n_inline else 0
+    t_hist = _emit_histogram(hist, tables, body) if n_inline else np.zeros(0)
     if plan.categorical_block is not None:
         tables.append(
             _const_real("T_CAT", plan.categorical_block.table, dtype)
@@ -473,7 +553,23 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
         if block is not None:
             emit(block, block.row_start - n_inline, dtype, body)
     for layer in plan.layers:
-        _emit_layer(layer, refs, n_inline, dtype, body)
+        _emit_layer(layer, refs, linear, n_inline, dtype, body)
+    if linear[plan.root_row]:  # one log per row, over padded tiles
+        body += [
+            "    double root[BLOCK];",
+            f"    FOR_PADDED_ROWS(r, n16) root[r] = log((double) "
+            f"{refs[plan.root_row][1]});",
+            "    for (long r = 0; r < rows; ++r) out[r] = root[r];",
+        ]
+    else:
+        body += [
+            "    for (long r = 0; r < rows; ++r)",
+            f"        out[r] = (double) {refs[plan.root_row][0]};",
+        ]
+    with np.errstate(over="ignore"):  # T_LIN entries no linear node reads
+        for name, table in (("T_HIST", t_hist), ("T_LIN", np.exp(t_hist))):
+            if any(f"{name}[" in line for line in body):
+                tables.append(_const_real(name, table, dtype))
 
     lines: List[str] = [
         "/* Generated by repro.compiler.cgen - do not edit.",
@@ -481,7 +577,8 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
         f" * plan: {plan.name}  nodes={plan.n_nodes}  "
         f"leaves={plan.n_leaves}  layers={plan.n_layers}",
         f" * storage dtype: {dtype.name}  block: {BLOCK_ROWS} rows  "
-        f"slab rows: {n_slab}  code tiles: {n_tiles}",
+        f"slab rows: {n_slab}  code tiles: {n_tiles}  "
+        f"linear rows: {int(linear[n_inline:].sum())}",
         " */",
         "#define _POSIX_C_SOURCE 200809L",
         "#include <math.h>",
@@ -516,8 +613,6 @@ def generate_kernel_source(plan: InferencePlan, dtype=np.float64) -> str:
         "{",
         "    const long n16 = (rows + PAD - 1) & ~(PAD - 1);",
         *body,
-        "    for (long r = 0; r < rows; ++r)",
-        f"        out[r] = (double) {refs[plan.root_row]};",
         "}",
         "",
         "/* Evaluate blocks [b_begin, b_end) into out.  Each caller owns",

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.compiler.cgen import linear_rows
 from repro.compiler.datapath import build_datapath
 from repro.compiler.native_build import compiler_command, get_native_kernel
 from repro.compiler.operators import HWOp
@@ -97,12 +98,15 @@ class HostKernelOps:
     closed_form_leaves: int
     #: Child terms over all product nodes (a node of k terms is k-1 adds).
     product_terms: int
-    #: Floating-point adds/subtracts: product adds, and per sum child
-    #: the weight add, the peak shift and the accumulation.
+    #: Floating-point adds, subtracts and multiplies: ``k - 1`` per
+    #: product of *k* terms; per sum child, a multiply and an add in the
+    #: linear domain, the weight add, peak shift and accumulation in the
+    #: log domain.
     adds: int
-    #: ``exp`` calls: one per sum-node child.
+    #: ``exp`` calls: one per child of a log-domain sum.
     exps: int
-    #: ``log`` calls: one per sum node.
+    #: ``log`` calls: one per log-domain sum, per cut edge and for a
+    #: linear root.
     logs: int
     #: Bytes read per row (the float64 input row).
     bytes_in: int
@@ -124,26 +128,38 @@ class HostKernelOps:
 
 
 def host_kernel_ops(plan: InferencePlan) -> HostKernelOps:
-    """Count the float64 kernel's per-row operations for *plan*."""
+    """Count the float64 kernel's per-row operations for *plan*, each
+    node in the domain :func:`~repro.compiler.cgen.linear_rows` gives it."""
     groups = plan.histogram_block.groups if plan.histogram_block else ()
     n_inline = sum(len(group) for group in groups)
-    gathers = product_terms = n_products = sum_terms = n_sums = 0
+    linear = linear_rows(plan, np.float64)
+    gathers = product_terms = n_products = adds = exps = 0
+    logs = int(linear[plan.root_row])
     for layer in plan.layers:
         gathers += int(np.count_nonzero(layer.child_rows < n_inline))
-        if layer.kind == "product":
-            product_terms += len(layer.child_rows)
-            n_products += layer.n_nodes
-        else:
-            sum_terms += len(layer.child_rows)
-            n_sums += layer.n_nodes
+        for j, children in enumerate(
+            np.split(layer.child_rows, layer.indptr[1:-1])
+        ):
+            k, lin = len(children), linear[layer.row_start + j]
+            if layer.kind == "product":
+                product_terms += k
+                n_products += 1
+            elif lin:
+                adds += 2 * k
+            else:
+                adds += 3 * k
+                exps += k
+                logs += 1
+            if not lin:  # a log per cut edge
+                logs += int(np.count_nonzero(linear[children[children >= n_inline]]))
     return HostKernelOps(
         table_gathers=gathers,
         irregular_lookups=sum(not group.unit_bins for group in groups),
         closed_form_leaves=plan.n_leaves - n_inline,
         product_terms=product_terms,
-        adds=(product_terms - n_products) + 3 * sum_terms,
-        exps=sum_terms,
-        logs=n_sums,
+        adds=adds + product_terms - n_products,
+        exps=exps,
+        logs=logs,
         bytes_in=8 * plan.n_data_columns,
         bytes_out=8,
     )

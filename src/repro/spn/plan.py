@@ -41,7 +41,8 @@ import hashlib
 import struct
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +65,7 @@ __all__ = [
     "CategoricalLeafBlock",
     "GenericLeafBlock",
     "CsrLayer",
+    "LogBounds",
     "InferencePlan",
     "PLAN_FORMAT_VERSION",
     "compile_plan",
@@ -244,6 +246,20 @@ class CsrLayer:
         return self.n_nodes
 
 
+class LogBounds(NamedTuple):
+    """Static per-row range of a plan's log-values, for any input.
+
+    Every *finite* log-value row *i* can take lies in ``[lo[i], hi[i]]``;
+    ``-inf`` (an exact zero in the linear domain) is possible only
+    where ``can_zero[i]``.  Every leaf can be log 1 (its marginalised /
+    missing entry), so ``lo <= 0 <= hi`` on every row.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    can_zero: np.ndarray
+
+
 @dataclass(frozen=True)
 class InferencePlan:
     """A compiled, immutable evaluation schedule for one SPN.
@@ -288,6 +304,67 @@ class InferencePlan:
         """Number of interior CSR layers."""
         return len(self.layers)
 
+    @cached_property
+    def log_bounds(self) -> LogBounds:
+        """The static :class:`LogBounds` of every row (derived, cached).
+
+        Leaves: a histogram leaf ranges over its table row (the zero
+        column included), a categorical leaf over its table, floor and
+        log 1; a Gaussian leaf is unbounded below and may be ``-inf``,
+        a generic leaf is unbounded.  A product adds its children's
+        bounds.  A sum's ``hi`` is its best weighted ``hi`` plus
+        ``log n``; its ``lo`` is the best weighted ``lo`` over the
+        children that are never zero, or the worst over all of them
+        when every child can be zero.  Zero-weight children are exact
+        zeros and drop out.
+        """
+        lo, hi = np.zeros(self.n_nodes), np.zeros(self.n_nodes)
+        zero = np.zeros(self.n_nodes, dtype=bool)
+        for group in self.histogram_block.groups if self.histogram_block else ():
+            rows = slice(group.row_start, group.row_start + len(group))
+            lo[rows], hi[rows], zero[rows] = _finite_range(group.table)
+        if self.gaussian_block is not None:
+            block = self.gaussian_block
+            rows = slice(block.row_start, block.row_start + len(block))
+            lo[rows], hi[rows] = -np.inf, np.maximum(block.log_norm, 0.0)
+            zero[rows] = True
+        if self.categorical_block is not None:
+            block = self.categorical_block
+            for i, offset in enumerate(block.table_offsets):
+                values = np.concatenate((
+                    block.table[offset: offset + int(block.n_categories[i])],
+                    [block.log_floor[i], 0.0],
+                ))
+                row = block.row_start + i
+                lo[row], hi[row], zero[row] = _finite_range(values)
+        if self.generic_block is not None:
+            block = self.generic_block
+            rows = slice(block.row_start, block.row_start + len(block))
+            lo[rows], hi[rows], zero[rows] = -np.inf, np.inf, True
+        for layer in self.layers:
+            rows = slice(layer.row_start, layer.row_start + layer.n_nodes)
+            starts, children = layer.indptr[:-1], layer.child_rows
+            if layer.kind == "product":
+                lo[rows] = np.add.reduceat(lo[children], starts)
+                hi[rows] = np.add.reduceat(hi[children], starts)
+                zero[rows] = np.logical_or.reduceat(zero[children], starts)
+                continue
+            weights = layer.log_weights
+            live = weights > -np.inf
+            sure = live & ~zero[children]
+            with np.errstate(invalid="ignore"):  # -inf weight + inf hi
+                low, high = weights + lo[children], weights + hi[children]
+            best = np.maximum.reduceat(np.where(sure, low, -np.inf), starts)
+            worst = np.minimum.reduceat(np.where(live, low, np.inf), starts)
+            any_sure = np.logical_or.reduceat(sure, starts)
+            n_live = np.add.reduceat(live.astype(np.int64), starts)
+            lo[rows] = np.where(any_sure, best, worst)
+            hi[rows] = np.maximum.reduceat(
+                np.where(live, high, -np.inf), starts
+            ) + np.log(np.maximum(n_live, 1))
+            zero[rows] = ~any_sure
+        return LogBounds(lo, hi, zero)
+
 
 def _int_array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
@@ -295,6 +372,17 @@ def _int_array(values) -> np.ndarray:
 
 def _f64_array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
+
+
+def _finite_range(values: np.ndarray):
+    """``(min, max)`` of the finite entries along the last axis, and
+    whether any entry is ``-inf``."""
+    finite = np.isfinite(values)
+    return (
+        np.where(finite, values, np.inf).min(axis=-1),
+        np.where(finite, values, -np.inf).max(axis=-1),
+        np.isneginf(values).any(axis=-1),
+    )
 
 
 def _histogram_group(

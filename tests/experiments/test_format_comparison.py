@@ -4,7 +4,9 @@ import pytest
 
 from repro.experiments.format_comparison import (
     format_format_comparison,
+    format_range_coverage,
     run_format_comparison,
+    run_range_coverage,
 )
 
 
@@ -49,3 +51,24 @@ def test_formatting(study):
     text = format_format_comparison(study, benchmark="NIPS10")
     assert "design space" in text
     assert "cfp(10,25" in text
+
+
+def test_static_range_coverage_of_the_nips_networks():
+    """§III's "the format covers the network" as a printed row: NIPS10's
+    static root range fits the paper's CFP(10,25) and LNS, NIPS20's
+    does not; float64 runs NIPS10/20 wholly linear, float32 neither."""
+    rows = {row.benchmark: row for row in run_range_coverage()}
+    assert rows["NIPS10"].root_lo == pytest.approx(-278.0, abs=0.1)
+    assert rows["NIPS20"].root_lo == pytest.approx(-554.2, abs=0.1)
+    for name in ("NIPS10", "NIPS20"):
+        linear, interior = rows[name].linear_nodes["float64"]
+        assert linear == interior
+        assert rows[name].linear_nodes["float32"][0] == 0
+    text = format_range_coverage(rows.values())
+    nips10, nips20 = (
+        next(line for line in text.splitlines() if line.strip().startswith(name))
+        for name in ("NIPS10", "NIPS20")
+    )
+    assert nips10.split()[3:5] == ["fits", "fits"]
+    assert nips20.split()[3:5] == ["NO", "NO"]
+    assert "[-353.5, 355.6]" in text  # PAPER_CFP's range in nats

@@ -80,17 +80,27 @@ def test_formatting(points):
 
 def test_host_kernel_ops_on_nips10():
     """The generated kernel's per-row work, read from the plan: the
-    arithmetic side of the ceiling its rows/s is judged against."""
+    arithmetic side of the ceiling its rows/s is judged against.  NIPS10
+    runs wholly linear in float64: no ``exp``, one ``log`` at the root."""
     ops = host_kernel_ops(get_plan(nips_benchmark("NIPS10").spn))
     assert ops.table_gathers == 69  # every leaf, one parent each
     assert ops.irregular_lookups == 6  # grid-coded variables
     assert ops.closed_form_leaves == 0
     assert ops.product_terms == 76
-    assert ops.exps == 18
-    assert ops.logs == 9
-    # 76 terms over 17 product nodes, three adds per sum child.
-    assert ops.adds == (76 - 17) + 3 * 18
+    assert (ops.exps, ops.logs) == (0, 1)
+    # 76 terms over 17 product nodes, a multiply and an add per sum child.
+    assert ops.adds == (76 - 17) + 2 * 18
     assert (ops.bytes_in, ops.bytes_out) == (80, 8)
+
+
+def test_host_kernel_ops_on_nips80_follow_the_cut():
+    """NIPS80 keeps 7 of its 16 sums (14 children) in the log domain, and
+    8 of them read a linear sum: one ``log`` per log-domain sum and per
+    cut edge, and the exps of the log-domain sums alone."""
+    ops = host_kernel_ops(get_plan(nips_benchmark("NIPS80").spn))
+    assert (ops.exps, ops.logs) == (14, 7 + 8)
+    # 584 terms over 31 product nodes; 18 linear and 14 log sum children.
+    assert ops.adds == (584 - 31) + 2 * 18 + 3 * 14
 
 
 def test_host_kernel_rows_are_printed(points):

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.compiler.cgen import BLOCK_ROWS, generate_kernel_source
+from repro.compiler.cgen import BLOCK_ROWS, generate_kernel_source, linear_rows
 from repro.compiler.native_build import (
     build_kernel,
     clear_native_kernels,
@@ -52,9 +52,11 @@ from repro.spn import (
     set_inference_backend,
 )
 
-#: float64 kernels only differ from numpy through libm-vs-numpy ULP
-#: divergence in exp/log; observed max ~1.4e-14 relative on NIPS-scale
-#: plans.
+#: float64 kernels differ from numpy by rounding alone: libm-vs-numpy
+#: ULPs in exp/log above the linear-domain cut, multiply-then-log
+#: against log-sum-exp below it.  Observed max 2.4e-15 relative, on
+#: NIPS80; 5.7e-16 on the wholly linear NIPS10; 9.5e-16 on the edge
+#: pool (all query types, float64).
 F64_RTOL, F64_ATOL = 1e-12, 1e-12
 #: float32 storage carries ~1 ULP relative error at the root (the
 #: documented envelope, dominated by relative error at large |LL|).
@@ -312,24 +314,28 @@ _EDGE_QUERIES = (
 )
 
 
-@pytest.fixture(scope="module")
-def edge(tmp_path_factory):
-    """The edge SPN's plan and a ``dtype -> kernel`` loader; each kernel
-    is built once for the module (a build takes seconds), then only
-    ``dlopen``-ed, so the per-test cache isolation does not rebuild it."""
-    plan = compile_plan(_edge_spn())
+def _prebuilt(plan, tmp_path_factory):
+    """*plan* and a ``dtype -> kernel`` loader; each kernel is built once
+    for the module (a build takes seconds), then only ``dlopen``-ed, so
+    the per-test cache isolation does not rebuild it."""
     paths = {}
 
     def kernel(dtype):
         if dtype not in paths:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setenv(
-                    "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("edge"))
+                    "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("kernel"))
                 )
                 paths[dtype] = build_kernel(plan, dtype)
         return load_kernel(paths[dtype], plan, dtype)
 
     return plan, kernel
+
+
+@pytest.fixture(scope="module")
+def edge(tmp_path_factory):
+    """The edge SPN's plan and its kernel loader."""
+    return _prebuilt(compile_plan(_edge_spn()), tmp_path_factory)
 
 
 def _assert_matches_plan(kernel, plan, data, dtype=np.float64, **query):
@@ -441,6 +447,162 @@ def test_generated_source_structure():
     assert f"v + {n_stored - 1}L * BLOCK;" in source
     assert f"v + {n_stored}L * BLOCK;" not in source
     assert source.count("/* row codes, variable") == plan.n_data_columns
+    # Wholly linear in float64 (root lo -278): no exp, one log, at the
+    # root, and no log-domain table.
+    assert "exp(" not in source and source.count("log(") == 1
+    assert "T_LIN[" in source and "T_HIST" not in source
+    assert f"linear rows: {n_stored}\n" in source
+
+
+# ---------------------------------------------------------------------------
+# The linear-domain cut: exact zeros, and a network below float64's range
+# ---------------------------------------------------------------------------
+
+
+def _zeros_spn():
+    """Exact zeros the kernel must keep exact: a leaf with floor 0 (its
+    zero-density bin and out-of-support cells are log 0) on every
+    variable, and a sum whose never-zero child has weight 0.  Neither
+    can be constructed (the node classes refuse them), so both are set
+    on built nodes."""
+
+    def zeroed(var):
+        leaf = HistogramLeaf(var, np.arange(4.0), [0.5, 0.0, 0.5])
+        leaf.floor = 0.0
+        return leaf
+
+    def other(var):
+        return _hist(var, 0, [0.2, 0.3, 0.5])
+
+    weightless = SumNode([other(2), zeroed(2)], [0.5, 0.5])
+    weightless.weights[0], weightless.log_weights[0] = 0.0, -np.inf
+    return SPN(
+        SumNode(
+            [
+                ProductNode([
+                    SumNode([zeroed(0), other(0)], [0.5, 0.5]),
+                    SumNode([zeroed(1), zeroed(1)], [0.4, 0.6]),
+                    weightless,
+                ]),
+                ProductNode([other(0), zeroed(1), other(2)]),
+            ],
+            [0.5, 0.5],
+        )
+    )
+
+
+@needs_cc
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_exact_zeros_in_the_linear_domain(dtype):
+    """A zero weight, zero-density bins and zero-floor support run
+    linear in both dtypes, where log 0 is exactly 0: answers keep every
+    -inf and match the plan elsewhere, for all three query types."""
+    with np.errstate(divide="ignore"):
+        plan = compile_plan(_zeros_spn())
+    linear = linear_rows(plan, dtype)
+    assert linear[plan.root_row] and linear[plan.n_leaves:].all()
+    kernel = get_native_kernel(plan, dtype, require=True)
+    data = _batch(plan, 300, 61, high=5) - 1.0  # -1 .. 3: every cell
+    expected = plan_log_likelihood(plan, data, dtype=dtype)
+    assert np.isneginf(expected).any() and np.isfinite(expected).any()
+    for query in ({}, {"marginalized": [1]}, {"missing_value": 1.0}):
+        _assert_matches_plan(kernel, plan, data, dtype, **query)
+
+
+def _deep_floor_spn():
+    """A network whose static ``lo`` (about -855) is far below float64's
+    normal range: a sum over two products of 120 floor-1e-12 histogram
+    leaves (log -27.6 each), with sums at three depths so each dtype
+    cuts it at its own level.
+
+    Each root product multiplies ten 3-variable mixtures; a mixture is a
+    sum of two products of three 2-leaf sums.  float64 runs every
+    mixture linear (``lo`` about -85) and each root product reads ten of
+    them through a ``log``; float32 (linear down to -79.3) runs only the
+    2-leaf sums linear, read through a ``log`` by the products above.
+    """
+    rng = np.random.default_rng(57)
+
+    def probs(n):
+        p = rng.random(n) + 0.05
+        return p / p.sum()
+
+    def leaf_sum(var):
+        return SumNode([_hist(var, 0, probs(5)), _hist(var, 1, probs(4))],
+                       probs(2))
+
+    def mixture(first):
+        return SumNode(
+            [ProductNode([leaf_sum(v) for v in range(first, first + 3)])
+             for _ in range(2)],
+            probs(2),
+        )
+
+    return SPN(SumNode(
+        [ProductNode([mixture(v) for v in range(0, 30, 3)]) for _ in range(2)],
+        [0.3, 0.7],
+    ))
+
+
+@pytest.fixture(scope="module")
+def deep(tmp_path_factory):
+    """The deep floor SPN's plan and its kernel loader."""
+    return _prebuilt(compile_plan(_deep_floor_spn()), tmp_path_factory)
+
+
+def _deep_batch(n_rows, seed=58):
+    """In-support integers with floor values (out of every leaf's
+    support, or NaN) on 40 % of the entries, and all-floor rows."""
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 5, size=(n_rows, 30)).astype(np.float64)
+    mask = rng.random(data.shape) < 0.4
+    data[mask] = rng.choice([-5.0, 9.0, np.nan], size=int(mask.sum()))
+    data[::17] = -5.0
+    data[1::17] = np.nan
+    return data
+
+
+def test_deep_network_source_cuts_at_each_dtypes_range():
+    plan = compile_plan(_deep_floor_spn())
+    assert plan.log_bounds.lo[plan.root_row] < -708.4
+    cut = "(real_t) log(v["
+    source = generate_kernel_source(plan, np.float64)
+    assert source.count(cut) == 2 * 10  # root products read mixtures
+    assert "linear rows: 180\n" in source  # 120 + 40 + 20 sums/products
+    source = generate_kernel_source(plan, np.float32)
+    assert source.count(cut) == 40 * 3  # products of 2-leaf sums
+    assert "linear rows: 120\n" in source
+
+
+@needs_cc
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_deep_network_floor_rows_cross_the_cut(deep, dtype):
+    """All-floor rows score about -829, below what any float64 value
+    can hold in the linear domain: the kernel stays finite and matches
+    the plan (float64 within F64_RTOL, float32 in its envelope)."""
+    plan, kernel = deep[0], deep[1](dtype)
+    floor = np.full((40, 30), -5.0)
+    floor[1::2] = np.nan
+    got = kernel.log_likelihood(floor)
+    assert np.all(np.isfinite(got)) and np.all(got < -708.4)
+    _assert_matches_plan(kernel, plan, floor, dtype)
+    for query in ({}, {"marginalized": [0, 4, 29]}, {"missing_value": 9.0}):
+        _assert_matches_plan(kernel, plan, _deep_batch(700), dtype, **query)
+
+
+@needs_cc
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_deep_network_thread_and_position_invariant(deep, dtype):
+    kernel = deep[1](dtype)
+    data = _deep_batch(8 * BLOCK_ROWS - 5)
+    whole = kernel.log_likelihood(data, threads=1)
+    for threads in (2, 7):
+        assert np.array_equal(kernel.log_likelihood(data, threads=threads),
+                              whole), threads
+    for size in (1, 7, 37):
+        pieces = [kernel.log_likelihood(data[i: i + size])
+                  for i in range(0, len(data), size)]
+        assert np.array_equal(np.concatenate(pieces), whole), size
 
 
 # ---------------------------------------------------------------------------
