@@ -108,11 +108,12 @@ def _cmd_roofline(args) -> str:
     return format_roofline(run_roofline(host_rows=min(args.samples, 200_000)))
 
 
-def _cmd_plans(args) -> str:
+def _cmd_plans(args):
+    """The plan-vs-walk table; exits 1 if a plan answer is not the walk's."""
     from repro.experiments import format_plan_speedup, run_plan_speedup
 
-    n_samples = max(args.samples // 25, 1000)
-    return format_plan_speedup(run_plan_speedup(n_samples=n_samples))
+    rows = run_plan_speedup(n_samples=max(args.samples // 25, 1000))
+    return format_plan_speedup(rows), int(not all(row.same_bits for row in rows))
 
 
 def _cmd_report(args) -> str:

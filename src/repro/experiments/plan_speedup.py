@@ -5,7 +5,8 @@ Measures, on the local machine, what the compiled tensorized plans
 batch log-likelihood on the paper's NIPS benchmark networks — the same
 compile-once/stream-many move the paper's HBM accelerator makes in
 hardware, quantified for the CPU baseline the accelerator is compared
-against.
+against.  The ``same bits`` column checks that the float64 plan
+answers equal the walk's bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ class PlanSpeedupRow:
     compile_seconds: float
     walk_seconds: float
     plan_seconds: float
+    #: The plan's root log-likelihoods ``array_equal`` the walk's.
+    same_bits: bool
 
     @property
     def speedup(self) -> float:
@@ -51,13 +54,14 @@ class PlanSpeedupRow:
         return self.n_samples / self.plan_seconds
 
 
-def _best_of(fn, repeats: int) -> float:
+def _best_of(fn, repeats: int):
+    """Best-of-*repeats* wall time of ``fn()``, and its last result."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        fn()
+        result = fn()
         best = min(best, time.perf_counter() - start)
-    return best
+    return best, result
 
 
 def run_plan_speedup(
@@ -86,10 +90,10 @@ def run_plan_speedup(
         plan = compile_plan(spn)
         compile_seconds = time.perf_counter() - start
         root = spn.root.id
-        walk_seconds = _best_of(
+        walk_seconds, walk = _best_of(
             lambda: reference_node_log_values(spn, data)[root], repeats
         )
-        plan_seconds = _best_of(lambda: plan_log_likelihood(plan, data), repeats)
+        plan_seconds, got = _best_of(lambda: plan_log_likelihood(plan, data), repeats)
         rows.append(
             PlanSpeedupRow(
                 benchmark=name,
@@ -98,6 +102,7 @@ def run_plan_speedup(
                 compile_seconds=compile_seconds,
                 walk_seconds=walk_seconds,
                 plan_seconds=plan_seconds,
+                same_bits=bool(np.array_equal(got, walk)),
             )
         )
     return tuple(rows)
@@ -115,6 +120,7 @@ def format_plan_speedup(rows: Sequence[PlanSpeedupRow]) -> str:
             "plan [ms]",
             "speedup",
             "plan samples/s",
+            "same bits",
         ],
         [
             (
@@ -126,6 +132,7 @@ def format_plan_speedup(rows: Sequence[PlanSpeedupRow]) -> str:
                 row.plan_seconds * 1e3,
                 f"{row.speedup:.2f}x",
                 row.plan_samples_per_second,
+                "yes" if row.same_bits else "NO",
             )
             for row in rows
         ],

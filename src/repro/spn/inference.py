@@ -9,7 +9,7 @@ Three backends implement the pass:
 * **plan** (default) — a compiled, cached tensorized plan
   (:mod:`repro.spn.plan` / :mod:`repro.spn.plan_eval`): the SPN is
   flattened once into layered CSR buffers and fused leaf-table blocks,
-  then a batch evaluates with a handful of segment-reduction kernels
+  then a batch evaluates with a handful of layer-wide kernels
   instead of one numpy op per node.  Plans are cached per SPN and
   invalidated by content fingerprint on mutation.
 * **native** — the plan additionally code-generated into one
@@ -158,14 +158,26 @@ def _as_batch(data: np.ndarray, n_variables: int) -> np.ndarray:
 
 
 def _logsumexp_weighted(child_lls: np.ndarray, log_weights: np.ndarray) -> np.ndarray:
-    """Stable log(sum_i w_i * exp(ll_i)) along axis 1."""
+    """Stable log(sum_i w_i * exp(ll_i)) along axis 1, the terms added
+    in child order."""
     shifted = child_lls + log_weights[np.newaxis, :]
     peak = np.max(shifted, axis=1, keepdims=True)
     # A batch row where every child is -inf stays -inf (peak -inf).
     with np.errstate(invalid="ignore"):
-        out = peak[:, 0] + np.log(np.sum(np.exp(shifted - peak), axis=1))
+        terms = np.exp(shifted - peak)
+        out = peak[:, 0] + np.log(_add_in_order(terms.T))
     out = np.where(np.isneginf(peak[:, 0]), -np.inf, out)
     return out
+
+
+def _add_in_order(rows) -> np.ndarray:
+    """``rows[0] + rows[1] + ...``, one add at a time: numpy's
+    reductions add in pairwise blocks, whose order depends on the
+    shape."""
+    total = np.array(rows[0], dtype=np.float64)
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 def reference_node_log_values(
@@ -181,6 +193,9 @@ def reference_node_log_values(
     *marginalized* integrates out a variable subset for the whole
     batch, while *missing_mask* (a ``(batch, n_variables)`` boolean
     array) marginalises entries elementwise — per sample, per feature.
+    Products and sums add their terms one at a time in child order, so
+    answers do not depend on the batch width and the float64 plan
+    evaluator (:mod:`repro.spn.plan_eval`) matches them bit for bit.
 
     Parameters
     ----------
@@ -218,10 +233,7 @@ def reference_node_log_values(
                 dens = np.where(missing_mask[:, node.variable], 0.0, dens)
             values[node.id] = dens
         elif isinstance(node, ProductNode):
-            # One stacked sum instead of a copy-then-accumulate loop.
-            values[node.id] = np.sum(
-                np.stack([values[c.id] for c in node.children], axis=0), axis=0
-            )
+            values[node.id] = _add_in_order([values[c.id] for c in node.children])
         elif isinstance(node, SumNode):
             child_lls = np.stack([values[c.id] for c in node.children], axis=1)
             values[node.id] = _logsumexp_weighted(child_lls, node.log_weights)

@@ -19,14 +19,14 @@ HBM spMV accelerators make): a one-time pass flattens the DAG into
   closed-form / LUT blocks; any other family falls back to a per-leaf
   block.
 * **topologically layered CSR buffers** — per layer, per node kind,
-  ``(indptr, child_rows, log_weights)`` triples that drive
-  segment-reduction kernels (:mod:`repro.spn.plan_eval`).
+  ``(indptr, child_rows, log_weights)`` triples that the evaluators
+  (:mod:`repro.spn.plan_eval`, :mod:`repro.compiler.cgen`) schedule
+  for themselves.
 
 The value matrix is laid out ``(n_nodes, batch)`` with leaves first
 and each layer's nodes on contiguous rows, so every kernel writes a
-contiguous slab and — whenever a layer's children happen to be a
-contiguous row run (always true for tree-structured SPNs) — the
-segment reduction runs directly on a slice with no gather at all.
+contiguous slab; a layer's children are gathered from wherever they
+sit (leaves are grouped by variable, so they rarely form one run).
 
 Plans are cached per-SPN in a :class:`weakref.WeakKeyDictionary` keyed
 by the graph object, with a content *fingerprint* (structure + all
@@ -217,11 +217,9 @@ class CsrLayer:
     """One topological layer of same-kind interior nodes in CSR form.
 
     Nodes in a layer depend only on strictly lower layers, so the whole
-    layer evaluates as one segment-reduction over the child rows:
-    ``add.reduceat`` for products, a segment-wise stable log-sum-exp
-    for sums.  When the children occupy one contiguous row run (true
-    for every tree-structured SPN) the reduction runs on a slice of the
-    value matrix directly, skipping the gather.
+    layer evaluates at once: a sum of child log-values for products, a
+    stable log-sum-exp of weighted child log-values for sums, each
+    node's children combined in child order (the CSR order).
     """
 
     #: ``"product"`` or ``"sum"``.
@@ -234,10 +232,6 @@ class CsrLayer:
     indptr: np.ndarray
     #: Concatenated child value-matrix rows (CSR column indices).
     child_rows: np.ndarray
-    #: Children per node (``diff(indptr)``), kept for ``np.repeat``.
-    counts: np.ndarray
-    #: True when :attr:`child_rows` is ``arange(child_rows[0], ...)``.
-    contiguous: bool
     #: Concatenated log mixture weights (sum layers only, else None).
     log_weights: Optional[np.ndarray] = None
 
@@ -509,12 +503,6 @@ def compile_plan(spn: SPN) -> InferencePlan:
         counts = _int_array([len(n.children) for n in nodes])
         indptr = np.concatenate(([0], np.cumsum(counts)))
         child_rows = _int_array([row[c.id] for n in nodes for c in n.children])
-        contiguous = bool(
-            np.array_equal(
-                child_rows,
-                np.arange(child_rows[0], child_rows[0] + len(child_rows)),
-            )
-        )
         log_weights = None
         if kind == "sum":
             log_weights = np.concatenate([n.log_weights for n in nodes])
@@ -525,8 +513,6 @@ def compile_plan(spn: SPN) -> InferencePlan:
                 n_nodes=len(nodes),
                 indptr=indptr,
                 child_rows=child_rows,
-                counts=counts,
-                contiguous=contiguous,
                 log_weights=log_weights,
             )
         )

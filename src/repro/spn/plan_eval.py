@@ -18,9 +18,15 @@ to the storage dtype, once per plan and dtype:
   histogram-BRAM datapath;
 * Gaussian / categorical blocks are closed forms / LUT gathers over all
   their leaves; only other leaf families call ``leaf.log_density``;
-* product layers (``np.add.reduceat``) and sum layers (a segment-wise
-  *stable* log-sum-exp) add their children in child order; tables and
-  weights are cast to the dtype once.
+* product layers (a sum) and sum layers (a *stable* log-sum-exp) run
+  position-major: the nodes of a layer sorted by falling child count,
+  one gather of their children, then one elementwise call over the
+  first child of every node, the second child of every node that has
+  one, and so on.  Every node adds its children in child order for
+  every batch width, so float64 answers are bit-identical to the
+  reference walk (:func:`repro.spn.inference.reference_node_log_values`);
+  no numpy reduction, whose pairwise blocks depend on the shape, runs.
+  Tables, weights and the schedule are built once per plan and dtype.
 
 The batch is processed in cache-sized column chunks
 (:func:`plan_log_likelihood`): on memory-bandwidth-bound hosts the
@@ -28,14 +34,13 @@ chunked evaluation keeps every temporary L2/L3-resident, which is
 worth more than any single fused kernel.
 
 The ``dtype=`` parameter selects the value-matrix storage precision.
-``float64`` (the default) is bit-for-bit the historical behaviour.
+``float64`` (the default) is bit-for-bit the reference walk.
 ``float32`` halves the memory traffic of the chunked path — leaf
-tables, leaf kernels and product segment-sums run in single precision
-while the log-sum-exp still *accumulates* in float64
-(``add.reduceat(..., dtype=float64)``), so the root log-likelihood
-stays within ~1e-4 absolute of the double-precision result on the
-NIPS-scale networks.  Float32 input batches are consumed without an
-upcast copy.
+tables, leaf kernels and product sums run in single precision while
+the log-sum-exp still *accumulates* in float64, so the root
+log-likelihood stays within ~1e-4 absolute of the double-precision
+result on the NIPS-scale networks.  Float32 input batches are consumed
+without an upcast copy.
 
 Marginal queries and per-sample missing features (the semantics of
 :func:`repro.spn.inference.marginal_log_likelihood` and
@@ -114,6 +119,17 @@ def _check_marginalized(
 
 
 @dataclass(frozen=True)
+class _Layer:
+    """An interior layer scheduled position-major (see :func:`_schedule`)."""
+
+    is_sum: bool
+    rows: np.ndarray  # each node's value-matrix row, in schedule order
+    gather: np.ndarray  # child rows: position 0 of every node, then 1, ...
+    positions: Tuple[Tuple[slice, slice], ...]  # per j: (nodes, children)
+    log_weights: Optional[np.ndarray]  # in gather order, cast (sums only)
+
+
+@dataclass(frozen=True)
 class _Lowering:
     """A plan lowered for one storage dtype (see :func:`_lower`)."""
 
@@ -123,13 +139,30 @@ class _Lowering:
     searched: Tuple[Tuple[int, np.ndarray], ...]  # (variable, breaks)
     groups: Tuple[Tuple[int, int, np.ndarray], ...]  # (variable, row, table)
     blocks: tuple  # the other leaf blocks, cast
-    layers: Tuple[CsrLayer, ...]  # weights cast
+    layers: Tuple[_Layer, ...]
+
+
+def _schedule(layer: CsrLayer, dtype: np.dtype) -> _Layer:
+    """Order *layer*'s nodes by falling child count (stable), so the
+    nodes with a child at position *j* are a prefix, and gather their
+    children position-major."""
+    counts = np.diff(layer.indptr)
+    order = np.argsort(-counts, kind="stable")
+    runs = [int(np.count_nonzero(counts > j)) for j in range(counts.max())]
+    slots = np.concatenate(
+        [layer.indptr[order[:n]] + j for j, n in enumerate(runs)])
+    positions = tuple((slice(0, n), slice(end - n, end))
+                      for n, end in zip(runs, np.cumsum(runs).tolist()))
+    weights = (None if layer.log_weights is None
+               else layer.log_weights[slots].astype(dtype)[:, np.newaxis])
+    return _Layer(layer.kind == "sum", layer.row_start + order,
+                  layer.child_rows[slots], positions, weights)
 
 
 def _lower(plan: InferencePlan, dtype: np.dtype) -> _Lowering:
     """Cast *plan*'s tables and weights to *dtype*; pick each histogram
     group's code: the clamp bounds of a unit-bin group, else a search
-    over its breaks."""
+    over its breaks; schedule each interior layer."""
     n_cols = plan.n_data_columns
     code_lo, code_hi = np.zeros(n_cols), np.zeros(n_cols)
     zero = np.zeros(n_cols, dtype=np.intp)
@@ -151,12 +184,9 @@ def _lower(plan: InferencePlan, dtype: np.dtype) -> _Lowering:
             blocks.append(replace(block, **params))
     if plan.generic_block is not None:
         blocks.append(plan.generic_block)
-    layers = tuple(
-        layer if layer.log_weights is None
-        else replace(layer, log_weights=layer.log_weights.astype(dtype))
-        for layer in plan.layers)
     return _Lowering(code_lo, code_hi, zero, tuple(searched), tuple(groups),
-                     tuple(blocks), layers)
+                     tuple(blocks),
+                     tuple(_schedule(layer, dtype) for layer in plan.layers))
 
 
 def _lowering(plan: InferencePlan, dtype: np.dtype) -> _Lowering:
@@ -274,47 +304,48 @@ def _eval_leaves(
         _LEAF_KERNELS[type(block)](block, data_t, out, marginalized, missing_value)
 
 
-def _layer_children(layer: CsrLayer, values: np.ndarray) -> np.ndarray:
-    """Child log-values of a layer: a slice when contiguous, else a gather."""
-    if layer.contiguous:
-        first = int(layer.child_rows[0])
-        return values[first: first + len(layer.child_rows)]
-    return values[layer.child_rows]
+def _fold(ufunc, layer: _Layer, block: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Fold child positions 1, 2, ... of *block* into *acc* (position
+    0), one elementwise call per position, so every node's children
+    combine in child order whatever the batch width."""
+    for nodes, children in layer.positions[1:]:
+        head = acc[nodes]
+        ufunc(head, block[children], out=head)
+    return acc
 
 
-def _eval_product_layer(layer: CsrLayer, values: np.ndarray) -> None:
-    """Segment sum of child log-values (one reduceat call)."""
-    gathered = _layer_children(layer, values)
-    np.add.reduceat(
-        gathered,
-        layer.indptr[:-1],
-        axis=0,
-        out=values[layer.row_start: layer.row_start + layer.n_nodes],
-    )
+def _eval_product_layer(layer: _Layer, values: np.ndarray) -> None:
+    """Sum of child log-values: one gather, one add per child position."""
+    children = values[layer.gather]
+    values[layer.rows] = _fold(
+        np.add, layer, children, children[layer.positions[0][1]])
 
 
-def _eval_sum_layer(layer: CsrLayer, values: np.ndarray) -> None:
-    """Segment-wise stable log-sum-exp of weighted child log-values.
+def _eval_sum_layer(layer: _Layer, values: np.ndarray) -> None:
+    """Stable log-sum-exp of weighted child log-values, position-major.
 
-    A segment whose children are all ``-inf`` yields ``-inf`` (the
-    peak is substituted with 0 before the shift so no NaN appears).
+    A node whose children are all ``-inf`` yields ``-inf`` (the peak is
+    substituted with 0 before the shift so no NaN appears).
 
-    The shift and ``exp`` run in the storage dtype, the segment sum
-    always *accumulates* in float64 (``add.reduceat(..., dtype=
-    float64)``): on a float32 value matrix the storage halves the memory
-    traffic while the accumulation keeps the mixture sum from losing
-    small-weight children.
+    The shift and ``exp`` run in the storage dtype, the total always
+    *accumulates* in float64: on a float32 value matrix the storage
+    halves the memory traffic while the accumulation keeps the mixture
+    sum from losing small-weight children.
     """
-    starts = layer.indptr[:-1]
-    shifted = _layer_children(layer, values) + layer.log_weights[:, np.newaxis]
-    peak = np.maximum.reduceat(shifted, starts, axis=0)
+    first = layer.positions[0][1]
+    shifted = values[layer.gather]
+    shifted += layer.log_weights
+    peak = _fold(np.maximum, layer, shifted, shifted[first].copy())
     safe_peak = np.where(np.isneginf(peak), 0.0, peak)
-    scaled = np.exp(shifted - np.repeat(safe_peak, layer.counts, axis=0))
+    for nodes, children in layer.positions:
+        block = shifted[children]
+        np.subtract(block, safe_peak[nodes], out=block)
+    np.exp(shifted, out=shifted)
+    total = _fold(np.add, layer, shifted, shifted[first].astype(np.float64))
     with np.errstate(divide="ignore"):
-        total = np.add.reduceat(scaled, starts, axis=0, dtype=np.float64)
-        values[layer.row_start: layer.row_start + layer.n_nodes] = peak + np.log(
-            total
-        )
+        np.log(total, out=total)
+    total += peak
+    values[layer.rows] = total
 
 
 def _evaluate_into(
@@ -327,10 +358,10 @@ def _evaluate_into(
     """Fill a preallocated ``(n_nodes, m)`` buffer for one data chunk."""
     _eval_leaves(lowered, data_t, values, marginalized, missing_value)
     for layer in lowered.layers:
-        if layer.kind == "product":
-            _eval_product_layer(layer, values)
-        else:
+        if layer.is_sum:
             _eval_sum_layer(layer, values)
+        else:
+            _eval_product_layer(layer, values)
 
 
 def _chunk_size(plan: InferencePlan, batch: int, itemsize: int = 8) -> int:
@@ -368,7 +399,7 @@ def evaluate_plan(
         (elementwise mask, different rows may miss different features).
     dtype:
         Value-matrix storage precision, ``float64`` (default,
-        bit-identical to the historical behaviour) or ``float32``
+        bit-identical to the reference walk) or ``float32``
         (half the memory traffic, ~1e-4 absolute log-likelihood
         error; see the module docstring).
 

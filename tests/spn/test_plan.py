@@ -51,6 +51,17 @@ def _random_data(spn, n_rows, seed, high=6):
     return rng.integers(0, high, size=(n_rows, width)).astype(np.float64)
 
 
+def _query(data, query, seed, marginalized):
+    """The plan and walk keywords of *query*: likelihood, a marginal
+    subset, or per-sample missing values (written into *data*)."""
+    if query == "marginal":
+        return {"marginalized": marginalized}, {"marginalized": marginalized}
+    if query == "missing":
+        data[np.random.default_rng(seed).random(data.shape) < 0.2] = 255.0
+        return {"missing_value": 255.0}, {"missing_mask": data == 255.0}
+    return {}, {}
+
+
 # ---------------------------------------------------------------------------
 # Agreement with the independent scalar oracle
 # ---------------------------------------------------------------------------
@@ -80,7 +91,7 @@ def test_plan_marginal_matches_reference(seed):
     marg = [v for v in scope if rng.random() < 0.4]
     expected = reference_node_log_values(spn, data, marginalized=marg)[spn.root.id]
     got = plan_log_likelihood(compile_plan(spn), data, marginalized=marg)
-    np.testing.assert_allclose(got, expected, rtol=1e-10)
+    assert np.array_equal(got, expected)
 
 
 @settings(max_examples=15, deadline=None)
@@ -93,7 +104,7 @@ def test_plan_missing_matches_reference(seed):
     missing = data == 255.0
     expected = reference_node_log_values(spn, data, missing_mask=missing)[spn.root.id]
     got = plan_log_likelihood(compile_plan(spn), data, missing_value=255.0)
-    np.testing.assert_allclose(got, expected, rtol=1e-10)
+    assert np.array_equal(got, expected)
 
 
 @settings(max_examples=10, deadline=None)
@@ -105,7 +116,27 @@ def test_plan_node_values_match_reference(seed):
     got = plan_node_log_values(compile_plan(spn), data)
     assert set(got) == set(expected)
     for node_id, values in expected.items():
-        np.testing.assert_allclose(got[node_id], values, rtol=1e-10)
+        assert np.array_equal(got[node_id], values), node_id
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_components=st.integers(min_value=8, max_value=12),
+    n_rows=st.integers(min_value=1, max_value=20),
+    query=st.sampled_from(["likelihood", "marginal", "missing"]),
+)
+def test_wide_sums_match_reference_bit_for_bit(seed, n_components, n_rows, query):
+    """Sums of 8-12 children, where numpy's pairwise blocks would
+    reorder the terms, still add them in child order on both sides."""
+    spn = random_spn(4, depth=2, n_components=n_components, n_bins=4, seed=seed)
+    data = _random_data(spn, n_rows, seed)
+    plan_query, walk_query = _query(data, query, seed, [1, 2])
+    plan = compile_plan(spn)
+    expected = reference_node_log_values(spn, data, **walk_query)
+    matrix = evaluate_plan(plan, data, **plan_query)
+    for row, node_id in enumerate(plan.node_ids):
+        assert np.array_equal(matrix[row], expected[int(node_id)]), int(node_id)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +158,7 @@ def test_backend_toggle_roundtrip():
         via_walk = log_likelihood(spn, data)
     finally:
         set_inference_backend("plan")
-    np.testing.assert_allclose(via_plan, via_walk, rtol=1e-12)
+    assert np.array_equal(via_plan, via_walk)
 
 
 def test_unknown_backend_rejected():
@@ -626,3 +657,63 @@ def test_evaluate_plan_rows_follow_node_ids_with_irregular_leaves():
             _assert_leaf_values(matrix[row], leaves[int(node_id)], reference[int(node_id)])
         else:
             np.testing.assert_allclose(matrix[row], reference[int(node_id)], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The NIPS networks: bit for bit against the walk, in any batch
+# ---------------------------------------------------------------------------
+
+
+def _nips_query(name, n_rows, query, dtype=np.float64):
+    """A ``host_cpu_batch`` of *name* and the keywords of *query*."""
+    from repro.experiments.utilization import host_cpu_batch
+
+    data = host_cpu_batch(name, n_rows, dtype=dtype)
+    return (data, *_query(data, query, 37, [0, 3, 7]))
+
+
+@pytest.mark.parametrize("query", ["likelihood", "marginal", "missing"])
+@pytest.mark.parametrize("name", ["NIPS10", "NIPS20", "NIPS80"])
+def test_nips_plans_equal_the_walk_bit_for_bit(name, query):
+    """Every node of the float64 plan (1000 rows: two chunks on NIPS80)
+    and the root equal the reference walk exactly."""
+    from repro.spn import nips_benchmark
+
+    spn = nips_benchmark(name).spn
+    plan = compile_plan(spn)
+    data, plan_query, walk_query = _nips_query(name, 1000, query)
+    expected = reference_node_log_values(spn, data, **walk_query)
+    matrix = evaluate_plan(plan, data, **plan_query)
+    for row, node_id in enumerate(plan.node_ids):
+        assert np.array_equal(matrix[row], expected[int(node_id)]), int(node_id)
+    assert np.array_equal(
+        plan_log_likelihood(plan, data, **plan_query), expected[spn.root.id]
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("query", ["likelihood", "missing"])
+def test_nips80_answers_do_not_depend_on_the_batch(dtype, query):
+    """A NIPS80 row answers alike in batches of 1, 2, 3, 17 and the
+    chunk +- 1; the last row of a chunk + 1 batch runs as a one-column
+    chunk, the shape where a numpy reduction turns pairwise."""
+    from repro.spn import nips_benchmark
+    from repro.spn.plan_eval import _chunk_size
+
+    spn = nips_benchmark("NIPS80").spn
+    plan = compile_plan(spn)
+    chunk = _chunk_size(plan, 10**9, np.dtype(dtype).itemsize)
+    data, plan_query, walk_query = _nips_query("NIPS80", chunk + 1, query, dtype)
+    whole = plan_log_likelihood(plan, data, dtype=dtype, **plan_query)
+    for size in (1, 2, 3, 17, chunk - 1, chunk, chunk + 1):
+        n = min(len(data), size * max(1, 40 // size))
+        pieces = np.concatenate([
+            plan_log_likelihood(plan, data[i: i + size], dtype=dtype, **plan_query)
+            for i in range(0, n, size)
+        ])
+        assert np.array_equal(pieces, whole[: len(pieces)]), size
+    tail = plan_log_likelihood(plan, data[-1:], dtype=dtype, **plan_query)
+    assert np.array_equal(tail, whole[-1:])
+    if dtype == np.float64:
+        walk = reference_node_log_values(spn, data, **walk_query)[spn.root.id]
+        assert np.array_equal(whole, walk)
