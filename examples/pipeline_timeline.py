@@ -21,14 +21,14 @@ from repro import (
     compose_design,
     nips_benchmark,
 )
-from repro.sim import Tracer
+from repro.obs import SpanRecorder
 from repro.units import MIB
 
 
 def run_with_threads(threads: int):
     core = compile_core(nips_benchmark("NIPS10").spn, "cfp")
     device = SimulatedDevice(compose_design(core, 1, XUPVVH_HBM_PLATFORM))
-    tracer = Tracer(device.env)
+    tracer = SpanRecorder()
     runtime = InferenceRuntime(
         device,
         InferenceJobConfig(block_bytes=1 * MIB, threads_per_pe=threads),

@@ -504,7 +504,7 @@ class ParallelPlanExecutor:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; when
         given the executor records ``executor.*`` counters.
     host_tracer:
-        Optional :class:`~repro.obs.trace_export.HostSpanRecorder`;
+        Optional :class:`~repro.obs.trace_export.SpanRecorder`;
         when given every shard evaluation records a wall-clock span on
         its worker's track, exportable to Perfetto (``repro trace``).
     """

@@ -165,7 +165,7 @@ def _cmd_trace(args) -> str:
         run_traced_host_utilization,
         run_traced_utilization,
     )
-    from repro.obs.trace_export import HOST_PID, ChromeTraceBuilder
+    from repro.obs.trace_export import HOST_PID, SIM_PID, ChromeTraceBuilder
 
     # The span tracer forces the burst-granular core model, so cap the
     # instrumented runs at 200k samples regardless of --samples.
@@ -181,9 +181,9 @@ def _cmd_trace(args) -> str:
         args.benchmark, n_samples=samples, n_workers=args.host_workers
     )
     builder = ChromeTraceBuilder()
-    builder.add_tracer(sim.tracer)
+    builder.add_spans(sim.tracer.spans, pid=SIM_PID, category="sim")
     builder.add_metrics(sim.metrics, at_seconds=sim.elapsed_seconds)
-    builder.add_host_spans(host.host_spans)
+    builder.add_spans(host.host_spans, pid=HOST_PID, category="host")
     builder.add_metrics(
         host.metrics, at_seconds=host.elapsed_seconds, pid=HOST_PID
     )

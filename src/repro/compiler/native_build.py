@@ -281,7 +281,7 @@ def set_native_observability(metrics=None, host_tracer=None):
     *metrics* is a :class:`repro.obs.metrics.MetricsRegistry` (receives
     ``native.build_seconds``, ``native.cache_hits``,
     ``native.cache_misses`` and ``native.calls`` counters);
-    *host_tracer* a :class:`repro.obs.trace_export.HostSpanRecorder`
+    *host_tracer* a :class:`repro.obs.trace_export.SpanRecorder`
     (receives one ``native`` span per kernel invocation).  Pass the
     returned pair back in to restore the prior sinks.
     """

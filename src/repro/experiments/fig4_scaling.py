@@ -14,6 +14,7 @@ instead of once per point.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -24,7 +25,7 @@ from repro.experiments.sweep import parallel_map
 from repro.host.device import SimulatedDevice
 from repro.host.runtime import InferenceJobConfig, InferenceRuntime
 from repro.obs.report import UtilizationReport
-from repro.obs.trace_export import HostSpanRecorder, export_run_trace
+from repro.obs.trace_export import SpanRecorder, export_run_trace
 from repro.platforms.specs import XUPVVH_HBM_PLATFORM
 from repro.spn.nips import NIPS_BENCHMARKS
 
@@ -111,7 +112,11 @@ def run_fig4(
         for transfers in (True, False)
         for n in pe_counts
     ]
-    recorder = HostSpanRecorder() if export_trace is not None else None
+    recorder = (
+        SpanRecorder(epoch=time.perf_counter())
+        if export_trace is not None
+        else None
+    )
     rates = iter(
         parallel_map(
             _measure_point,

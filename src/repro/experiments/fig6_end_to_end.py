@@ -14,6 +14,7 @@ For every benchmark, the best configuration per platform:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -26,7 +27,7 @@ from repro.experiments.sweep import parallel_map
 from repro.host.device import SimulatedDevice
 from repro.host.runtime import InferenceJobConfig, InferenceRuntime
 from repro.obs.report import UtilizationReport
-from repro.obs.trace_export import HostSpanRecorder, export_run_trace
+from repro.obs.trace_export import SpanRecorder, export_run_trace
 from repro.platforms.cpu_model import XEON_E5_2680_V3
 from repro.platforms.f1_model import AWS_F1_SYSTEM
 from repro.platforms.gpu_model import TESLA_V100
@@ -143,7 +144,11 @@ def run_fig6(
         )
     for name in benchmarks:
         benchmark_core(name, "cfp")
-    recorder = HostSpanRecorder() if export_trace is not None else None
+    recorder = (
+        SpanRecorder(epoch=time.perf_counter())
+        if export_trace is not None
+        else None
+    )
     rates = parallel_map(
         _hbm_point,
         [(name, samples_per_core) for name in benchmarks],

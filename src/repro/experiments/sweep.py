@@ -102,7 +102,7 @@ def _timed_call(fn: Callable[[T], R], item: T) -> tuple:
 
     ``perf_counter`` reads ``CLOCK_MONOTONIC``, which is system-wide,
     so stamps taken inside pool workers are comparable to the parent's
-    :class:`~repro.obs.trace_export.HostSpanRecorder` epoch.
+    :class:`~repro.obs.trace_export.SpanRecorder` epoch.
     """
     begin = time.perf_counter()
     return fn(item), os.getpid(), begin, time.perf_counter()
@@ -145,7 +145,7 @@ def parallel_map(
     shared pool is discarded and the sweep completes serially.
 
     With *host_tracer* (a :class:`~repro.obs.trace_export.
-    HostSpanRecorder`) every point records a wall-clock span on its
+    SpanRecorder`) every point records a wall-clock span on its
     worker's ``{span_track} worker{n}`` track — only ``(pid, t0, t1)``
     extra floats cross the pipe per point, and with no recorder the
     path is byte-identical to before.

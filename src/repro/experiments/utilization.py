@@ -36,9 +36,8 @@ from repro.host.device import SimulatedDevice
 from repro.host.runtime import InferenceJobConfig, InferenceRuntime
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import UtilizationReport
-from repro.obs.trace_export import HostSpanRecorder, export_run_trace
+from repro.obs.trace_export import SpanRecorder, export_run_trace
 from repro.platforms.specs import XUPVVH_HBM_PLATFORM
-from repro.sim.trace import Tracer
 from repro.spn.nips import nips_benchmark, nips_dataset
 from repro.units import MIB
 
@@ -67,7 +66,7 @@ class TraceCapture:
     report: UtilizationReport
     metrics: MetricsRegistry
     elapsed_seconds: float
-    tracer: Optional[Tracer] = None
+    tracer: Optional[SpanRecorder] = None
     host_spans: tuple = ()
 
 
@@ -92,7 +91,7 @@ def run_traced_utilization(
     design = compose_design(core, n_cores, XUPVVH_HBM_PLATFORM)
     metrics = MetricsRegistry()
     device = SimulatedDevice(design, metrics=metrics)
-    tracer: Optional[Tracer] = Tracer(device.env) if trace else None
+    tracer: Optional[SpanRecorder] = SpanRecorder() if trace else None
     if tracer is not None:
         device.attach_tracer(tracer)
     runtime = InferenceRuntime(
@@ -201,7 +200,7 @@ def run_traced_host_utilization(
     bench = nips_benchmark(benchmark)
     data = host_cpu_batch(benchmark, n_samples, dtype=dtype)
     metrics = MetricsRegistry()
-    recorder = HostSpanRecorder()
+    recorder = SpanRecorder(epoch=time.perf_counter())
     previous_sinks = set_native_observability(metrics, recorder)
     try:
         with ParallelPlanExecutor(

@@ -27,7 +27,7 @@ end-to-end anchor of 133,139,305 samples/s (§V-B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -35,9 +35,11 @@ from repro.errors import AllocationError, RuntimeConfigError
 from repro.host.device import SimulatedDevice
 from repro.sim.engine import Event
 from repro.sim.resource import SimResource
-from repro.sim.trace import Tracer
 from repro.units import MIB
 from repro.workloads.datasets import encode_samples
+
+if TYPE_CHECKING:  # the recorder is only annotated: `import repro` stays off repro.obs
+    from repro.obs.trace_export import SpanRecorder
 
 __all__ = ["InferenceJobConfig", "RunStatistics", "InferenceRuntime", "JOB_DISPATCH_OVERHEAD"]
 
@@ -99,12 +101,13 @@ class InferenceRuntime:
         device: SimulatedDevice,
         config: Optional[InferenceJobConfig] = None,
         *,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[SpanRecorder] = None,
     ):
         self.device = device
         self.config = config or InferenceJobConfig()
-        #: Optional span tracer; when set, every DMA transfer and PE
-        #: job is recorded so overlap can be inspected/rendered.
+        #: Optional :class:`~repro.obs.trace_export.SpanRecorder`; when
+        #: set, every DMA transfer and PE job is recorded in simulated
+        #: seconds so overlap can be inspected/rendered.
         self.tracer = tracer
         # Self-configuration: query PE 0's register file (§IV-B).
         pe_config = device.pe_configuration(0)

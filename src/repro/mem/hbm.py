@@ -200,7 +200,7 @@ class HBMChannel:
         self.bytes_read = 0
         self.bytes_written = 0
         self.refresh_count = 0
-        #: Optional :class:`repro.sim.trace.Tracer`; when attached
+        #: Optional :class:`repro.obs.trace_export.SpanRecorder`; when attached
         #: (see :meth:`repro.host.device.SimulatedDevice.attach_tracer`)
         #: every request records a span on the ``hbm ch{i}`` track.
         #: Purely observational: recording only reads ``env.now``.

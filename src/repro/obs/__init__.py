@@ -7,8 +7,10 @@ request-scoped tracing through the serving datapath,
 :mod:`repro.obs.exporter` for streaming telemetry snapshots
 (Prometheus text / JSON) and SLO error-budget burn tracking,
 :mod:`repro.obs.report` for the fused :class:`UtilizationReport` and
-:mod:`repro.obs.trace_export` for the Chrome/Perfetto exporter
-(``repro trace``); ``docs/observability.md`` maps every report field
+:mod:`repro.obs.trace_export` for the one span model — :class:`Span`
+and :class:`SpanRecorder`, shared by simulated-clock and host
+wall-clock tracing — and its Chrome/Perfetto exporter (``repro
+trace``); ``docs/observability.md`` maps every report field
 to the paper claim it measures.  The repo's own performance is
 measured by the end-to-end benchmark, ``benchmarks/e2e/run.py``.
 """
@@ -39,8 +41,8 @@ from repro.obs.rtrace import (
 )
 from repro.obs.trace_export import (
     ChromeTraceBuilder,
-    HostSpan,
-    HostSpanRecorder,
+    Span,
+    SpanRecorder,
     export_run_trace,
 )
 
@@ -67,7 +69,7 @@ __all__ = [
     "TelemetryServer",
     "TelemetrySnapshotter",
     "ChromeTraceBuilder",
-    "HostSpan",
-    "HostSpanRecorder",
+    "Span",
+    "SpanRecorder",
     "export_run_trace",
 ]

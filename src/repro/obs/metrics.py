@@ -27,8 +27,8 @@ on:
 Metric names are dotted paths (``hbm.ch0.bytes_read``,
 ``pe1.busy_seconds``, ``serving.queue_wait``); the
 :class:`repro.obs.report.UtilizationReport` fuses them with
-:class:`repro.sim.trace.Tracer` spans into the paper's utilization
-claims, and :mod:`repro.obs.exporter` streams them out as
+:class:`repro.obs.trace_export.SpanRecorder` spans into the paper's
+utilization claims, and :mod:`repro.obs.exporter` streams them out as
 Prometheus-style text or JSON.
 """
 

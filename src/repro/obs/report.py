@@ -11,7 +11,7 @@ quantities the paper's claims are stated in:
 * **DMA↔compute overlap** — simulated time during which a host
   transfer and an accelerator job were in flight simultaneously, the
   §IV-B "two control threads per PE" claim (requires a
-  :class:`~repro.sim.trace.Tracer` on the run);
+  :class:`~repro.obs.trace_export.SpanRecorder` on the run);
 * **DMA link busy %** — how close the shared PCIe DMA engine is to the
   §V-C scaling limit;
 * **allocator health** — allocations, transient failures and the
@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace_export import intersection_length, merged_intervals
 from repro.units import GIB
 
 __all__ = [
@@ -56,35 +57,6 @@ __all__ = [
 _SERVING_STAGES = (
     "batch_form", "queue_wait", "dispatch", "kernel", "scatter", "e2e",
 )
-
-
-def _merged_intervals(spans) -> List[Tuple[float, float]]:
-    """Merge (begin, end) intervals into a disjoint sorted union."""
-    out: List[Tuple[float, float]] = []
-    for begin, end in sorted(spans):
-        if out and begin <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], end))
-        else:
-            out.append((begin, end))
-    return out
-
-
-def _intersection_length(
-    a: Sequence[Tuple[float, float]], b: Sequence[Tuple[float, float]]
-) -> float:
-    """Total length of the intersection of two disjoint interval lists."""
-    total = 0.0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        begin = max(a[i][0], b[j][0])
-        end = min(a[i][1], b[j][1])
-        if end > begin:
-            total += end - begin
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
 
 
 @dataclass(frozen=True)
@@ -375,13 +347,13 @@ class UtilizationReport:
         overlap_seconds: Optional[float] = None
         overlap_fraction: Optional[float] = None
         if tracer is not None:
-            dma_spans = _merged_intervals(
+            dma_spans = merged_intervals(
                 (s.begin, s.end) for s in tracer.spans if s.track.startswith("dma")
             )
-            pe_spans = _merged_intervals(
+            pe_spans = merged_intervals(
                 (s.begin, s.end) for s in tracer.spans if s.track.startswith("pe")
             )
-            overlap_seconds = _intersection_length(dma_spans, pe_spans)
+            overlap_seconds = intersection_length(dma_spans, pe_spans)
             overlap_fraction = fraction(overlap_seconds)
 
         return cls(

@@ -210,7 +210,7 @@ def add_request_flows(
 
     For every complete trace this adds, in the host clock domain
     (stamps are absolute ``perf_counter``; *epoch* is the owning
-    :class:`~repro.obs.trace_export.HostSpanRecorder`'s epoch so the
+    :class:`~repro.obs.trace_export.SpanRecorder`'s epoch so the
     flows line up with the broker's lane spans and the executor's
     worker spans already in *builder*):
 

@@ -1,25 +1,34 @@
-"""Chrome/Perfetto trace export: open simulation runs in a real viewer.
+"""Spans and their Chrome/Perfetto export: one event model, two clocks.
 
 The paper's §IV-B claim — "one thread will be able to perform data
 transfers for block n+1, while another thread is waiting for the FPGA
-accelerator" — is a *timeline* claim, and the fixed-width text
-timeline of :meth:`repro.sim.trace.Tracer.timeline` is a lossy way to
-inspect it.  This module converts the observability layer's raw
-material into the `Chrome Trace Event Format`_ consumed by
-``chrome://tracing`` and https://ui.perfetto.dev:
+accelerator" — is a *timeline* claim.  This module holds the one
+event model that shows it:
 
-* :class:`~repro.sim.trace.Tracer` spans (simulated time: DMA
-  transfers, PE jobs, per-channel HBM requests) become complete
-  (``ph: "X"``) duration events;
-* :class:`~repro.obs.metrics.MetricsRegistry` counters and gauges
-  become counter (``ph: "C"``) events, so bytes moved, busy seconds
-  and queue high-water marks appear as counter tracks next to the
-  spans they explain;
-* host wall-clock spans (:class:`HostSpan`, recorded by a
-  :class:`HostSpanRecorder` around :class:`~repro.baselines.executor.
-  ParallelPlanExecutor` workers and the experiment sweep pool) become
-  duration events in a *separate process group*, since they tick a
-  different clock.
+* :class:`Span` — one named ``(track, label, begin, end)`` interval;
+* :class:`SpanRecorder` — validates and stores spans against an
+  epoch, and answers the timeline questions (:meth:`~SpanRecorder.
+  busy_time`, :meth:`~SpanRecorder.overlap_time`, an ASCII
+  :meth:`~SpanRecorder.timeline`) through one interval algebra,
+  :func:`merged_intervals` and :func:`intersection_length`.
+
+The simulated models (:class:`~repro.host.runtime.InferenceRuntime`,
+the HBM channels) record DMA transfers, PE jobs and per-channel HBM
+requests in simulated seconds, and the §IV-B overlap shows up
+directly as overlapping spans on the DMA and PE tracks.  The host
+code (the :class:`~repro.baselines.executor.ParallelPlanExecutor`
+workers, the serving broker's lanes, the experiment sweep pool and
+native kernel calls) records wall-clock spans from
+:func:`time.perf_counter` stamps.  Recording is strictly
+observational: models never change behaviour when traced (a recorder
+only stores timestamps it is handed).
+
+:class:`ChromeTraceBuilder` converts recorded spans and
+:class:`~repro.obs.metrics.MetricsRegistry` counters and gauges into
+the `Chrome Trace Event Format`_ consumed by ``chrome://tracing`` and
+https://ui.perfetto.dev: spans become complete (``ph: "X"``) duration
+events, counters and gauges become counter (``ph: "C"``) events next
+to the spans they explain.
 
 **Clock domains.**  Simulated time and host wall-clock time are not
 comparable, so the exporter never mixes them on one track: sim events
@@ -44,15 +53,17 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
 __all__ = [
     "SIM_PID",
     "HOST_PID",
-    "HostSpan",
-    "HostSpanRecorder",
+    "Span",
+    "SpanRecorder",
+    "merged_intervals",
+    "intersection_length",
     "ChromeTraceBuilder",
     "export_run_trace",
 ]
@@ -67,13 +78,8 @@ _SECONDS_TO_US = 1e6
 
 
 @dataclass(frozen=True)
-class HostSpan:
-    """One wall-clock interval on a host track.
-
-    ``begin``/``end`` are seconds since the owning recorder's epoch
-    (``CLOCK_MONOTONIC`` via :func:`time.perf_counter`), so spans from
-    forked worker processes and the parent share one clock domain.
-    """
+class Span:
+    """One interval on a named track, in seconds since its recorder's epoch."""
 
     track: str
     label: str
@@ -82,31 +88,70 @@ class HostSpan:
 
     @property
     def duration(self) -> float:
-        """Span length in wall-clock seconds."""
+        """Span length in seconds."""
         return self.end - self.begin
 
 
-class HostSpanRecorder:
-    """Collects wall-clock spans against one epoch.
+def merged_intervals(
+    intervals: Iterable[Tuple[float, float]],
+) -> List[Tuple[float, float]]:
+    """Merge (begin, end) intervals into a disjoint sorted union.
 
-    The epoch is taken from :func:`time.perf_counter` at construction;
-    :meth:`record` accepts absolute ``perf_counter`` stamps (including
-    stamps taken inside forked worker processes — ``CLOCK_MONOTONIC``
-    is system-wide) and stores them relative to the epoch.
+    Touching intervals (one ends where the next begins) merge.
+    """
+    out: List[Tuple[float, float]] = []
+    for begin, end in sorted(intervals):
+        if out and begin <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], end))
+        else:
+            out.append((begin, end))
+    return out
+
+
+def intersection_length(
+    a: Sequence[Tuple[float, float]], b: Sequence[Tuple[float, float]]
+) -> float:
+    """Total length of the intersection of two disjoint sorted interval lists.
+
+    One linear two-pointer walk over both lists (the form
+    :func:`merged_intervals` returns).
+    """
+    total = 0.0
+    i = j = 0
+    while i < len(a) and j < len(b):
+        begin = max(a[i][0], b[j][0])
+        end = min(a[i][1], b[j][1])
+        if end > begin:
+            total += end - begin
+        if a[i][1] <= b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return total
+
+
+class SpanRecorder:
+    """Validates and stores spans against one epoch.
+
+    :meth:`record` takes absolute stamps and stores them relative to
+    *epoch*.  The simulated models record simulated seconds against
+    the default epoch 0.0.  Host code that wants times relative to
+    construction passes ``epoch=time.perf_counter()``; stamps taken
+    inside forked worker processes share that clock, since
+    ``CLOCK_MONOTONIC`` is system-wide.
     """
 
-    def __init__(self, epoch: Optional[float] = None):
-        self.epoch = time.perf_counter() if epoch is None else epoch
-        self.spans: List[HostSpan] = []
+    def __init__(self, epoch: float = 0.0):
+        self.epoch = epoch
+        self.spans: List[Span] = []
 
+    # -- recording -----------------------------------------------------------
     def record(self, track: str, label: str, begin: float, end: float) -> None:
-        """Record a completed span from absolute ``perf_counter`` stamps."""
+        """Record a completed span from absolute stamps."""
         if end < begin:
-            raise ReproError(
-                f"host span ends before it begins ({begin} > {end})"
-            )
+            raise ReproError(f"span ends before it begins ({begin} > {end})")
         self.spans.append(
-            HostSpan(track, label, begin - self.epoch, end - self.epoch)
+            Span(track, label, begin - self.epoch, end - self.epoch)
         )
 
     @contextmanager
@@ -118,13 +163,59 @@ class HostSpanRecorder:
         finally:
             self.record(track, label, begin, time.perf_counter())
 
+    # -- analysis ------------------------------------------------------------
     def tracks(self) -> List[str]:
         """Track names in first-appearance order."""
-        seen: List[str] = []
-        for span in self.spans:
-            if span.track not in seen:
-                seen.append(span.track)
-        return seen
+        return list(dict.fromkeys(span.track for span in self.spans))
+
+    def _merged(self, track: str) -> List[Tuple[float, float]]:
+        return merged_intervals(
+            (s.begin, s.end) for s in self.spans if s.track == track
+        )
+
+    def busy_time(self, track: str) -> float:
+        """Union length of all spans on *track* (overlaps merged)."""
+        return sum(end - begin for begin, end in self._merged(track))
+
+    def overlap_time(self, track_a: str, track_b: str) -> float:
+        """Time during which both tracks have a span in flight."""
+        return intersection_length(self._merged(track_a), self._merged(track_b))
+
+    # -- rendering -----------------------------------------------------------
+    def timeline(self, width: int = 72, until: Optional[float] = None) -> str:
+        """Render all tracks as an aligned ASCII Gantt chart."""
+        if not self.spans:
+            return "(no spans recorded)"
+        horizon = until if until is not None else max(s.end for s in self.spans)
+        if horizon <= 0:
+            raise ReproError("cannot render a zero-length timeline")
+        tracks = self.tracks()
+        name_width = max(len(t) for t in tracks)
+        lines = [
+            f"timeline 0 .. {horizon * 1e6:.1f} us "
+            f"({width} columns, '#' = busy)"
+        ]
+        for track in tracks:
+            cells = [" "] * width
+            for span in self.spans:
+                if span.track != track or span.begin > horizon:
+                    continue
+                # Clamp the start column so spans beginning exactly at
+                # the horizon still land in the last cell, and always
+                # paint at least one cell so zero-duration spans (and
+                # spans much shorter than a column) stay visible.
+                first = min(int(span.begin / horizon * width), width - 1)
+                last = int(min(span.end, horizon) / horizon * width)
+                for column in range(first, max(first + 1, last)):
+                    if column < width:
+                        cells[column] = "#"
+            lines.append(f"{track.rjust(name_width)} |{''.join(cells)}|")
+        return "\n".join(lines)
+
+
+#: Kept only for ``benchmarks/e2e/harness/workloads.py``, which imports
+#: ``HostSpanRecorder`` from here; delete with that import.
+HostSpanRecorder = SpanRecorder
 
 
 class ChromeTraceBuilder:
@@ -326,19 +417,6 @@ class ChromeTraceBuilder:
             )
 
     # -- bulk adapters ----------------------------------------------------------
-    def add_tracer(self, tracer, *, pid: int = SIM_PID) -> int:
-        """Add every span of a :class:`~repro.sim.trace.Tracer`.
-
-        Returns the number of span events added.  The process group is
-        announced as the simulated clock domain.
-        """
-        self._announce_default(pid)
-        for span in tracer.spans:
-            self.add_span(
-                pid, span.track, span.label, span.begin, span.end, category="sim"
-            )
-        return len(tracer.spans)
-
     def add_metrics(self, metrics, *, at_seconds: float, pid: int = SIM_PID) -> int:
         """Add registry counters/gauges as counter-event tracks.
 
@@ -363,15 +441,18 @@ class ChromeTraceBuilder:
             added += 1
         return added
 
-    def add_host_spans(
-        self, spans: Iterable[HostSpan], *, pid: int = HOST_PID
-    ) -> int:
-        """Add host wall-clock spans under the host process group."""
+    def add_spans(self, spans: Iterable[Span], *, pid: int, category: str) -> int:
+        """Add every span as a duration event under process group *pid*.
+
+        Returns the number of span events added.  The process group is
+        announced with its clock domain unless the caller already named
+        it.
+        """
         self._announce_default(pid)
         added = 0
         for span in spans:
             self.add_span(
-                pid, span.track, span.label, span.begin, span.end, category="host"
+                pid, span.track, span.label, span.begin, span.end, category=category
             )
             added += 1
         return added
@@ -412,14 +493,16 @@ def export_run_trace(
     tracer=None,
     metrics=None,
     elapsed_seconds: Optional[float] = None,
-    host_spans: Iterable[HostSpan] = (),
+    host_spans: Iterable[Span] = (),
 ) -> dict:
     """Write one run's observability data as a Chrome/Perfetto trace.
 
-    Any subset of the sources may be supplied: *tracer* contributes
-    simulated-clock spans, *metrics* (with *elapsed_seconds* as the
-    counter timestamp) contributes counter tracks, *host_spans*
-    contributes wall-clock spans in the host process group.  A
+    Any subset of the sources may be supplied: *tracer* (a
+    :class:`SpanRecorder`) contributes simulated-clock spans, *metrics*
+    (with *elapsed_seconds* as the counter timestamp) contributes
+    counter tracks, *host_spans* contributes wall-clock spans in the
+    host process group; both span sources go through
+    :meth:`ChromeTraceBuilder.add_spans`.  A
     host-only export (no tracer) places the metric counters in the
     host process group, since they were sampled on the host clock.
     Returns the summary dict of :meth:`ChromeTraceBuilder.write`.
@@ -429,12 +512,12 @@ def export_run_trace(
         raise ReproError("export_run_trace needs a tracer, metrics or host spans")
     builder = ChromeTraceBuilder()
     if tracer is not None:
-        builder.add_tracer(tracer)
+        builder.add_spans(tracer.spans, pid=SIM_PID, category="sim")
     if metrics is not None:
         if elapsed_seconds is None:
             raise ReproError("metrics export needs elapsed_seconds for timestamps")
         metrics_pid = SIM_PID if tracer is not None or not spans else HOST_PID
         builder.add_metrics(metrics, at_seconds=elapsed_seconds, pid=metrics_pid)
     if spans:
-        builder.add_host_spans(spans)
+        builder.add_spans(spans, pid=HOST_PID, category="host")
     return builder.write(path)

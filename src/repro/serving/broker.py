@@ -58,7 +58,7 @@ or pooled, numpy or native backend):
   per-stage latency histograms (``serving.batch_form`` /
   ``queue_wait`` / ``dispatch`` / ``kernel`` / ``scatter`` / ``e2e``
   and ``serving.shed`` — the five stages partition e2e exactly); with
-  a :class:`~repro.obs.trace_export.HostSpanRecorder` every dispatched
+  a :class:`~repro.obs.trace_export.SpanRecorder` every dispatched
   batch records a wall-clock span on its arena's ``serving lane{k}``
   track; with a :class:`~repro.obs.rtrace.RequestTraceRecorder`
   sampled requests carry stage stamps end to end and export as
@@ -215,7 +215,7 @@ class MicroBatchBroker:
         ``serving.*`` counters and the ``serving.queue_rows`` /
         ``serving.arenas_busy`` gauges.
     host_tracer:
-        Optional :class:`~repro.obs.trace_export.HostSpanRecorder`;
+        Optional :class:`~repro.obs.trace_export.SpanRecorder`;
         every batch records a span (label ``batch<N> <rows>r``) on its
         arena's ``serving lane{k}`` track, Perfetto-exportable.
     rtrace:

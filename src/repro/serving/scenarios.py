@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import time
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ServingError
@@ -35,7 +36,7 @@ from repro.obs.exporter import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rtrace import STAGE_HISTOGRAMS, RequestTraceRecorder, add_request_flows
-from repro.obs.trace_export import HOST_PID, ChromeTraceBuilder, HostSpanRecorder
+from repro.obs.trace_export import HOST_PID, ChromeTraceBuilder, SpanRecorder
 from repro.serving.broker import MicroBatchBroker
 from repro.serving.loadgen import (
     LoadResult,
@@ -161,7 +162,11 @@ def run_serve(
         raise ServingError(f"n_lanes must be >= 1, got {n_lanes}")
     bench = nips_benchmark(benchmark)
     data = host_cpu_batch(benchmark, 4096)
-    recorder = HostSpanRecorder() if trace_out is not None else None
+    recorder = (
+        SpanRecorder(epoch=time.perf_counter())
+        if trace_out is not None
+        else None
+    )
     rtrace = (
         RequestTraceRecorder(sample_every=trace_sample_every)
         if trace_out is not None
@@ -244,7 +249,7 @@ def run_serve(
         )
     if trace_out is not None:
         builder = ChromeTraceBuilder()
-        builder.add_host_spans(recorder.spans)
+        builder.add_spans(recorder.spans, pid=HOST_PID, category="host")
         elapsed = max((span.end for span in recorder.spans), default=0.0)
         builder.add_metrics(metrics, at_seconds=elapsed, pid=HOST_PID)
         n_requests = add_request_flows(
@@ -336,7 +341,7 @@ def run_serve_selftest(
     }
     answers: dict = {}
     metrics = MetricsRegistry()
-    recorder = HostSpanRecorder()
+    recorder = SpanRecorder(epoch=time.perf_counter())
     rtrace = RequestTraceRecorder()  # default 1-in-16 sampling
     slo_tracker = SLOTracker(SELFTEST_SLO_MS, window_s=60.0)
 
@@ -440,7 +445,7 @@ def run_serve_selftest(
         lines.append(f"wrote {telemetry_out}: telemetry snapshot")
     if trace_out is not None:
         builder = ChromeTraceBuilder()
-        builder.add_host_spans(recorder.spans)
+        builder.add_spans(recorder.spans, pid=HOST_PID, category="host")
         elapsed = max((span.end for span in recorder.spans), default=0.0)
         builder.add_metrics(metrics, at_seconds=elapsed, pid=HOST_PID)
         add_request_flows(builder, rtrace.traces, epoch=recorder.epoch)

@@ -2,8 +2,8 @@
 
 A minimal, dependency-free DES kernel in the style of SimPy, sized for
 this project's needs: coroutine processes, one-shot events, timeouts,
-bounded FIFO channels with backpressure, shared resources with FIFO
-arbitration, and span tracing.
+bounded FIFO channels with backpressure, and shared resources with
+FIFO arbitration.  Span tracing lives in :mod:`repro.obs.trace_export`.
 
 The kernel is deliberately *burst-granular*, not cycle-granular: model
 components schedule events at transaction boundaries (an AXI burst, a
@@ -28,7 +28,6 @@ Example
 from repro.sim.engine import Engine, Event, Process, Timeout, AllOf, AnyOf
 from repro.sim.channel import Channel, ClosedChannelError
 from repro.sim.resource import SimResource, TokenBucket
-from repro.sim.trace import Span, SpanHandle, Tracer
 
 __all__ = [
     "Engine",
@@ -41,7 +40,4 @@ __all__ = [
     "ClosedChannelError",
     "SimResource",
     "TokenBucket",
-    "Span",
-    "SpanHandle",
-    "Tracer",
 ]

@@ -18,7 +18,7 @@ from repro.compiler import compose_design
 from repro.experiments.cache import benchmark_core
 from repro.host import InferenceJobConfig, InferenceRuntime, SimulatedDevice
 from repro.platforms.specs import XUPVVH_HBM_PLATFORM
-from repro.sim import Tracer
+from repro.obs.trace_export import SpanRecorder
 from repro.units import KIB, MIB
 
 
@@ -140,7 +140,7 @@ class TestFallbackGates:
 
     def test_tracer_forces_granular_and_restores(self):
         device = _device("NIPS10", 2)
-        tracer = Tracer(device.env)
+        tracer = SpanRecorder()
         runtime = InferenceRuntime(device, InferenceJobConfig(), tracer=tracer)
         stats = runtime.run_timing_only(100_000)
         # Spans must cover every block on both PEs...

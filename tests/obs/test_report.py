@@ -20,8 +20,8 @@ from repro.host.device import SimulatedDevice
 from repro.host.runtime import InferenceJobConfig, InferenceRuntime
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import UtilizationReport
+from repro.obs.trace_export import SpanRecorder
 from repro.platforms.specs import XUPVVH_HBM_PLATFORM
-from repro.sim.trace import Tracer
 from repro.units import GIB, MIB
 
 
@@ -126,7 +126,7 @@ def _elapsed(metrics, *, trace=False, **config):
     core = benchmark_core("NIPS20", "cfp")
     design = compose_design(core, 2, XUPVVH_HBM_PLATFORM)
     device = SimulatedDevice(design, metrics=metrics)
-    tracer = Tracer(device.env) if trace else None
+    tracer = SpanRecorder() if trace else None
     runtime = InferenceRuntime(
         device, InferenceJobConfig(**config), tracer=tracer
     )

@@ -1,6 +1,7 @@
-"""Chrome/Perfetto trace-export acceptance tests.
+"""Span recorder and Chrome/Perfetto trace-export acceptance tests.
 
-Covers the exporter's contract: every emitted event carries the
+Covers the recorder's interval algebra against a brute-force oracle
+and the exporter's contract: every emitted event carries the
 mandatory Chrome Trace Event Format fields, simulated-clock and host
 wall-clock events live in separate process groups with the clock
 domain announced in metadata, and export is strictly observational —
@@ -9,8 +10,11 @@ simulated elapsed times are bit-identical with and without it.
 
 import json
 import struct
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
@@ -18,9 +22,10 @@ from repro.obs.trace_export import (
     HOST_PID,
     SIM_PID,
     ChromeTraceBuilder,
-    HostSpan,
-    HostSpanRecorder,
+    Span,
+    SpanRecorder,
     export_run_trace,
+    merged_intervals,
 )
 
 MANDATORY_FIELDS = ("name", "ph", "ts", "pid", "tid")
@@ -36,8 +41,10 @@ def _thread_names(trace: dict) -> dict:
 
 
 class TestHostSpanRecorder:
+    """The recorder on host wall-clock stamps, relative to an epoch."""
+
     def test_normalises_against_epoch(self):
-        recorder = HostSpanRecorder(epoch=100.0)
+        recorder = SpanRecorder(epoch=100.0)
         recorder.record("w0", "shard0", 100.5, 101.25)
         (span,) = recorder.spans
         assert span.begin == pytest.approx(0.5)
@@ -46,7 +53,7 @@ class TestHostSpanRecorder:
         assert recorder.tracks() == ["w0"]
 
     def test_span_context_manager_times_its_body(self):
-        recorder = HostSpanRecorder()
+        recorder = SpanRecorder(epoch=time.perf_counter())
         with recorder.span("pool", "task"):
             pass
         (span,) = recorder.spans
@@ -54,9 +61,45 @@ class TestHostSpanRecorder:
         assert span.end >= span.begin >= 0.0
 
     def test_backwards_span_rejected(self):
-        recorder = HostSpanRecorder(epoch=0.0)
+        recorder = SpanRecorder(epoch=0.0)
         with pytest.raises(ReproError, match="ends before it begins"):
             recorder.record("w", "x", 2.0, 1.0)
+
+
+#: Intervals on a small integer grid, so draws overlap and touch often
+#: and every length is an exact float.
+_intervals = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 12)).map(
+        lambda t: (float(t[0]), float(t[0] + t[1]))
+    ),
+    max_size=25,
+)
+
+
+def _cells(intervals) -> set:
+    """Brute force: the unit grid cells an interval list covers."""
+    return {k for begin, end in intervals for k in range(int(begin), int(end))}
+
+
+class TestIntervalAlgebra:
+    @settings(max_examples=200, deadline=None)
+    @given(a=_intervals, b=_intervals)
+    def test_busy_and_overlap_match_brute_force(self, a, b):
+        recorder = SpanRecorder()
+        for begin, end in a:
+            recorder.record("a", "x", begin, end)
+        for begin, end in b:
+            recorder.record("b", "y", begin, end)
+        assert recorder.busy_time("a") == len(_cells(a))
+        assert recorder.busy_time("b") == len(_cells(b))
+        both = len(_cells(a) & _cells(b))
+        assert recorder.overlap_time("a", "b") == both
+        assert recorder.overlap_time("b", "a") == both
+        # The union is disjoint and sorted; touching intervals merged.
+        union = merged_intervals(a)
+        assert all(
+            prev_end < begin for (_, prev_end), (begin, _) in zip(union, union[1:])
+        )
 
 
 class TestChromeTraceBuilder:
@@ -104,7 +147,7 @@ class TestExportRunTrace:
             str(path),
             metrics=registry,
             elapsed_seconds=0.5,
-            host_spans=[HostSpan("executor worker0", "shard0", 0.0, 0.5)],
+            host_spans=[Span("executor worker0", "shard0", 0.0, 0.5)],
         )
         trace = json.loads(path.read_text())
         pids = {e["pid"] for e in trace["traceEvents"]}
@@ -250,20 +293,19 @@ class TestMergedTraceWithRequestFlows:
     def test_flows_reference_only_existing_spans(self, tmp_path):
         from repro.experiments.utilization import run_traced_utilization
         from repro.obs.rtrace import RequestTrace, add_request_flows
-        from repro.obs.trace_export import HostSpanRecorder
 
         sim = run_traced_utilization(
             "NIPS10", 1, threads_per_pe=1, samples_per_core=50_000
         )
         builder = ChromeTraceBuilder()
-        builder.add_tracer(sim.tracer)
+        builder.add_spans(sim.tracer.spans, pid=SIM_PID, category="sim")
 
         # Host-clock lane + worker spans, then a request flow whose
         # stamps land inside them.
-        recorder = HostSpanRecorder(epoch=1000.0)
+        recorder = SpanRecorder(epoch=1000.0)
         recorder.record("serving lane0", "batch0", 1000.002, 1000.010)
         recorder.record("executor worker0", "batch0 rows", 1000.004, 1000.009)
-        builder.add_host_spans(recorder.spans)
+        builder.add_spans(recorder.spans, pid=HOST_PID, category="host")
 
         trace = RequestTrace(0)
         trace.stamp("enqueue", 1000.000)

@@ -19,7 +19,7 @@ from repro.baselines.executor import ParallelPlanExecutor
 from repro.compiler.native_build import compiler_command, get_native_kernel
 from repro.errors import ReproError, ServingError, ServingOverloadError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace_export import HostSpanRecorder
+from repro.obs.trace_export import SpanRecorder
 from repro.serving.broker import MicroBatchBroker
 from repro.spn import nips_benchmark, random_spn
 from repro.spn.plan import get_plan
@@ -696,7 +696,7 @@ class TestValidationAndObservability:
 
     def test_metrics_and_batch_spans(self):
         metrics = MetricsRegistry()
-        recorder = HostSpanRecorder()
+        recorder = SpanRecorder()
         engine = FakeEngine()
 
         async def scenario():

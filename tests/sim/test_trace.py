@@ -1,93 +1,24 @@
-"""Unit tests for the span tracer."""
+"""Unit tests for the span recorder on the simulated clock.
+
+:class:`repro.obs.trace_export.SpanRecorder` is the one span recorder
+for simulated and host time; these tests drive it the way the
+simulated models do (absolute simulated seconds, epoch 0.0).
+"""
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import Engine, Tracer
-
-
-def test_begin_end_records_span():
-    eng = Engine()
-    tracer = Tracer(eng)
-
-    def proc(env):
-        tracer.begin("pe0", "job")
-        yield env.timeout(2.0)
-        tracer.end("pe0", "job")
-
-    eng.run(until_event=eng.process(proc(eng)))
-    assert len(tracer.spans) == 1
-    span = tracer.spans[0]
-    assert span.begin == 0.0
-    assert span.end == 2.0
-    assert span.duration == 2.0
-
-
-def test_end_without_begin_rejected():
-    tracer = Tracer(Engine())
-    with pytest.raises(SimulationError):
-        tracer.end("t", "x")
-
-
-def test_reentrant_same_label_spans_both_record():
-    """Overlapping spans with the same (track, label) key each record
-    their own interval (two in-flight DMA transfers may share a label)."""
-    eng = Engine()
-    tracer = Tracer(eng)
-
-    def proc(env):
-        first = tracer.begin("dma", "xfer")
-        yield env.timeout(1.0)
-        second = tracer.begin("dma", "xfer")  # first still open
-        yield env.timeout(1.0)
-        first.end()
-        yield env.timeout(1.0)
-        second.end()
-
-    eng.run(until_event=eng.process(proc(eng)))
-    assert [(s.begin, s.end) for s in tracer.spans] == [(0.0, 2.0), (1.0, 3.0)]
-
-
-def test_begin_returns_handle_and_end_closes_most_recent():
-    """tracer.end(track, label) stays backward compatible: it closes
-    the most recently opened span with that key."""
-    eng = Engine()
-    tracer = Tracer(eng)
-
-    def proc(env):
-        tracer.begin("t", "x")
-        yield env.timeout(1.0)
-        tracer.begin("t", "x")
-        yield env.timeout(1.0)
-        tracer.end("t", "x")  # closes the second (begin=1.0)
-        yield env.timeout(1.0)
-        tracer.end("t", "x")  # closes the first (begin=0.0)
-
-    eng.run(until_event=eng.process(proc(eng)))
-    assert [(s.begin, s.end) for s in tracer.spans] == [(1.0, 2.0), (0.0, 3.0)]
-
-
-def test_span_handle_double_end_rejected():
-    tracer = Tracer(Engine())
-    handle = tracer.begin("t", "x")
-    assert not handle.closed
-    handle.end()
-    assert handle.closed
-    with pytest.raises(SimulationError, match="already ended"):
-        handle.end()
-    # The key's stack is gone too: a bare end() has nothing to close.
-    with pytest.raises(SimulationError, match="never opened"):
-        tracer.end("t", "x")
+from repro.errors import ReproError
+from repro.obs.trace_export import SpanRecorder
 
 
 def test_record_validates_ordering():
-    tracer = Tracer(Engine())
-    with pytest.raises(SimulationError):
+    tracer = SpanRecorder()
+    with pytest.raises(ReproError):
         tracer.record("t", "x", 2.0, 1.0)
 
 
 def test_busy_time_merges_overlaps():
-    tracer = Tracer(Engine())
+    tracer = SpanRecorder()
     tracer.record("t", "a", 0.0, 2.0)
     tracer.record("t", "b", 1.0, 3.0)  # overlapping
     tracer.record("t", "c", 5.0, 6.0)  # disjoint
@@ -95,7 +26,7 @@ def test_busy_time_merges_overlaps():
 
 
 def test_overlap_time_between_tracks():
-    tracer = Tracer(Engine())
+    tracer = SpanRecorder()
     tracer.record("a", "x", 0.0, 4.0)
     tracer.record("b", "y", 2.0, 6.0)
     assert tracer.overlap_time("a", "b") == pytest.approx(2.0)
@@ -103,7 +34,7 @@ def test_overlap_time_between_tracks():
 
 
 def test_tracks_in_first_appearance_order():
-    tracer = Tracer(Engine())
+    tracer = SpanRecorder()
     tracer.record("beta", "x", 0, 1)
     tracer.record("alpha", "y", 1, 2)
     tracer.record("beta", "z", 2, 3)
@@ -111,7 +42,7 @@ def test_tracks_in_first_appearance_order():
 
 
 def test_timeline_rendering():
-    tracer = Tracer(Engine())
+    tracer = SpanRecorder()
     tracer.record("pe0", "j", 0.0, 0.5)
     tracer.record("dma", "t", 0.5, 1.0)
     text = tracer.timeline(width=10)
@@ -125,16 +56,16 @@ def test_timeline_rendering():
 
 
 def test_empty_timeline():
-    """Regression: an empty tracer renders a clear one-line message
+    """Regression: an empty recorder renders a clear one-line message
     instead of raising on the max() of zero spans."""
-    tracer = Tracer(Engine())
+    tracer = SpanRecorder()
     assert tracer.timeline() == "(no spans recorded)"
     assert tracer.timeline(width=7, until=5.0) == "(no spans recorded)"
 
 
 def test_zero_duration_span_is_rendered():
     """Regression: an instantaneous span must still paint one cell."""
-    tracer = Tracer(Engine())
+    tracer = SpanRecorder()
     tracer.record("t", "tick", 0.5, 0.5)
     tracer.record("t", "pad", 0.0, 0.1)  # sets the horizon context
     row = tracer.timeline(width=10, until=1.0).splitlines()[1].split("|")[1]
@@ -144,14 +75,14 @@ def test_zero_duration_span_is_rendered():
 def test_span_at_horizon_is_rendered():
     """Regression: a span beginning exactly at the horizon used to be
     pushed past the last column and vanish."""
-    tracer = Tracer(Engine())
+    tracer = SpanRecorder()
     tracer.record("t", "edge", 1.0, 1.0)
     row = tracer.timeline(width=10, until=1.0).splitlines()[1].split("|")[1]
     assert row[9] == "#"
 
 
 def test_span_past_horizon_is_skipped():
-    tracer = Tracer(Engine())
+    tracer = SpanRecorder()
     tracer.record("t", "late", 2.0, 3.0)
     tracer.record("t", "in", 0.0, 0.5)
     row = tracer.timeline(width=10, until=1.0).splitlines()[1].split("|")[1]
@@ -160,7 +91,7 @@ def test_span_past_horizon_is_skipped():
 
 def test_sub_column_span_is_visible():
     """A span much shorter than one column still paints its cell."""
-    tracer = Tracer(Engine())
+    tracer = SpanRecorder()
     tracer.record("t", "blip", 0.301, 0.302)
     row = tracer.timeline(width=10, until=1.0).splitlines()[1].split("|")[1]
     assert row.count("#") == 1
@@ -168,7 +99,7 @@ def test_sub_column_span_is_visible():
 
 
 def test_runtime_tracing_integration():
-    """The runtime's tracer records PE and DMA tracks whose busy times
+    """The runtime's recorder holds PE and DMA tracks whose busy times
     are consistent with the run."""
     from repro.compiler import compile_core, compose_design
     from repro.host import InferenceJobConfig, InferenceRuntime, SimulatedDevice
@@ -177,7 +108,7 @@ def test_runtime_tracing_integration():
 
     core = compile_core(nips_benchmark("NIPS10").spn, "cfp")
     device = SimulatedDevice(compose_design(core, 1, XUPVVH_HBM_PLATFORM))
-    tracer = Tracer(device.env)
+    tracer = SpanRecorder()
     runtime = InferenceRuntime(
         device, InferenceJobConfig(threads_per_pe=2), tracer=tracer
     )
@@ -189,7 +120,7 @@ def test_runtime_tracing_integration():
 
 
 def test_forced_burst_granular_restored_when_run_raises():
-    """Regression: a tracer forces the burst-granular core model for
+    """Regression: a recorder forces the burst-granular core model for
     the run; if the run dies mid-flight (impossible allocation), the
     cores must still be restored to fast-forwarding."""
     from repro.compiler import compile_core, compose_design
@@ -203,7 +134,7 @@ def test_forced_burst_granular_restored_when_run_raises():
     device = SimulatedDevice(compose_design(core, 1, XUPVVH_HBM_PLATFORM))
     # No buffer can ever fit: the run raises inside _execute.
     device.memory_manager = DeviceMemoryManager(n_blocks=1, block_capacity=256)
-    tracer = Tracer(device.env)
+    tracer = SpanRecorder()
     runtime = InferenceRuntime(
         device, InferenceJobConfig(threads_per_pe=1), tracer=tracer
     )

@@ -29,7 +29,7 @@ from repro.compiler.native_build import (
 )
 from repro.errors import ReproError, RuntimeConfigError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace_export import HostSpanRecorder
+from repro.obs.trace_export import SpanRecorder
 from repro.spn import (
     compile_plan,
     get_inference_backend,
@@ -176,7 +176,7 @@ def test_per_thread_busy_counters_and_spans():
     block = BLOCK_ROWS
     _, data = _plan_and_batch(2 * block)  # exactly two chunks
     registry = MetricsRegistry()
-    tracer = HostSpanRecorder()
+    tracer = SpanRecorder()
     previous = set_native_observability(registry, tracer)
     try:
         kernel.log_likelihood(data, threads=2)
