@@ -1,76 +1,32 @@
 #!/usr/bin/env python3
-"""In-network streaming inference vs the HBM architecture (§V-D).
+"""In-network streaming inference vs the HBM architecture (§V-D, §VII).
 
-Simulates the 100G streaming variant ([7]) frame by frame for every
-NIPS benchmark, reports the replication each needs for line rate, and
-contrasts the NIPS80 result with the HBM system — reproducing the
-paper's closing comparison: streaming wins ~17-21% on NIPS80 because
-it never touches memory, but needs 100G infrastructure; the HBM card
-is the smaller-deployment alternative.
+Prints the paper's closing comparison on NIPS80: the 100G streaming
+variant ([7]) runs at line rate divided by wire bytes and wins ~21%
+because it never touches memory, but needs 100G infrastructure; the
+HBM card is the smaller-deployment alternative.  Then the §VII
+outlook: how many 100G links one card's HBM can buffer, simulated
+frame by frame.
 
 Run:  python examples/in_network_inference.py
 """
 
-from repro import (
-    InferenceJobConfig,
-    InferenceRuntime,
-    SimulatedDevice,
-    XUPVVH_HBM_PLATFORM,
-    compile_core,
-    compose_design,
-    nips_benchmark,
-)
-from repro.experiments.reporting import format_table
-from repro.streaming import (
-    MultiLinkBufferedNode,
-    StreamingSystem,
-    max_links_for_hbm,
-    required_replicas,
-)
+from repro.experiments.fig6_end_to_end import run_fig6
+from repro.experiments.reference import PAPER
+from repro.experiments.speedups import run_speedups
+from repro.streaming import MultiLinkBufferedNode, max_links_for_hbm
 from repro.units import GIB
 
 
 def main():
-    rows = []
-    for name in ("NIPS10", "NIPS20", "NIPS30", "NIPS40", "NIPS80"):
-        bench = nips_benchmark(name)
-        wire = bench.total_bytes_per_sample
-        replicas = required_replicas(wire, 225e6)
-        system = StreamingSystem(bytes_per_sample=wire, n_cores=replicas)
-        result = system.run(400_000)
-        rows.append(
-            [
-                name,
-                wire,
-                replicas,
-                result.samples_per_second / 1e6,
-                f"{result.line_rate_fraction * 100:.1f}%",
-            ]
-        )
+    # The paper's §V-D head-to-head on NIPS80 (the `repro speedups` row).
+    result = run_speedups(run_fig6(["NIPS80"]))
     print(
-        format_table(
-            ["benchmark", "wire B/sample", "cores for line rate", "Msamples/s", "of line rate"],
-            rows,
-            title="100G in-network streaming inference ([7] architecture)",
-        )
-    )
-
-    # The paper's §V-D head-to-head on NIPS80.
-    bench = nips_benchmark("NIPS80")
-    streaming = StreamingSystem(
-        bytes_per_sample=bench.total_bytes_per_sample, n_cores=1
-    ).run(300_000)
-    device = SimulatedDevice(
-        compose_design(compile_core(bench.spn, "cfp"), 8, XUPVVH_HBM_PLATFORM)
-    )
-    hbm = InferenceRuntime(
-        device, InferenceJobConfig(threads_per_pe=1)
-    ).run_timing_only(3_000_000)
-    advantage = streaming.samples_per_second / hbm.samples_per_second
-    print(
-        f"\nNIPS80 head-to-head: streaming {streaming.samples_per_second / 1e6:.1f} M/s "
-        f"vs HBM {hbm.samples_per_second / 1e6:.1f} M/s -> {advantage:.2f}x "
-        f"(paper: 140.7 vs 116.6, ~1.21x)"
+        f"NIPS80 head-to-head: streaming {result.streaming_nips80 / 1e6:.1f} M/s "
+        f"vs HBM {result.hbm_nips80 / 1e6:.1f} M/s -> "
+        f"{result.streaming_advantage:.2f}x (paper: "
+        f"{PAPER.streaming_nips80_rate / 1e6:.1f} vs {PAPER.nips80_rate / 1e6:.1f}, "
+        f"{PAPER.streaming_nips80_rate / PAPER.nips80_rate:.2f}x)"
     )
     print(
         "The streaming pipeline never touches memory; the HBM card trades that "
@@ -80,11 +36,11 @@ def main():
     # The paper's closing outlook: HBM as a buffer for many 100G links.
     links = max_links_for_hbm()
     node = MultiLinkBufferedNode(n_links=links, bytes_per_sample=88, cores_per_link=1)
-    result = node.run(100_000)
+    outlook = node.run(100_000)
     print(
         f"\nOutlook (SectionVII): one card's HBM can buffer {links} x 100G links -> "
-        f"{result.samples_per_second / 1e6:,.0f} M samples/s aggregate, "
-        f"{result.hbm_traffic / GIB:.0f} GiB/s of buffering traffic "
+        f"{outlook.samples_per_second / 1e6:,.0f} M samples/s aggregate, "
+        f"{outlook.hbm_traffic / GIB:.0f} GiB/s of buffering traffic "
         f"(under the 384 GiB/s practical HBM total)."
     )
 

@@ -2,12 +2,12 @@
 
 The numpy plan evaluator (:mod:`repro.spn.plan_eval`) still pays one
 Python-dispatched numpy kernel per layer per chunk.  This module walks
-an :class:`~repro.spn.plan.InferencePlan` the same way the interpreter
-and the Verilog emitter do and emits one *specialized C translation
-unit* for it: the whole bottom-up pass becomes a single C function
-over a cache-resident row block, with every structural constant (child
-rows, mixture weights, leaf tables) baked in as a compile-time
-constant so the C compiler can unroll and vectorize.
+an :class:`~repro.spn.plan.InferencePlan` the same way the netlist
+interpreter does and emits one *specialized C translation unit* for
+it: the whole bottom-up pass becomes a single C function over a
+cache-resident row block, with every structural constant (child rows,
+mixture weights, leaf tables) baked in as a compile-time constant so
+the C compiler can unroll and vectorize.
 
 The datapath follows the paper's accelerator core, where histogram
 leaves are BRAM lookup tables feeding the adder tree with no memory in

@@ -9,7 +9,9 @@
 * :mod:`repro.platforms.f1_model` — the prior-work AWS F1 FPGA system
   (DDR, soft controllers, per-benchmark core-count constraints).
 * :mod:`repro.platforms.streaming_model` — the 100G in-network
-  streaming architecture of [7] used for the §V-D perspective.
+  streaming architecture of [7]: §V-D's one streaming point (line
+  rate ÷ wire bytes), whose line rate :mod:`repro.streaming`'s §VII
+  outlook also reads.
 """
 
 from repro.platforms.specs import (

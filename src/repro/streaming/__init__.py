@@ -1,22 +1,16 @@
-"""The 100G in-network streaming architecture of [7].
+"""The 100G network side of the paper's closing outlook (§VII).
 
-§V-D compares the HBM design against the group's streaming variant:
-SPN cores fed directly from a 100G network MAC, no memory accesses at
-all.  This package models that system as a discrete-event pipeline —
-Ethernet MAC ingress → sample dispatcher → replicated streaming cores
-→ egress — so the comparison point (140.7 M NIPS80 samples/s at line
-rate) *emerges* from frame-level simulation rather than being quoted.
-
-It also answers the design question [7] poses: how much core
-replication does line rate require for a given SPN?
+§V-D's streaming comparison point (140.7 M NIPS80 samples/s at line
+rate) is line rate divided by wire bytes, computed once by
+:mod:`repro.platforms.streaming_model`.  This package models what that
+closed form cannot: a node whose HBM buffers several 100G links —
+Ethernet MAC ingress → HBM write channel → HBM read channel →
+replicated SPN cores, simulated frame by frame — and how many links
+one card's HBM can absorb before the memory, not the network,
+saturates.
 """
 
 from repro.streaming.mac import EthernetMac, FRAME_OVERHEAD_BYTES
-from repro.streaming.system import (
-    StreamingResult,
-    StreamingSystem,
-    required_replicas,
-)
 from repro.streaming.multilink import (
     MultiLinkBufferedNode,
     MultiLinkNodeResult,
@@ -26,9 +20,6 @@ from repro.streaming.multilink import (
 __all__ = [
     "EthernetMac",
     "FRAME_OVERHEAD_BYTES",
-    "StreamingSystem",
-    "StreamingResult",
-    "required_replicas",
     "MultiLinkBufferedNode",
     "MultiLinkNodeResult",
     "max_links_for_hbm",

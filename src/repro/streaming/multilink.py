@@ -22,6 +22,7 @@ from typing import List
 from repro.errors import RuntimeConfigError
 from repro.mem.hbm import HBMChannel
 from repro.platforms.specs import HBMSpec, HBM_XUPVVH
+from repro.platforms.streaming_model import STREAMING_100G
 from repro.sim.channel import Channel, ClosedChannelError
 from repro.sim.engine import Engine
 from repro.streaming.mac import EthernetMac
@@ -30,20 +31,17 @@ from repro.units import GIB
 __all__ = ["MultiLinkNodeResult", "MultiLinkBufferedNode", "max_links_for_hbm"]
 
 
-def max_links_for_hbm(
-    *,
-    spec: HBMSpec = HBM_XUPVVH,
-    line_rate_bits: float = 100e9,
-    payload_efficiency: float = 0.99078,
-) -> int:
+def max_links_for_hbm(*, spec: HBMSpec = HBM_XUPVVH) -> int:
     """Links one card's HBM can buffer at line rate.
 
-    Each link's payload stream is written into HBM and read back once
-    (2x traffic).  With the practical per-channel rate and dedicated
-    channel pairs per link, the binding constraint is channel count:
-    each link needs enough channels to absorb 2x its payload rate.
+    Each link's payload stream (the measured 99.078 Gbit/s of
+    :data:`~repro.platforms.streaming_model.STREAMING_100G`) is written
+    into HBM and read back once (2x traffic).  With the practical
+    per-channel rate and dedicated channel pairs per link, the binding
+    constraint is channel count: each link needs enough channels to
+    absorb 2x its payload rate.
     """
-    payload_rate = line_rate_bits * payload_efficiency / 8.0
+    payload_rate = STREAMING_100G.line_rate_bits / 8.0
     channels_per_link = math.ceil(2.0 * payload_rate / spec.practical_channel_bandwidth)
     return spec.n_channels // channels_per_link
 

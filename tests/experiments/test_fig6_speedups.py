@@ -104,7 +104,7 @@ class TestSpeedups:
         assert speedups.streaming_nips80 == pytest.approx(
             PAPER.streaming_nips80_rate, rel=1e-3
         )
-        assert 1.1 < speedups.streaming_advantage < 1.3
+        assert 1.15 < speedups.streaming_advantage < 1.27
 
     def test_format_contains_all_metrics(self, speedups):
         text = format_speedups(speedups)

@@ -1,22 +1,21 @@
-"""Tests for the 100G in-network streaming architecture model."""
+"""Tests for the 100G Ethernet MAC model of the §VII outlook."""
 
 import pytest
 
-from repro.errors import MemoryModelError, RuntimeConfigError
+from repro.errors import MemoryModelError
+from repro.platforms.streaming_model import STREAMING_100G
 from repro.sim import Engine
-from repro.streaming import (
-    EthernetMac,
-    FRAME_OVERHEAD_BYTES,
-    StreamingSystem,
-    required_replicas,
-)
+from repro.streaming import EthernetMac, FRAME_OVERHEAD_BYTES
 
 
 class TestEthernetMac:
     def test_payload_rate_matches_measured_99_078(self):
-        """[7] measured 99.078 Gbit/s of payload on the 100G link."""
+        """[7] measured 99.078 Gbit/s of payload on the 100G link; the
+        calibrated frame size reproduces the line rate §V-D divides by."""
         mac = EthernetMac(Engine())
-        assert mac.payload_rate_bits / 1e9 == pytest.approx(99.078, abs=0.01)
+        assert mac.payload_rate_bits == pytest.approx(
+            STREAMING_100G.line_rate_bits, rel=1e-6
+        )
 
     def test_frame_overhead_is_24_bytes(self):
         assert FRAME_OVERHEAD_BYTES == 24
@@ -48,52 +47,3 @@ class TestEthernetMac:
         env.run(until_event=env.process(proc()))
         assert mac.frames == 1
         assert mac.payload_bytes == 500
-
-
-class TestRequiredReplicas:
-    def test_nips80_needs_one_core(self):
-        # 140.7 M samples/s < 225 MHz -> a single core suffices.
-        assert required_replicas(88, 225e6) == 1
-
-    def test_nips10_needs_six_cores(self):
-        # 1238 M samples/s at 10 B/sample -> six 225 MHz cores.
-        assert required_replicas(10, 225e6) == 6
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(RuntimeConfigError):
-            required_replicas(0, 225e6)
-        with pytest.raises(RuntimeConfigError):
-            required_replicas(10, 0)
-
-
-class TestStreamingSystem:
-    def test_nips80_reaches_line_rate_with_one_core(self):
-        """The §V-D comparison point: 140,748,580 samples/s at 88 B."""
-        result = StreamingSystem(bytes_per_sample=88, n_cores=1).run(200_000)
-        assert result.samples_per_second == pytest.approx(140_748_580, rel=0.01)
-        assert result.line_rate_fraction == pytest.approx(1.0, abs=0.01)
-
-    def test_underprovisioned_cores_cap_throughput(self):
-        result = StreamingSystem(bytes_per_sample=10, n_cores=1).run(500_000)
-        # One 225 MHz core cannot absorb the 1.24 G samples/s ingress.
-        assert result.samples_per_second == pytest.approx(225e6, rel=0.02)
-        assert result.line_rate_fraction < 0.25
-
-    def test_replication_restores_line_rate(self):
-        needed = required_replicas(10, 225e6)
-        result = StreamingSystem(bytes_per_sample=10, n_cores=needed).run(1_000_000)
-        assert result.line_rate_fraction == pytest.approx(1.0, abs=0.02)
-
-    def test_streaming_beats_hbm_on_nips80(self):
-        """§V-D: the streaming architecture delivers ~17-21% more than
-        the HBM architecture's 116.6 M samples/s on NIPS80."""
-        result = StreamingSystem(bytes_per_sample=88, n_cores=1).run(200_000)
-        assert 1.15 < result.samples_per_second / 116_565_604 < 1.27
-
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(RuntimeConfigError):
-            StreamingSystem(bytes_per_sample=0, n_cores=1)
-        with pytest.raises(RuntimeConfigError):
-            StreamingSystem(bytes_per_sample=10, n_cores=0)
-        with pytest.raises(RuntimeConfigError):
-            StreamingSystem(bytes_per_sample=10, n_cores=1).run(0)
