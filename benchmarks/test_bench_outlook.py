@@ -1,4 +1,5 @@
-"""Benchmark: regenerate the §V-C PCIe/HBM outlook (text-v-c)."""
+"""Benchmark: regenerate the §V-C PCIe/HBM outlook (text-v-c) and the
+§VII multi-link buffering outlook (text-vii-outlook)."""
 
 import pytest
 
@@ -6,6 +7,7 @@ from repro.experiments import PAPER, format_outlook, run_outlook
 
 
 @pytest.mark.repro_artifact("text-v-c")
+@pytest.mark.repro_artifact("text-vii-outlook")
 def test_bench_outlook(benchmark, capsys):
     result = benchmark.pedantic(run_outlook, rounds=1, iterations=1)
     with capsys.disabled():
@@ -16,3 +18,7 @@ def test_bench_outlook(benchmark, capsys):
         PAPER.nips10_128core_demand_gib, rel=0.02
     )
     assert result.hbm_headroom_ok
+    # §VII: a full card of buffered 100G links stays under the
+    # practical HBM total.
+    assert result.links_per_card == 16
+    assert result.multilink_buffer_gib < 384

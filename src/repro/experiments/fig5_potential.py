@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
+from repro.experiments.reference import PAPER
 from repro.experiments.reporting import format_series
 from repro.mem.hbm import channel_throughput
 from repro.platforms.specs import HBM_XUPVVH
@@ -20,12 +21,6 @@ from repro.spn.nips import NIPS_BENCHMARKS, nips_benchmark
 from repro.units import GIB, MIB
 
 __all__ = ["Fig5Result", "run_fig5", "format_fig5"]
-
-#: The paper's single-core rate; all benchmarks run the same II=1
-#: pipeline at 225 MHz, throttled by the §V-B per-job orchestration to
-#: the measured ~133 M samples/s per core.
-SINGLE_CORE_RATE = 133_139_305.0
-
 
 @dataclass(frozen=True)
 class Fig5Result:
@@ -53,15 +48,19 @@ class Fig5Result:
 def run_fig5(
     benchmarks: Sequence[str] = NIPS_BENCHMARKS,
     core_counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
-    *,
-    single_core_rate: float = SINGLE_CORE_RATE,
 ) -> Fig5Result:
-    """Compute the Fig. 5 demand curves and limits."""
+    """Compute the Fig. 5 demand curves and limits.
+
+    Every benchmark runs the same II=1 pipeline at 225 MHz, throttled
+    by the §V-B per-job orchestration to the paper's measured
+    single-core rate (``PAPER.nips10_single_core_rate``, ~133 M
+    samples/s), so one per-core rate scales every demand curve.
+    """
     demand: Dict[str, Tuple[float, ...]] = {}
     for name in benchmarks:
         bench = nips_benchmark(name)
         bytes_per_sample = bench.total_bytes_per_sample
-        per_core = single_core_rate * bytes_per_sample / GIB
+        per_core = PAPER.nips10_single_core_rate * bytes_per_sample / GIB
         demand[name] = tuple(per_core * n for n in core_counts)
     return Fig5Result(
         core_counts=tuple(core_counts),

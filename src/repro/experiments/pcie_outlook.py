@@ -9,29 +9,29 @@ section:
 * 128 NIPS10 cores would demand 285 GiB/s — under both the practical
   (384 GiB/s) and theoretical (428 GiB/s) HBM limits;
 * the projected end-to-end throughput per benchmark per generation
-  (what "scaling much further" buys).
+  (what "scaling much further" buys);
+* §VII: how many 100G links one card's HBM buffers (16), the NIPS80
+  rate they carry at line rate, and the HBM traffic buffering costs
+  (each link's payload written once and read back once).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
+from repro.experiments.reference import PAPER
 from repro.experiments.reporting import format_series, format_table
 from repro.platforms.specs import HBM_XUPVVH, PCIE_GENERATIONS
+from repro.platforms.streaming_model import STREAMING_100G, max_links_for_hbm
 from repro.spn.nips import NIPS_BENCHMARKS, nips_benchmark
 from repro.units import GIB
 
 __all__ = ["OutlookResult", "run_outlook", "format_outlook"]
 
-#: Per-core sample rate used for demand accounting (§V-C uses the
-#: measured single-core NIPS10 rate).
-SINGLE_CORE_RATE = 133_139_305.0
-
-
 @dataclass(frozen=True)
 class OutlookResult:
-    """§V-C accounting: demands vs interface generations."""
+    """§V-C accounting (demands vs interface generations) and the §VII row."""
 
     #: generation -> practical single-direction GiB/s.
     pcie_practical_gib: Dict[str, float]
@@ -45,6 +45,12 @@ class OutlookResult:
     hbm_practical_gib: float
     #: Theoretical HBM total, GiB/s.
     hbm_theoretical_gib: float
+    #: §VII: 100G links one card's HBM buffers at line rate.
+    links_per_card: int
+    #: §VII: NIPS80 samples/s over all buffered links at line rate.
+    multilink_nips80_rate: float
+    #: §VII: HBM traffic of buffering every link (write + read), GiB/s.
+    multilink_buffer_gib: float
 
     @property
     def hbm_headroom_ok(self) -> bool:
@@ -54,12 +60,8 @@ class OutlookResult:
         )
 
 
-def run_outlook(
-    benchmarks: Sequence[str] = NIPS_BENCHMARKS,
-    *,
-    nips80_rate: float = 116_565_604.0,
-) -> OutlookResult:
-    """Compute the §V-C outlook numbers."""
+def run_outlook(benchmarks: Sequence[str] = NIPS_BENCHMARKS) -> OutlookResult:
+    """Compute the §V-C and §VII outlook numbers."""
     practical = {
         name: spec.practical_unidirectional / GIB
         for name, spec in PCIE_GENERATIONS.items()
@@ -73,9 +75,10 @@ def run_outlook(
                 bench.input_bytes_per_sample, bench.result_bytes_per_sample
             )
     nips80 = nips_benchmark("NIPS80")
-    nips80_input = nips80_rate * nips80.input_bytes_per_sample / GIB
+    nips80_input = PAPER.nips80_rate * nips80.input_bytes_per_sample / GIB
     nips10 = nips_benchmark("NIPS10")
-    demand_128 = 128 * SINGLE_CORE_RATE * nips10.total_bytes_per_sample / GIB
+    demand_128 = 128 * PAPER.nips10_single_core_rate * nips10.total_bytes_per_sample / GIB
+    links = max_links_for_hbm()
     return OutlookResult(
         pcie_practical_gib=practical,
         projected_rates=projected,
@@ -83,11 +86,16 @@ def run_outlook(
         nips10_128core_demand_gib=demand_128,
         hbm_practical_gib=HBM_XUPVVH.practical_total_bandwidth / GIB,
         hbm_theoretical_gib=HBM_XUPVVH.theoretical_bandwidth / GIB,
+        links_per_card=links,
+        multilink_nips80_rate=(
+            links * STREAMING_100G.samples_per_second(nips80.total_bytes_per_sample)
+        ),
+        multilink_buffer_gib=2 * links * STREAMING_100G.line_rate_bits / 8 / GIB,
     )
 
 
 def format_outlook(result: OutlookResult) -> str:
-    """Render the §V-C tables."""
+    """Render the §V-C tables and the §VII multi-link row."""
     gens = list(result.pcie_practical_gib)
     bench_names = list(next(iter(result.projected_rates.values())))
     rate_table = format_series(
@@ -112,4 +120,15 @@ def format_outlook(result: OutlookResult) -> str:
         ],
         title="SectionV-C - bandwidth accounting",
     )
-    return rate_table + "\n\n" + summary
+    multilink = format_table(
+        ["100G links per card", "NIPS80 Msamples/s", "HBM buffer GiB/s"],
+        [
+            [
+                result.links_per_card,
+                f"{result.multilink_nips80_rate / 1e6:.1f}",
+                f"{result.multilink_buffer_gib:.1f}",
+            ]
+        ],
+        title="SectionVII - NIPS80 over HBM-buffered 100G links at line rate",
+    )
+    return rate_table + "\n\n" + summary + "\n\n" + multilink

@@ -10,8 +10,8 @@
   (DDR, soft controllers, per-benchmark core-count constraints).
 * :mod:`repro.platforms.streaming_model` — the 100G in-network
   streaming architecture of [7]: §V-D's one streaming point (line
-  rate ÷ wire bytes), whose line rate :mod:`repro.streaming`'s §VII
-  outlook also reads.
+  rate ÷ wire bytes), whose line rate also sizes the §VII outlook of
+  :mod:`repro.experiments.pcie_outlook` (links one card's HBM buffers).
 """
 
 from repro.platforms.specs import (

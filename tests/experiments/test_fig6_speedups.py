@@ -141,3 +141,17 @@ class TestOutlook:
         text = format_outlook(outlook)
         assert "NIPS80 input demand" in text
         assert "pcie6-x16" in text
+        assert "SectionVII" in text
+
+    def test_sixteen_links_per_card(self, outlook):
+        assert outlook.links_per_card == 16
+
+    def test_multilink_rate_is_links_times_line_rate(self, outlook):
+        assert outlook.multilink_nips80_rate == pytest.approx(
+            16 * PAPER.streaming_nips80_rate, rel=1e-3
+        )
+
+    def test_sixteen_links_fit_hbm_practical_budget(self, outlook):
+        """A full card of buffered links stays under the 384 GiB/s
+        practical HBM total, and genuinely uses most of it."""
+        assert 300 < outlook.multilink_buffer_gib < 384

@@ -9,8 +9,8 @@ from repro.platforms import (
     TESLA_V100,
     XEON_E5_2680_V3,
 )
+from repro.platforms.streaming_model import max_links_for_hbm
 from repro.spn import nips_benchmark, nips_spn
-from repro.units import GIB
 
 
 class TestCpuModel:
@@ -91,3 +91,9 @@ class TestStreamingModel:
     def test_invalid_sample_size_rejected(self):
         with pytest.raises(ReproError):
             STREAMING_100G.samples_per_second(0)
+
+    def test_max_links_accounting(self):
+        """One 100G link's payload is 12.38 GB/s = 11.53 GiB/s; buffering
+        writes and reads it back, so it needs 2 x 11.53 GiB/s, i.e. two
+        12 GiB/s channels; 32 channels buffer 16 links."""
+        assert max_links_for_hbm() == 16
