@@ -204,11 +204,7 @@ def _cmd_serve(args):
     from repro.serving.scenarios import DEFAULT_RATES, run_serve, run_serve_selftest
 
     if args.selftest:
-        return run_serve_selftest(
-            args.benchmark,
-            telemetry_out=args.telemetry_out,
-            trace_out=args.trace_out,
-        )
+        return run_serve_selftest(args.benchmark, trace_out=args.trace_out)
     rates = (
         tuple(float(r) for r in args.rates.split(","))
         if args.rates
@@ -226,8 +222,6 @@ def _cmd_serve(args):
         slo_ms=args.slo_ms,
         n_workers=args.host_workers,
         trace_out=args.trace_out,
-        telemetry_out=args.telemetry_out,
-        metrics_port=args.metrics_port,
     )
     return text
 
@@ -441,24 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also export the serving run (batch + worker spans, "
-        "serving.* counters, sampled per-request flow arrows) as a "
-        "Chrome/Perfetto JSON trace",
-    )
-    serve.add_argument(
-        "--telemetry-out",
-        default=None,
-        metavar="PATH",
-        help="stream telemetry snapshots (metrics + per-stage latency "
-        "histograms + SLO burn state) to this JSON file during the run",
-    )
-    serve.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve live telemetry over HTTP on 127.0.0.1:PORT during "
-        "the sweep (/metrics Prometheus text, /telemetry.json; 0 picks "
-        "a free port)",
+        "serving.* counters, sampled per-request flow arrows, end-of-run "
+        "metrics with per-stage latency histograms) as a Chrome/Perfetto "
+        "JSON trace",
     )
     cache = parser.add_argument_group("cache options")
     cache.add_argument(

@@ -1,11 +1,9 @@
-"""Observability: metrics, tracing, telemetry export, reports.
+"""Observability: metrics, tracing, reports.
 
 See :mod:`repro.obs.metrics` for the registry the simulated components
 update (counters, gauges, time-weighted stats and log-bucketed
 :class:`LogHistogram` latency histograms), :mod:`repro.obs.rtrace` for
 request-scoped tracing through the serving datapath,
-:mod:`repro.obs.exporter` for streaming telemetry snapshots
-(Prometheus text / JSON) and SLO error-budget burn tracking,
 :mod:`repro.obs.report` for the fused :class:`UtilizationReport` and
 :mod:`repro.obs.trace_export` for the one span model — :class:`Span`
 and :class:`SpanRecorder`, shared by simulated-clock and host
@@ -15,12 +13,6 @@ to the paper claim it measures.  The repo's own performance is
 measured by the end-to-end benchmark, ``benchmarks/e2e/run.py``.
 """
 
-from repro.obs.exporter import (
-    PeriodicTelemetryWriter,
-    SLOTracker,
-    TelemetryServer,
-    TelemetrySnapshotter,
-)
 from repro.obs.hist import LogHistogram
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry, TimeWeightedStat
 from repro.obs.report import (
@@ -64,10 +56,6 @@ __all__ = [
     "RequestTrace",
     "RequestTraceRecorder",
     "add_request_flows",
-    "PeriodicTelemetryWriter",
-    "SLOTracker",
-    "TelemetryServer",
-    "TelemetrySnapshotter",
     "ChromeTraceBuilder",
     "Span",
     "SpanRecorder",

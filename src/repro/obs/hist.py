@@ -4,13 +4,11 @@ The load generator used to hoard every latency sample in a Python list
 and reduce it with :func:`repro.serving.loadgen.percentile_summary` at
 the end — fine for a one-second smoke run, hopeless for the ROADMAP's
 "millions of users" arc where a sweep point may answer millions of
-requests, and useless for *streaming* telemetry where percentiles must
-be readable mid-run.  :class:`LogHistogram` replaces the sample list
-with the standard serving-systems answer (HdrHistogram, Prometheus
-native histograms): geometrically spaced buckets over a fixed value
-range, so memory is constant regardless of sample count and two
-histograms recorded independently (per lane, per rate point, per
-process) merge by adding bucket counts.
+requests.  :class:`LogHistogram` replaces the sample list with the
+standard serving-systems answer (HdrHistogram): geometrically spaced
+buckets over a fixed value range, so memory is constant regardless of
+sample count and two histograms recorded independently (per lane, per
+rate point, per process) merge by adding bucket counts.
 
 Accuracy is explicit, not incidental: every bucket spans a fixed ratio
 (``growth``, default ``2 ** (1/16)`` — ≤ 4.5% relative width), and

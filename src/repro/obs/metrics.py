@@ -28,8 +28,9 @@ Metric names are dotted paths (``hbm.ch0.bytes_read``,
 ``pe1.busy_seconds``, ``serving.queue_wait``); the
 :class:`repro.obs.report.UtilizationReport` fuses them with
 :class:`repro.obs.trace_export.SpanRecorder` spans into the paper's
-utilization claims, and :mod:`repro.obs.exporter` streams them out as
-Prometheus-style text or JSON.
+utilization claims, and :class:`repro.obs.trace_export.
+ChromeTraceBuilder` embeds the end-of-run :meth:`MetricsRegistry.
+snapshot` in the Perfetto trace.
 """
 
 from __future__ import annotations

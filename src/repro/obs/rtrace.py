@@ -52,6 +52,7 @@ __all__ = [
     "RequestTrace",
     "RequestTraceRecorder",
     "add_request_flows",
+    "stage_partition_problems",
 ]
 
 #: Stage-boundary stamps every trace carries, in path order.
@@ -75,6 +76,40 @@ STAGE_HISTOGRAMS: Tuple[Tuple[str, str, str], ...] = (
     ("kernel", "kernel_start", "kernel_end"),
     ("scatter", "kernel_end", "complete"),
 )
+
+
+def stage_partition_problems(histograms: Dict[str, dict], n_ok: int) -> List[str]:
+    """What breaks the stage partition in a metrics snapshot; [] if none.
+
+    *histograms* is :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`'s
+    ``"histograms"`` dict, the one a serving trace embeds.  Each stage
+    and ``serving.e2e`` must hold one sample per answered request
+    (*n_ok*), and because every request's stamps telescope the five
+    stage totals must sum to the e2e total up to float rounding
+    (relative 1e-9).  Totals, not medians: medians of a sum do not add,
+    so a median check fails on correct runs whenever the stage
+    distributions are skewed.
+    """
+    stages = [f"serving.{stage}" for stage, _, _ in STAGE_HISTOGRAMS]
+    empty = {"count": 0, "sum": 0.0}
+    summaries = {
+        name: histograms.get(name, empty) for name in stages + ["serving.e2e"]
+    }
+    problems = [
+        f"{name} histogram holds {summary['count']} samples for {n_ok} "
+        "answered requests"
+        for name, summary in summaries.items()
+        if summary["count"] != n_ok
+    ]
+    stage_sum = sum(summaries[name]["sum"] for name in stages)
+    e2e_sum = summaries["serving.e2e"]["sum"]
+    if abs(stage_sum - e2e_sum) > 1e-9 * e2e_sum:
+        problems.append(
+            f"stage totals sum to {stage_sum * 1e3:.6f} ms vs e2e total "
+            f"{e2e_sum * 1e3:.6f} ms (the stages no longer partition "
+            "end-to-end latency)"
+        )
+    return problems
 
 
 class RequestTrace:

@@ -28,7 +28,11 @@ only stores timestamps it is handed).
 the `Chrome Trace Event Format`_ consumed by ``chrome://tracing`` and
 https://ui.perfetto.dev: spans become complete (``ph: "X"``) duration
 events, counters and gauges become counter (``ph: "C"``) events next
-to the spans they explain.
+to the spans they explain.  The registry's end-of-run
+:meth:`~repro.obs.metrics.MetricsRegistry.snapshot` (histogram
+count/sum/quantiles included) rides along under
+``otherData["metrics"]["pid <n>"]``, so one file holds both the
+timeline and the run's final numbers.
 
 **Clock domains.**  Simulated time and host wall-clock time are not
 comparable, so the exporter never mixes them on one track: sim events
@@ -232,6 +236,7 @@ class ChromeTraceBuilder:
         self._events: List[dict] = []
         self._tids: Dict[Tuple[int, str], int] = {}
         self._named_processes: Dict[int, str] = {}
+        self._metrics: Dict[int, dict] = {}
 
     # -- structure --------------------------------------------------------------
     def add_process(self, pid: int, name: str, *, clock: str) -> None:
@@ -423,10 +428,13 @@ class ChromeTraceBuilder:
         Counters get a zero sample at t=0 plus their final value at
         *at_seconds* (the run's elapsed time), so viewers draw a ramp
         over the run; gauges get their final value and, where it
-        differs, their high-water mark as a separate series.
+        differs, their high-water mark as a separate series.  The whole
+        snapshot — time stats and histograms too — is kept for
+        ``otherData["metrics"]["pid <pid>"]``.
         """
         self._announce_default(pid)
         snapshot = metrics.snapshot()
+        self._metrics[pid] = snapshot
         added = 0
         for name, value in snapshot["counters"].items():
             self.add_counter(pid, name, 0.0, at_seconds=0.0)
@@ -468,6 +476,10 @@ class ChromeTraceBuilder:
                 "clock_domains": {
                     f"pid {pid}": clock
                     for pid, clock in sorted(self._named_processes.items())
+                },
+                "metrics": {
+                    f"pid {pid}": snapshot
+                    for pid, snapshot in sorted(self._metrics.items())
                 },
             },
         }

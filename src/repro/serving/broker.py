@@ -676,8 +676,10 @@ class MicroBatchBroker:
         its own enqueue stamp); ``queue_wait``/``dispatch``/``kernel``/
         ``scatter`` are batch-wide boundaries recorded once with the
         batch's row count as weight, so every histogram weighs
-        requests, not batches — that is what makes the five stage
-        medians add up against the e2e median.
+        requests, not batches.  Each request's stage durations
+        telescope to its e2e latency, so the five stage totals sum to
+        the e2e total (up to float rounding) and every stage holds one
+        sample per request; medians do not add and are not compared.
         """
         complete = time.perf_counter()
         sealed = batch.sealed

@@ -20,16 +20,14 @@ Two arrival processes stand in for live traffic:
 Latency is captured per request (send → future resolution, so it
 includes queueing, batching wait and kernel time) into a
 :class:`~repro.obs.hist.LogHistogram` — fixed memory however many
-requests a sweep point answers, readable mid-run for streaming
-telemetry — and a run reduces to a :class:`LoadResult`: offered vs
-delivered load (goodput), shed count *and rate*, p50/p95/p99/p999
-latency, SLO error-budget burn rate
-(:class:`~repro.obs.exporter.SLOTracker`, shed requests burn budget
-too), and the broker's mean batch size.  Percentiles follow the
-*nearest-rank (higher)* convention to within the histogram's bucket
-width (≤ 4.5% relative) — the reference implementation is
-:func:`percentile_summary`, pure and unit-tested against known traces,
-which the histogram is cross-checked against.
+requests a sweep point answers — and a run reduces to a
+:class:`LoadResult`: offered vs delivered load (goodput), shed count
+*and rate*, p50/p95/p99/p999 latency, SLO error-budget burn rate (shed
+requests burn budget too), and the broker's mean batch size.
+Percentiles follow the *nearest-rank (higher)* convention to within
+the histogram's bucket width (≤ 4.5% relative) — the reference
+implementation is :func:`percentile_summary`, pure and unit-tested
+against known traces, which the histogram is cross-checked against.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ServingError, ServingOverloadError
-from repro.obs.exporter import SLOTracker
 from repro.obs.hist import LogHistogram
 from repro.serving.broker import MicroBatchBroker
 
@@ -131,6 +128,21 @@ def percentile_summary(latencies: Sequence[float]) -> Dict[str, float]:
     }
 
 
+def _burn_rate(n_over: int, n_shed: int, n_ok: int) -> float:
+    """Error-budget burn rate of one run against a latency SLO.
+
+    *n_over* of the *n_ok* answered requests took longer than the SLO
+    and *n_shed* more were shed; a shed user is not a served user, so
+    both burn budget.  With a 99% compliance target the budget is 1%
+    of requests over the SLO, and the burn rate is how many times
+    faster than that the run consumed it (1.0 = exactly on budget; the
+    Google SRE workbook convention).  0.0 for a run with no answered
+    or shed requests.
+    """
+    n = n_ok + n_shed
+    return (n_over + n_shed) / n / (1.0 - 0.99) if n else 0.0
+
+
 @dataclass(frozen=True)
 class LoadResult:
     """Reduction of one open-loop run against one broker."""
@@ -195,8 +207,6 @@ async def run_open_loop(
         Sequence[Tuple[Optional[Sequence[int]], Optional[float]]]
     ] = None,
     on_result: Optional[Callable[[int, float], None]] = None,
-    slo_tracker: Optional[SLOTracker] = None,
-    latency_hist: Optional[LogHistogram] = None,
 ) -> LoadResult:
     """Drive *broker* with one pre-drawn arrival trace, open-loop.
 
@@ -216,13 +226,10 @@ async def run_open_loop(
     callers can verify values without closing the loop.
 
     Latencies stream into a fixed-memory
-    :class:`~repro.obs.hist.LogHistogram` (pass *latency_hist* to keep
-    it — e.g. a registry-owned one telemetry exports live — or let the
-    run own a private one).  When *slo_ms* is set, an
-    :class:`~repro.obs.exporter.SLOTracker` accounts every answered
-    *and shed* request against the SLO and the result carries the
-    run's error-budget burn rate; pass *slo_tracker* to share one
-    tracker (and its rolling window) across sweep points.
+    :class:`~repro.obs.hist.LogHistogram`.  When *slo_ms* is set, every
+    answered request slower than it and every shed request count
+    against the SLO, and the result carries the run's error-budget
+    burn rate.
     """
     arrivals = np.asarray(arrivals, dtype=np.float64)
     if arrivals.size == 0:
@@ -233,19 +240,12 @@ async def run_open_loop(
         )
     if query_mix is not None and len(query_mix) == 0:
         raise ServingError("query_mix must be non-empty when given")
+    if slo_ms is not None and slo_ms <= 0:
+        raise ServingError(f"slo_ms must be > 0, got {slo_ms}")
     loop = asyncio.get_running_loop()
     duration = float(arrivals[-1])
-    hist = (
-        latency_hist
-        if latency_hist is not None
-        else LogHistogram(f"{name}.latency")
-    )
-    tracker = slo_tracker
-    if tracker is None and slo_ms is not None:
-        # Run-private tracker: the window must cover the whole run so
-        # the reported burn rate accounts every request it made.
-        tracker = SLOTracker(slo_ms, window_s=duration + 60.0)
-    counts = {"ok": 0, "rejected": 0, "failed": 0}
+    hist = LogHistogram(f"{name}.latency")
+    counts = {"ok": 0, "rejected": 0, "failed": 0, "over": 0}
     start = loop.time()
 
     async def issue(i: int, offset: float, row: np.ndarray) -> None:
@@ -263,16 +263,14 @@ async def run_open_loop(
             )
         except ServingOverloadError:
             counts["rejected"] += 1
-            if tracker is not None:
-                tracker.record_shed()
-        except Exception:  # pragma: no cover - engine failure path
+        except Exception:
             counts["failed"] += 1
         else:
             counts["ok"] += 1
             latency = time.perf_counter() - sent
             hist.record(latency)
-            if tracker is not None:
-                tracker.record(latency)
+            if slo_ms is not None and latency * 1e3 > slo_ms:
+                counts["over"] += 1
             if on_result is not None:
                 on_result(i, value)
 
@@ -301,7 +299,9 @@ async def run_open_loop(
         slo_ms=slo_ms,
         shed_rate=counts["rejected"] / arrivals.size,
         burn_rate=(
-            tracker.state()["burn_rate"] if tracker is not None else None
+            _burn_rate(counts["over"], counts["rejected"], counts["ok"])
+            if slo_ms is not None
+            else None
         ),
     )
 

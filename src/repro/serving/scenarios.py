@@ -12,30 +12,27 @@ Poisson run mixing likelihood, marginal and missing-value queries must
 meet its p99 SLO with zero shed requests **and** return every answer
 bit-identical to the plan evaluator, proving the whole serve path
 (asyncio broker → arena ring → executor lanes → result scatter) and
-its signature-keyed batch isolation end to end in a few seconds.  With
-telemetry on, the selftest additionally cross-checks the per-stage
-latency histograms against the end-to-end one (the stage medians must
-sum close to the e2e median — the decomposition is additive by
-construction) and that sampled requests exported as connected Perfetto
-flows.
+its signature-keyed batch isolation end to end in a few seconds.  The
+selftest also checks the per-stage latency histograms against the
+end-to-end one (the stage totals must sum to the e2e total — the
+decomposition partitions every request exactly) and that sampled
+requests exported as connected Perfetto flows.
 """
 
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ServingError
-from repro.obs.exporter import (
-    PeriodicTelemetryWriter,
-    SLOTracker,
-    TelemetryServer,
-    TelemetrySnapshotter,
-)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.rtrace import STAGE_HISTOGRAMS, RequestTraceRecorder, add_request_flows
+from repro.obs.rtrace import (
+    STAGE_HISTOGRAMS,
+    RequestTraceRecorder,
+    add_request_flows,
+    stage_partition_problems,
+)
 from repro.obs.trace_export import HOST_PID, ChromeTraceBuilder, SpanRecorder
 from repro.serving.broker import MicroBatchBroker
 from repro.serving.loadgen import (
@@ -106,6 +103,21 @@ def _arrival_trace(arrival: str, rate: float, duration_s: float, seed: int):
     )
 
 
+def _write_serving_trace(path, recorder, metrics, rtrace):
+    """Write one serving run's Perfetto trace; ``(summary, n flows)``.
+
+    Host spans, the registry's counters as counter tracks and its
+    end-of-run snapshot under ``otherData["metrics"]``, and the sampled
+    requests as flow arrows.
+    """
+    builder = ChromeTraceBuilder()
+    builder.add_spans(recorder.spans, pid=HOST_PID, category="host")
+    elapsed = max((span.end for span in recorder.spans), default=0.0)
+    builder.add_metrics(metrics, at_seconds=elapsed, pid=HOST_PID)
+    n_requests = add_request_flows(builder, rtrace.traces, epoch=recorder.epoch)
+    return builder.write(path), n_requests
+
+
 def run_serve(
     benchmark: str = "NIPS10",
     *,
@@ -120,8 +132,6 @@ def run_serve(
     n_workers: Optional[int] = 1,
     backend: Optional[str] = None,
     trace_out: Optional[str] = None,
-    telemetry_out: Optional[str] = None,
-    metrics_port: Optional[int] = None,
     trace_sample_every: int = 16,
     seed: int = 7,
 ) -> Tuple[str, List[LoadResult]]:
@@ -136,19 +146,11 @@ def run_serve(
 
     With *trace_out* the run's wall-clock spans — per-lane broker
     batches next to executor worker shards — final ``serving.*``
-    counters **and** 1-in-*trace_sample_every* sampled requests as
-    connected flow arrows are exported as a Chrome/Perfetto JSON file.
-    With *telemetry_out* a JSON telemetry snapshot (metrics registry +
-    per-stage histograms + SLO burn state) is rewritten every 500 ms
-    during the sweep and once at the end; with *metrics_port* a
-    localhost HTTP endpoint serves ``/metrics`` (Prometheus text) and
-    ``/telemetry.json`` live for the duration of the sweep (port 0
-    picks a free port).  When either telemetry sink is active and an
-    SLO is set, one rolling-window :class:`~repro.obs.exporter.
-    SLOTracker` spans the whole sweep — its burn rate is the streaming
-    view; without telemetry each rate point gets a private tracker so
-    the table's ``burn`` column is per-point.  Returns
-    ``(table text, results)``.
+    counters, 1-in-*trace_sample_every* sampled requests as connected
+    flow arrows **and** the sweep's end-of-run metrics snapshot
+    (per-stage latency histograms included, under
+    ``otherData["metrics"]``) are exported as one Chrome/Perfetto JSON
+    file.  Returns ``(table text, results)``.
     """
     from repro.baselines.executor import ParallelPlanExecutor
     from repro.experiments.utilization import host_cpu_batch
@@ -177,57 +179,37 @@ def run_serve(
     # points; per-point numbers come from each broker's own stats) so
     # the exported trace carries exactly one track per serving.* name.
     metrics = MetricsRegistry()
-    telemetry_on = telemetry_out is not None or metrics_port is not None
-    sweep_tracker = (
-        SLOTracker(slo_ms) if telemetry_on and slo_ms is not None else None
-    )
-    writer = server = None
-    if telemetry_on:
-        snapshotter = TelemetrySnapshotter(metrics, slo=sweep_tracker)
-        if telemetry_out is not None:
-            writer = PeriodicTelemetryWriter(
-                snapshotter, telemetry_out, interval_s=0.5
-            ).start()
-        if metrics_port is not None:
-            server = TelemetryServer(snapshotter, port=metrics_port).start()
-    try:
-        with ParallelPlanExecutor(
-            bench.spn,
-            n_workers=n_workers,
-            backend=backend,
-            max_lanes=n_lanes + 1,
-            host_tracer=recorder,
-        ) as executor, _SweepRunner() as runner:
-            for index, rate in enumerate(rates):
-                arrivals = _arrival_trace(arrival, float(rate), duration_s,
-                                          seed + index)
+    with ParallelPlanExecutor(
+        bench.spn,
+        n_workers=n_workers,
+        backend=backend,
+        max_lanes=n_lanes + 1,
+        host_tracer=recorder,
+    ) as executor, _SweepRunner() as runner:
+        for index, rate in enumerate(rates):
+            arrivals = _arrival_trace(arrival, float(rate), duration_s,
+                                      seed + index)
 
-                async def run_point() -> LoadResult:
-                    async with MicroBatchBroker(
-                        executor,
-                        max_batch_rows=max_batch_rows,
-                        max_wait_ms=max_wait_ms,
-                        max_queue_rows=max_queue_rows,
-                        n_lanes=n_lanes,
-                        metrics=metrics,
-                        host_tracer=recorder,
-                        rtrace=rtrace,
-                    ) as broker:
-                        return await run_open_loop(
-                            broker,
-                            data,
-                            arrivals,
-                            name=f"{arrival}@{rate:g}",
-                            slo_ms=slo_ms,
-                            slo_tracker=sweep_tracker,
-                        )
+            async def run_point() -> LoadResult:
+                async with MicroBatchBroker(
+                    executor,
+                    max_batch_rows=max_batch_rows,
+                    max_wait_ms=max_wait_ms,
+                    max_queue_rows=max_queue_rows,
+                    n_lanes=n_lanes,
+                    metrics=metrics,
+                    host_tracer=recorder,
+                    rtrace=rtrace,
+                ) as broker:
+                    return await run_open_loop(
+                        broker,
+                        data,
+                        arrivals,
+                        name=f"{arrival}@{rate:g}",
+                        slo_ms=slo_ms,
+                    )
 
-                results.append(runner.run(run_point()))
-    finally:
-        if writer is not None:
-            writer.stop()
-        if server is not None:
-            server.stop()
+            results.append(runner.run(run_point()))
 
     lines = [
         f"Serving sweep - {benchmark}, {arrival} arrivals, "
@@ -238,38 +220,15 @@ def run_serve(
         "",
         format_load_results(results),
     ]
-    if sweep_tracker is not None:
-        state = sweep_tracker.state()
-        lines.append(
-            f"\nSLO burn rate (rolling {state['window_s']:g} s window, "
-            f"target {state['target'] * 100:g}%): "
-            f"{state['burn_rate']:.2f}x budget "
-            f"({state['window_violations']}/{state['window_requests']} "
-            "over SLO, shed included)"
-        )
     if trace_out is not None:
-        builder = ChromeTraceBuilder()
-        builder.add_spans(recorder.spans, pid=HOST_PID, category="host")
-        elapsed = max((span.end for span in recorder.spans), default=0.0)
-        builder.add_metrics(metrics, at_seconds=elapsed, pid=HOST_PID)
-        n_requests = add_request_flows(
-            builder, rtrace.traces, epoch=recorder.epoch
+        summary, n_requests = _write_serving_trace(
+            trace_out, recorder, metrics, rtrace
         )
-        summary = builder.write(trace_out)
         lines.append(
             f"\nwrote {summary['path']}: {summary['n_events']} events "
             f"({summary['n_spans']} spans, {n_requests} sampled request "
             f"flows of {rtrace.seen} requests) - "
             "open at https://ui.perfetto.dev"
-        )
-    if telemetry_out is not None:
-        lines.append(
-            f"wrote {telemetry_out}: telemetry snapshot x{writer.n_writes} "
-            "(metrics + stage histograms + SLO state)"
-        )
-    if server is not None:
-        lines.append(
-            f"served telemetry at {server.url}/metrics during the sweep"
         )
     return "\n".join(lines), results
 
@@ -297,7 +256,6 @@ SELFTEST_QUERY_MIX: Tuple[
 def run_serve_selftest(
     benchmark: str = "NIPS10",
     *,
-    telemetry_out: Optional[str] = None,
     trace_out: Optional[str] = None,
 ) -> Tuple[str, int]:
     """Short mixed-traffic run with hard assertions; ``(text, exit code)``.
@@ -309,15 +267,16 @@ def run_serve_selftest(
     :func:`~repro.spn.plan_eval.plan_log_likelihood` on the same row
     (proving signature-keyed batch isolation end to end, *with the
     full telemetry stack attached* — tracing must not perturb
-    results), **and** the telemetry itself is coherent: every answered
-    request appears in each per-stage histogram, the five stage
-    medians sum to within 10% of the end-to-end median (the stage
-    decomposition is additive per request), and at least one sampled
-    request completed with a full stamp chain (flow-exportable).
+    results), **and** the telemetry itself is coherent: the stage
+    histograms partition the e2e one
+    (:func:`~repro.obs.rtrace.stage_partition_problems`: one sample per
+    answered request in each, stage totals summing to the e2e total),
+    and at least one sampled request completed with a full stamp chain
+    (flow-exportable).  The stage and e2e medians are printed for
+    information only: medians do not add.
 
-    *telemetry_out* writes the final telemetry JSON snapshot;
     *trace_out* writes the Perfetto trace with the sampled request
-    flows — both are what CI uploads as artifacts.
+    flows and the end-of-run metrics — what CI uploads as an artifact.
     """
     from repro.baselines.executor import ParallelPlanExecutor
     from repro.experiments.utilization import host_cpu_batch
@@ -343,7 +302,6 @@ def run_serve_selftest(
     metrics = MetricsRegistry()
     recorder = SpanRecorder(epoch=time.perf_counter())
     rtrace = RequestTraceRecorder()  # default 1-in-16 sampling
-    slo_tracker = SLOTracker(SELFTEST_SLO_MS, window_s=60.0)
 
     async def run_point() -> LoadResult:
         async with MicroBatchBroker(
@@ -362,7 +320,6 @@ def run_serve_selftest(
                 slo_ms=SELFTEST_SLO_MS,
                 query_mix=SELFTEST_QUERY_MIX,
                 on_result=lambda i, value: answers.__setitem__(i, value),
-                slo_tracker=slo_tracker,
             )
 
     with ParallelPlanExecutor(
@@ -395,33 +352,15 @@ def run_serve_selftest(
             f"{n_wrong}/{len(answers)} answer(s) differ from plan_eval "
             "(signature-keyed batch isolation broken)"
         )
-    # Telemetry coherence: the stage histograms must account for every
-    # answered request, and the additive stage decomposition must
-    # reconstruct the e2e distribution's centre.
-    e2e = metrics.histogram("serving.e2e")
-    stage_p50s = []
-    for stage_name, _, _ in STAGE_HISTOGRAMS:
-        hist = metrics.histogram(f"serving.{stage_name}")
-        if hist.count != result.n_ok:
-            problems.append(
-                f"serving.{stage_name} histogram holds {hist.count} "
-                f"samples for {result.n_ok} answered requests"
-            )
-        stage_p50s.append(hist.p50)
-    if e2e.count != result.n_ok:
-        problems.append(
-            f"serving.e2e histogram holds {e2e.count} samples for "
-            f"{result.n_ok} answered requests"
-        )
-    stage_sum = sum(stage_p50s)
-    if math.isnan(stage_sum) or math.isnan(e2e.p50):
-        problems.append("stage/e2e histograms are empty")
-    elif abs(stage_sum - e2e.p50) > max(0.10 * e2e.p50, 1e-3):
-        problems.append(
-            f"stage medians sum to {stage_sum * 1e3:.2f} ms vs e2e median "
-            f"{e2e.p50 * 1e3:.2f} ms (> 10% apart; the stage decomposition "
-            "no longer partitions end-to-end latency)"
-        )
+    # Telemetry coherence, read from the snapshot the trace embeds: the
+    # stage histograms must partition the e2e one request by request.
+    histograms = metrics.snapshot()["histograms"]
+    problems.extend(stage_partition_problems(histograms, result.n_ok))
+    e2e = histograms["serving.e2e"]
+    stage_p50_sum = sum(
+        histograms[f"serving.{stage}"]["p50"] or 0.0
+        for stage, _, _ in STAGE_HISTOGRAMS
+    )
     n_flows = len(rtrace.completed())
     if not n_flows:
         problems.append(
@@ -431,25 +370,17 @@ def run_serve_selftest(
     verdict = (
         "serve selftest PASS "
         f"({len(answers)} mixed queries bit-identical to plan_eval with "
-        f"telemetry on, stage medians sum "
-        f"{stage_sum * 1e3:.2f} ms ~ e2e p50 {e2e.p50 * 1e3:.2f} ms, "
+        f"telemetry on, stage totals sum to the e2e total "
+        f"{e2e['sum'] * 1e3:.2f} ms; for information, stage medians sum "
+        f"{stage_p50_sum * 1e3:.2f} ms vs e2e p50 "
+        f"{(e2e['p50'] or 0.0) * 1e3:.2f} ms; "
         f"{n_flows} request flows sampled)"
         if not problems
         else "serve selftest FAIL: " + "; ".join(problems)
     )
     lines = [format_load_results([result])]
-    if telemetry_out is not None:
-        snapshotter = TelemetrySnapshotter(metrics, slo=slo_tracker)
-        with open(telemetry_out, "w") as handle:
-            handle.write(snapshotter.to_json())
-        lines.append(f"wrote {telemetry_out}: telemetry snapshot")
     if trace_out is not None:
-        builder = ChromeTraceBuilder()
-        builder.add_spans(recorder.spans, pid=HOST_PID, category="host")
-        elapsed = max((span.end for span in recorder.spans), default=0.0)
-        builder.add_metrics(metrics, at_seconds=elapsed, pid=HOST_PID)
-        add_request_flows(builder, rtrace.traces, epoch=recorder.epoch)
-        summary = builder.write(trace_out)
+        summary, _ = _write_serving_trace(trace_out, recorder, metrics, rtrace)
         lines.append(
             f"wrote {summary['path']}: {summary['n_events']} events "
             f"({summary['n_flows']} flow events)"

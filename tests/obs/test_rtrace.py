@@ -9,7 +9,9 @@ from repro.obs.rtrace import (
     RequestTrace,
     RequestTraceRecorder,
     add_request_flows,
+    stage_partition_problems,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace_export import HOST_PID, ChromeTraceBuilder
 
 
@@ -153,3 +155,44 @@ class TestAddRequestFlows:
         # Stamps are normalised against the epoch (microseconds).
         start = [e for e in events if e["ph"] == "s"]
         assert start[0]["ts"] == pytest.approx(0.0)
+
+
+def _skewed_histograms(*, drop=None):
+    """Five requests; request k spends 10 ms in stage k, 1 ms in each
+    other stage.  Every stage median is 1 ms (sum 5 ms) while every
+    e2e latency is 14 ms.  *drop* = (request, stage) skips one record."""
+    metrics = MetricsRegistry()
+    stages = [name for name, _, _ in STAGE_HISTOGRAMS]
+    for request in range(len(stages)):
+        seconds = [0.010 if k == request else 0.001 for k in range(len(stages))]
+        for stage, value in zip(stages, seconds):
+            if (request, stage) != drop:
+                metrics.histogram(f"serving.{stage}").record(value)
+        metrics.histogram("serving.e2e").record(sum(seconds))
+    return metrics.snapshot()["histograms"]
+
+
+class TestStagePartitionGate:
+    def test_totals_gate_passes_where_the_median_gate_failed(self):
+        histograms = _skewed_histograms()
+        assert stage_partition_problems(histograms, n_ok=5) == []
+        # The median gate this replaced: stage medians within 10% of
+        # the e2e median.  Medians do not add, so it rejects this run.
+        median_sum = sum(
+            histograms[f"serving.{name}"]["p50"] for name, _, _ in STAGE_HISTOGRAMS
+        )
+        e2e_p50 = histograms["serving.e2e"]["p50"]
+        assert abs(median_sum - e2e_p50) > max(0.10 * e2e_p50, 1e-3)
+
+    def test_a_dropped_stage_record_fails(self):
+        problems = stage_partition_problems(
+            _skewed_histograms(drop=(0, "kernel")), n_ok=5
+        )
+        assert any("serving.kernel histogram holds 4" in p for p in problems)
+        assert any("stage totals sum" in p for p in problems)
+
+    def test_a_missing_histogram_fails(self):
+        histograms = _skewed_histograms()
+        del histograms["serving.scatter"]
+        problems = stage_partition_problems(histograms, n_ok=5)
+        assert any("serving.scatter histogram holds 0" in p for p in problems)

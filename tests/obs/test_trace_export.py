@@ -129,6 +129,22 @@ class TestChromeTraceBuilder:
         assert counter["args"]["value"] == 4096.0
         assert counter["ts"] == pytest.approx(1e6)
 
+    def test_metrics_snapshot_rides_in_other_data(self):
+        metrics = MetricsRegistry()
+        metrics.counter("serving.batches").add(3)
+        for value in (0.001, 0.002, 0.004):
+            metrics.histogram("serving.e2e").record(value)
+        builder = ChromeTraceBuilder()
+        builder.add_metrics(metrics, at_seconds=1.0, pid=HOST_PID)
+        trace = json.loads(json.dumps(builder.to_dict()))
+        snapshot = trace["otherData"]["metrics"][f"pid {HOST_PID}"]
+        assert snapshot == json.loads(json.dumps(metrics.snapshot()))
+        assert snapshot["histograms"]["serving.e2e"]["count"] == 3
+        # Histograms are not counter tracks: the events only carry the
+        # counter's 0 -> final ramp.
+        names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "C"}
+        assert names == {"serving.batches"}
+
 
 class TestExportRunTrace:
     def test_needs_at_least_one_source(self, tmp_path):

@@ -9,11 +9,12 @@ low-load p99 respects the SLO.
 """
 
 import asyncio
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import ServingError, ServingOverloadError
 from repro.serving.broker import MicroBatchBroker
 from repro.serving.loadgen import (
     LoadResult,
@@ -215,6 +216,60 @@ class TestOpenLoop:
 
         with pytest.raises(ServingError, match="empty arrival trace"):
             asyncio.run(scenario())
+
+
+class ScriptedBroker:
+    """Broker stand-in answering row *v* (first column) per ``script[v]``:
+    ``"fast"`` at once, ``"slow"`` after 50 ms, ``"shed"`` or ``"fail"``
+    by raising — a latency trace known before the run."""
+
+    def __init__(self, script):
+        self.script = script
+        self.stats = SimpleNamespace(mean_batch_rows=1.0)
+
+    async def submit(self, row, *, marginalized=None, missing_value=None):
+        kind = self.script[int(row[0])]
+        if kind == "shed":
+            raise ServingOverloadError("shed")
+        if kind == "fail":
+            raise RuntimeError("engine failed")
+        if kind == "slow":
+            await asyncio.sleep(0.05)
+        return float(row[0])
+
+
+def drive_script(script, slo_ms=10.0):
+    data = np.arange(float(len(script))).reshape(-1, 1)
+    return asyncio.run(
+        run_open_loop(
+            ScriptedBroker(script), data, np.zeros(len(script)), slo_ms=slo_ms
+        )
+    )
+
+
+class TestBurnRate:
+    def test_burn_rate_follows_the_sre_convention(self):
+        # Target 99% -> 1% budget. 2 of 100 answers over a 10 ms SLO is
+        # a 2% violation rate = burning budget at 2x.
+        result = drive_script(["fast"] * 98 + ["slow"] * 2)
+        assert result.n_ok == 100
+        assert result.burn_rate == pytest.approx(2.0)
+
+    def test_sheds_burn_budget(self):
+        # A shed request is a violation: 1 of 2 is a 50% violation rate.
+        result = drive_script(["fast", "shed"])
+        assert (result.n_ok, result.n_rejected) == (1, 1)
+        assert result.burn_rate == pytest.approx(50.0)
+
+    def test_failed_requests_leave_zero_burn(self):
+        # Failures are neither answered nor shed: nothing to account.
+        result = drive_script(["fail", "fail"])
+        assert result.n_failed == 2
+        assert result.burn_rate == 0.0
+
+    def test_nonpositive_slo_rejected(self):
+        with pytest.raises(ServingError, match="slo_ms"):
+            drive_script(["fast"], slo_ms=0.0)
 
 
 class TestFormatting:

@@ -69,16 +69,13 @@ def test_top_level_all_is_complete():
         assert getattr(repro, name) is not None
 
 
-def test_import_repro_defers_scipy_and_networkx():
-    """``import repro`` must not pay for scipy/networkx (~0.9 s, ~80 MiB):
-    only structure learning and ``SPN.to_networkx`` use them, and they
-    import them where they are called."""
+def _loaded_by_import(module, candidates, top_level=False):
+    """Which of *candidates* a fresh ``import module`` loads (sorted)."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    names = "{m.split('.')[0] for m in sys.modules}" if top_level else "set(sys.modules)"
     code = (
-        "import sys, repro\n"
-        "heavy = sorted({m.split('.')[0] for m in sys.modules} "
-        "& {'scipy', 'networkx'})\n"
-        "print(heavy)\n"
+        f"import sys, {module}\n"
+        f"print(sorted({names} & {set(candidates)!r}))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -86,4 +83,20 @@ def test_import_repro_defers_scipy_and_networkx():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]", result.stdout
+    return result.stdout.strip()
+
+
+def test_import_repro_defers_scipy_and_networkx():
+    """``import repro`` must not pay for scipy/networkx (~0.9 s, ~80 MiB):
+    only structure learning and ``SPN.to_networkx`` use them, and they
+    import them where they are called."""
+    assert _loaded_by_import("repro", {"scipy", "networkx"}, top_level=True) == "[]"
+
+
+def test_import_serving_loads_no_http_stack():
+    """``import repro.serving`` (the e2e ``serve_*`` workloads' import)
+    loads no HTTP server: the Perfetto trace is the one serving
+    artifact, written after the run."""
+    assert _loaded_by_import(
+        "repro.serving", {"http.server", "repro.obs.exporter"}
+    ) == "[]"
