@@ -2,12 +2,13 @@
 
 These benchmarks measure *simulated samples per wall-clock second* —
 how fast the discrete-event simulation itself runs, not the modelled
-device throughput.  Steady-state fast-forwarding collapses uncontended
-double-buffered bursts into one analytic timeout, so the floors below
-sit well above what the burst-granular model can reach (roughly
-1.8e8 sim-samples/s for NIPS10 and 2.4e7 for NIPS80 on the reference
-machine); a regression that silently drops jobs back to the granular
-path fails them immediately.  The CI perf-smoke job runs this file.
+device throughput.  Steady-state fast-forwarding turns each uncontended
+job into one event at a replayed end time, so the floors below sit
+well above what the burst-granular model can reach (1.4e8
+sim-samples/s for NIPS10 and 2.0e7 for NIPS80, best of 3 on a 2-vCPU
+Intel Xeon, Python 3.11); a regression that silently drops jobs back
+to the granular path fails them immediately.  The CI perf-smoke job
+runs this file.
 """
 
 import pytest
@@ -31,9 +32,9 @@ def _simulate(core, n_cores, n_samples):
 @pytest.mark.parametrize(
     "bench_name,floor,modelled_rate",
     [
-        # Floors leave ~3-4x headroom under the reference machine's
-        # measured 1.1e9 (NIPS10) / 1.5e8 (NIPS80) for slower CI hosts,
-        # yet stay above the burst-granular model's ceiling.
+        # Floors leave ~3x headroom under the measured 8.9e8 (NIPS10) /
+        # 1.4e8 (NIPS80) on the same host for slower CI hosts, yet stay
+        # above the burst-granular model's ceiling.
         ("NIPS10", 3.0e8, 6.06e8),
         ("NIPS80", 4.0e7, 1.16e8),
     ],

@@ -22,13 +22,26 @@ Steady-state fast-forwarding
 When the core is the sole master of a plain HBM channel (no crossbar,
 no explicit refresh, engine idle at job start) the whole
 load/compute/store burst schedule is determined by the job parameters
-alone, so instead of advancing the event loop burst by burst the job
-is re-enacted by a scalar emulator (:func:`_emulate_burst_pipeline`)
-that performs *exactly* the same float operations in the same order as
-the discrete-event model, and the core sleeps once until the emulated
-end time via ``Engine.timeout_until``.  The two models are bit-identical
-— equivalence is asserted by ``tests/accel/test_fast_forward.py`` —
-and the fast path is roughly an order of magnitude cheaper.  Setting
+alone.  A scalar emulator (:func:`_emulate_burst_pipeline`) re-enacts
+it with *exactly* the same float operations in the same order as the
+discrete-event model, so its end time is bit-identical.
+
+The emulator runs once per job shape (sample count, sample and result
+widths, clock, request overhead, bandwidth, pipeline depth) and
+records a :class:`_JobSchedule`: the chain of increments that leads
+from the job's start to its end, and the smallest gap it saw between
+its two pending timers.  Later jobs of that shape replay the chain
+from their own start, which is the same float additions in the same
+order.  A replay is accepted only when the recorded gap exceeds four
+times the rounding the two starts can introduce
+(``4 * n * (ulp(T_recorded) + ulp(T_replay))`` for ``n`` additions);
+otherwise the emulator runs again.
+
+A fast-forwarded job is one event: :meth:`SPNAcceleratorCore.start_job`
+takes the idle channel engine at once and returns a timeout at the
+end time whose first callback releases the engine and settles the
+channel counters and the job.  Equivalence with the burst-granular
+model is asserted by ``tests/accel/test_fast_forward.py``.  Setting
 ``burst_granular=True`` on the core (or its device) opts out, which
 the runtime does automatically when a tracer is attached.
 """
@@ -36,7 +49,10 @@ the runtime does automatically when a tracer is attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from math import ulp
+from operator import add
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +80,49 @@ BURST_BYTES = 64 * KIB
 _STAGE_DEPTH = 2
 
 
+class _JobSchedule(NamedTuple):
+    """One job shape's emulated burst schedule, replayable from any start.
+
+    Every timer the emulator sets is ``t_src + K`` for the time
+    ``t_src`` of the event that set it, so the job's end time is one
+    chain of additions from its start: ``end = (((start + k0) + k1) +
+    ...)``.  *increments* is that chain; :meth:`replay` performs the
+    same additions in the same order from a new start.
+    """
+
+    #: End time of the recorded job.
+    end: float
+    n_reads: int
+    n_writes: int
+    #: The chain of increments from the job's start to *end*.
+    increments: Tuple[float, ...]
+    #: Timers the emulator set: a bound on every chain's length.
+    n_additions: int
+    #: Smallest distance seen between the two pending timers (``inf``
+    #: when they were never pending together).
+    gap: float
+
+    def replay(self, start: float) -> Optional[float]:
+        """The end time of this shape's job started at *start*, or
+        ``None`` when rounding could have changed the schedule.
+
+        The outcome of comparing two pending timers depends on *start*
+        only through rounding.  Each of the two chains carries at most
+        ``n/2 * ulp(T)`` error against its exact sum for a job ending
+        at ``T`` (every value on it is <= ``T``), and the exact
+        difference does not depend on *start*, so a comparison's
+        computed difference moves by at most ``n * (ulp(T_recorded) +
+        ulp(T_replay))`` between the recorded job and this one.  With a
+        4x margin on that bound every comparison keeps its outcome (and
+        no exact tie appears), so the replayed schedule is the
+        emulator's and the end time is bit-identical.
+        """
+        end = reduce(add, self.increments, start)
+        if self.gap > 4 * self.n_additions * (ulp(self.end) + ulp(end)):
+            return end
+        return None
+
+
 def _emulate_burst_pipeline(
     n_samples: int,
     sample_bytes: int,
@@ -73,7 +132,7 @@ def _emulate_burst_pipeline(
     bandwidth: float,
     pipeline_depth: int,
     start: float,
-):
+) -> Optional[_JobSchedule]:
     """Scalar re-enactment of the burst-granular load/compute/store job.
 
     Replays the three coroutines of :meth:`SPNAcceleratorCore._run_job`
@@ -103,7 +162,9 @@ def _emulate_burst_pipeline(
     happens for realistic parameters; the guard keeps the fast path
     provably exact).
 
-    Returns ``(end_time, n_reads, n_writes)`` or ``None``.
+    Each timer also carries its chain of increments from *start* (a
+    ``(parent, increment)`` linked list), so the returned
+    :class:`_JobSchedule` can replay the end time from another start.
     """
     samples_per_burst = max(1, BURST_BYTES // sample_bytes)
     flush_threshold = BURST_BYTES // result_bytes
@@ -114,6 +175,7 @@ def _emulate_burst_pipeline(
     # each blocks on its own transfer).
     inflight = None  # "r" | "w"
     inflight_t = 0.0
+    inflight_c = None
     queued = None  # ("r" | "w", n_bytes)
 
     # Loader: chunk currently being read / put.
@@ -129,6 +191,7 @@ def _emulate_burst_pipeline(
     d_processed = 0
     d_phase = None  # None | "fill" | "compute"
     path_t = 0.0
+    path_c = None
 
     # Storer.
     s_waiting = True
@@ -140,11 +203,30 @@ def _emulate_burst_pipeline(
     n_reads = 0
     n_writes = 0
 
+    # Chain of the event being processed, timers set, smallest gap.
+    cur_c = None
+    n_additions = 0
+    gap = float("inf")
+
+    def start_transfer(kind, n_bytes, t):
+        nonlocal inflight, inflight_t, inflight_c, n_additions
+        k = request_overhead + n_bytes / bandwidth
+        inflight = kind
+        inflight_t = t + k
+        inflight_c = (cur_c, k)
+        n_additions += 1
+
+    def start_path(phase, k, t):
+        nonlocal d_phase, path_t, path_c, n_additions
+        d_phase = phase
+        path_t = t + k
+        path_c = (cur_c, k)
+        n_additions += 1
+
     def request_engine(kind, n_bytes, t):
-        nonlocal inflight, inflight_t, queued
+        nonlocal queued
         if inflight is None:
-            inflight = kind
-            inflight_t = t + (request_overhead + n_bytes / bandwidth)
+            start_transfer(kind, n_bytes, t)
         else:
             queued = (kind, n_bytes)
 
@@ -157,16 +239,14 @@ def _emulate_burst_pipeline(
             request_engine("r", l_chunk * sample_bytes, t)
 
     def datapath_receive(chunk, t):
-        nonlocal d_waiting, d_first, d_chunk, d_phase, path_t
+        nonlocal d_waiting, d_first, d_chunk
         d_waiting = False
         d_chunk = chunk
         if d_first:
             d_first = False
-            d_phase = "fill"
-            path_t = t + fill_delay
+            start_path("fill", fill_delay, t)
         else:
-            d_phase = "compute"
-            path_t = t + chunk / clock_hz
+            start_path("compute", chunk / clock_hz, t)
 
     def storer_issue_write(t):
         nonlocal s_waiting, n_writes
@@ -187,15 +267,14 @@ def _emulate_burst_pipeline(
             storer_issue_write(t)
 
     def datapath_continue(t):
-        nonlocal d_processed, d_waiting, d_chunk, d_phase, path_t, l_blocked_put
+        nonlocal d_processed, d_waiting, d_chunk, d_phase, l_blocked_put
         d_processed += d_chunk
         if d_processed >= n_samples:
             d_phase = None
             return
         if buf:
             d_chunk = buf.pop(0)
-            d_phase = "compute"
-            path_t = t + d_chunk / clock_hz
+            start_path("compute", d_chunk / clock_hz, t)
             if l_blocked_put:
                 # The freed slot admits the blocked put; the loader
                 # resumes after the datapath's timer is scheduled.
@@ -217,6 +296,7 @@ def _emulate_burst_pipeline(
         if has_transfer and has_path:
             if inflight_t == path_t:
                 return None  # exact tie: burst-granular cascades needed
+            gap = min(gap, abs(inflight_t - path_t))
             fire_transfer = inflight_t < path_t
         elif has_transfer or has_path:
             fire_transfer = has_transfer
@@ -225,12 +305,13 @@ def _emulate_burst_pipeline(
 
         if fire_transfer:
             t = inflight_t
+            cur_c = inflight_c
             kind = inflight
             # Completion cascade: grant the queued waiter first.
             if queued is not None:
-                inflight, n_bytes = queued
+                queued_kind, n_bytes = queued
                 queued = None
-                inflight_t = t + (request_overhead + n_bytes / bandwidth)
+                start_transfer(queued_kind, n_bytes, t)
             else:
                 inflight = None
             if kind == "r":
@@ -269,9 +350,9 @@ def _emulate_burst_pipeline(
                         break
         else:
             t = path_t
+            cur_c = path_c
             if d_phase == "fill":
-                d_phase = "compute"
-                path_t = t + d_chunk / clock_hz
+                start_path("compute", d_chunk / clock_hz, t)
             else:
                 # Compute done: hand to the storer (consumer first),
                 # then continue the datapath (which may unblock the
@@ -282,7 +363,12 @@ def _emulate_burst_pipeline(
                     cq.append(d_chunk)
                 datapath_continue(t)
 
-    return s_end, n_reads, n_writes
+    increments = []
+    while cur_c is not None:
+        cur_c, k = cur_c
+        increments.append(k)
+    increments.reverse()
+    return _JobSchedule(s_end, n_reads, n_writes, tuple(increments), n_additions, gap)
 
 
 @dataclass(frozen=True)
@@ -353,6 +439,8 @@ class SPNAcceleratorCore:
         #: runtime sets this when a tracer needs burst-level spans; the
         #: equivalence tests use it to pin the reference model.
         self.burst_granular = burst_granular
+        #: Recorded fast-forward schedules, one per job shape.
+        self._schedules: Dict[tuple, _JobSchedule] = {}
         self._busy = False
         self.total_samples = 0
         # Metrics (optional, see repro.obs.metrics): updated once per
@@ -400,6 +488,13 @@ class SPNAcceleratorCore:
         self.registers.set_job(input_addr, result_addr, n_samples)
         self.registers.set_busy(True)
         self._busy = True
+        if self._can_fast_forward():
+            fast = self._job_schedule(n_samples)
+            if fast is not None:
+                end, schedule = fast
+                return self._fast_forward_job(
+                    input_addr, result_addr, n_samples, functional, end, schedule
+                )
         done = Event(self.env)
         self.env.process(
             self._run_job(input_addr, result_addr, n_samples, functional, done),
@@ -443,6 +538,78 @@ class SPNAcceleratorCore:
         engine = channel._engine
         return engine.in_use == 0 and engine.queue_length == 0
 
+    def _job_schedule(self, n_samples: int) -> Optional[Tuple[float, _JobSchedule]]:
+        """End time and schedule of a job of *n_samples* starting now.
+
+        The first job of a shape runs the emulator and records its
+        schedule; later ones replay it.  A replay that cannot be proven
+        exact runs the emulator again.  ``None`` when the emulator hits
+        an exact tie.
+        """
+        channel = self.channel
+        key = (
+            n_samples,
+            self.sample_bytes,
+            self.result_bytes,
+            self.clock_hz,
+            channel.request_overhead,
+            channel.effective_bandwidth,
+            self.core_spec.pipeline_depth,
+        )
+        start = self.env.now
+        schedule = self._schedules.get(key)
+        if schedule is not None:
+            end = schedule.replay(start)
+            if end is not None:
+                return end, schedule
+        schedule = _emulate_burst_pipeline(*key, start)
+        if schedule is None:
+            return None
+        self._schedules.setdefault(key, schedule)
+        return schedule.end, schedule
+
+    def _fast_forward_job(
+        self,
+        input_addr: int,
+        result_addr: int,
+        n_samples: int,
+        functional: bool,
+        end: float,
+        schedule: _JobSchedule,
+    ) -> Event:
+        """The whole job as one event at its end time.
+
+        The channel's command engine is held across the collapsed
+        window, so any unexpected mid-window master waits instead of
+        silently overlapping with traffic the schedule already
+        accounts.  The event's first callback settles the job before
+        any waiter resumes.
+        """
+        start = self.env.now
+        results = self._compute(input_addr, n_samples) if functional else None
+        channel = self.channel
+        engine = channel._engine
+        engine.seize()
+        done = self.env.timeout_until(
+            end, JobResult(n_samples=n_samples, start_time=start, end_time=end)
+        )
+
+        def finish(_event: Event) -> None:
+            engine.release()
+            engine.total_grants += schedule.n_reads + schedule.n_writes
+            channel.account_fast_forward(
+                schedule.n_reads,
+                schedule.n_writes,
+                n_samples * self.sample_bytes,
+                n_samples * self.result_bytes,
+            )
+            if results is not None:
+                self.memory.write_array(result_addr, results)
+            self._complete_job(n_samples, start)
+
+        done.callbacks.append(finish)
+        return done
+
     def _run_job(
         self,
         input_addr: int,
@@ -451,43 +618,10 @@ class SPNAcceleratorCore:
         functional: bool,
         done: Event,
     ):
+        """The burst-granular model: loader, datapath and storer
+        coroutines against the channel, one event per burst."""
         start = self.env.now
         results = self._compute(input_addr, n_samples) if functional else None
-
-        fast = None
-        if self._can_fast_forward():
-            fast = _emulate_burst_pipeline(
-                n_samples,
-                self.sample_bytes,
-                self.result_bytes,
-                self.clock_hz,
-                self.channel.request_overhead,
-                self.channel.effective_bandwidth,
-                self.core_spec.pipeline_depth,
-                start,
-            )
-        if fast is not None:
-            end_time, n_reads, n_writes = fast
-            channel = self.channel
-            # Hold the command engine across the collapsed window so any
-            # unexpected mid-window master waits instead of silently
-            # overlapping with traffic the emulator already accounted.
-            grant = channel._engine.request()
-            yield grant
-            yield self.env.timeout_until(end_time)
-            channel._engine.release()
-            # The hold consumed one grant of its own.
-            channel._engine.total_grants += n_reads + n_writes - 1
-            channel.account_fast_forward(
-                n_reads,
-                n_writes,
-                n_samples * self.sample_bytes,
-                n_samples * self.result_bytes,
-            )
-            if results is not None:
-                self.memory.write_array(result_addr, results)
-            self._complete_job(n_samples, start, done)
-            return
 
         samples_per_burst = max(1, BURST_BYTES // self.sample_bytes)
         loaded = Channel(self.env, capacity=_STAGE_DEPTH, name=f"core{self.index}-samples")
@@ -548,9 +682,10 @@ class SPNAcceleratorCore:
         # Functional completion: results land in the backing store.
         if results is not None:
             self.memory.write_array(result_addr, results)
-        self._complete_job(n_samples, start, done)
+        self._complete_job(n_samples, start)
+        done.succeed(JobResult(n_samples=n_samples, start_time=start, end_time=self.env.now))
 
-    def _complete_job(self, n_samples: int, start: float, done: Event) -> None:
+    def _complete_job(self, n_samples: int, start: float) -> None:
         """Shared completion bookkeeping of both timing paths."""
         if self._m_jobs is not None:
             self._m_jobs.add(1)
@@ -559,4 +694,3 @@ class SPNAcceleratorCore:
         self.total_samples += n_samples
         self._busy = False
         self.registers.set_busy(False)
-        done.succeed(JobResult(n_samples=n_samples, start_time=start, end_time=self.env.now))

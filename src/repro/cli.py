@@ -32,6 +32,7 @@ excluded from ``all``: it measures live wall-clock behaviour.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict
 
@@ -465,16 +466,32 @@ def main(argv=None) -> int:
         names = [args.artifact]
     exit_code = 0
     for index, name in enumerate(names):
-        if index:
-            print("\n" + "=" * 72 + "\n")
+        if index and not _write("\n" + "=" * 72 + "\n"):
+            return 1
         result = _COMMANDS[name](args)
         if isinstance(result, tuple):
             text, code = result
             exit_code = exit_code or code
         else:
             text = result
-        print(text)
+        if not _write(text):
+            return 1
     return exit_code
+
+
+def _write(text: str) -> bool:
+    """Print *text* to stdout; False when the reader has closed it.
+
+    A reader that stops early (``repro trace ... | head -2``) is not an
+    error worth a traceback.  Stdout is pointed at ``os.devnull`` so the
+    interpreter's exit-time flush cannot raise again.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -178,7 +178,8 @@ def run_serve(
     # One registry for the whole sweep (counters accumulate across rate
     # points; per-point numbers come from each broker's own stats) so
     # the exported trace carries exactly one track per serving.* name.
-    metrics = MetricsRegistry()
+    # Only the trace reads it, so without one no broker records into it.
+    metrics = MetricsRegistry() if trace_out is not None else None
     with ParallelPlanExecutor(
         bench.spn,
         n_workers=n_workers,

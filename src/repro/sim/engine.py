@@ -320,24 +320,12 @@ class Engine:
         lands bit-exactly on *time*: no ``now + delay`` float addition
         is performed.  The fast-forward path uses this to reproduce the
         burst-granular model's timings without accumulating rounding
-        differences.
+        differences.  The event is never recycled, so the caller may
+        keep it and read its value after it has been processed.
         """
         if time < self._now:
             raise SimulationError(f"timeout_until {time} is in the past (now={self._now})")
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev.callbacks = []
-            ev._scheduled = False
-            ev._value = value
-            ev._ok = True
-            ev.delay = time - self._now
-        else:
-            ev = Timeout(self, time - self._now, value, _at=time)
-            ev._reusable = True
-            return ev
-        self._schedule_at(ev, time)
-        return ev
+        return Timeout(self, time - self._now, value, _at=time)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a coroutine as a simulation process."""

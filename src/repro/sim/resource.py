@@ -61,6 +61,16 @@ class SimResource:
             self._waiters.append(event)
         return event
 
+    def seize(self) -> None:
+        """Take one idle unit at once: no grant event, no grant counted.
+
+        For a holder that accounts its own grants (the accelerator
+        core's fast-forwarded job).  Raises when no unit is idle.
+        """
+        if self._in_use >= self.capacity or self._waiters:
+            raise SimulationError(f"seize on busy resource {self.name!r}")
+        self._in_use += 1
+
     def release(self) -> None:
         """Return one unit, waking the oldest waiter if any."""
         if self._in_use <= 0:

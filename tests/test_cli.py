@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -109,3 +115,21 @@ def test_cache_command_reports_and_prunes(tmp_path, monkeypatch, capsys):
     assert main(["cache", "--prune", "--max-bytes", "0"]) == 0
     stdout = capsys.readouterr().out
     assert "removed 0" in stdout
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    """A reader that closes early (``repro ... | head``) gets exit 1, no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "fig5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=tmp_path,
+        env=env,
+    )
+    # Close the read end before the child has written anything: its
+    # first print then meets a broken pipe.
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    assert b"Traceback" not in stderr, stderr.decode()
+    assert proc.returncode == 1
