@@ -28,18 +28,18 @@ def nips80_setup():
     return bench.spn, data
 
 
-def test_bench_vectorised_inference_nips80(benchmark, nips80_setup):
+def test_bench_vectorised_inference_nips80(benchmark, timed_seconds, nips80_setup):
     """Batch log-likelihood on the largest benchmark SPN."""
     spn, data = nips80_setup
     result = benchmark(log_likelihood, spn, data)
     assert np.all(np.isfinite(result))
-    samples_per_second = len(data) / benchmark.stats.stats.mean
+    samples_per_second = len(data) / timed_seconds("mean")
     # Regression floor: log_likelihood now routes through the compiled
     # plan backend, so the bar is 10x the old graph-walk floor.
     assert samples_per_second > 1e5
 
 
-def test_bench_plan_vs_graph_walk_nips80(benchmark, nips80_setup):
+def test_bench_plan_vs_graph_walk_nips80(benchmark, timed_seconds, nips80_setup):
     """Compiled-plan speedup over the per-node reference walk.
 
     Locks in the tentpole win: the plan evaluator must stay >= 5x
@@ -59,21 +59,21 @@ def test_bench_plan_vs_graph_walk_nips80(benchmark, nips80_setup):
 
     plan_result = benchmark(plan_log_likelihood, plan, data)
     np.testing.assert_allclose(plan_result, walk_result, rtol=1e-10)
-    speedup = walk_seconds / benchmark.stats.stats.min
+    speedup = walk_seconds / timed_seconds("min")
     assert speedup >= 5.0, f"plan speedup regressed to {speedup:.2f}x"
 
 
-def test_bench_cfp_quantisation(benchmark):
+def test_bench_cfp_quantisation(benchmark, timed_seconds):
     """CFP quantisation throughput (values/s)."""
     rng = np.random.default_rng(1)
     values = rng.uniform(1e-30, 1.0, size=1_000_000)
     out = benchmark(PAPER_CFP.quantize, values)
     assert out.shape == values.shape
-    values_per_second = len(values) / benchmark.stats.stats.mean
+    values_per_second = len(values) / timed_seconds("mean")
     assert values_per_second > 1e6
 
 
-def test_bench_des_event_rate(benchmark):
+def test_bench_des_event_rate(benchmark, timed_seconds):
     """Raw DES throughput: timeout events processed per second."""
 
     def run():
@@ -88,7 +88,7 @@ def test_bench_des_event_rate(benchmark):
 
     eng = benchmark(run)
     assert eng.now == 20_000.0
-    events_per_second = 20_000 / benchmark.stats.stats.mean
+    events_per_second = 20_000 / timed_seconds("mean")
     assert events_per_second > 1e4
 
 

@@ -4,7 +4,7 @@ A full-system Python reproduction of *"Exploiting High-Bandwidth
 Memory for FPGA-Acceleration of Inference on Sum-Product Networks"*
 (Weber, Wirth, Sommer, Koch — IPDPS-W 2022): the SPN model class and
 toolflow, the hardware datapath compiler with per-format operator
-models, burst-granular HBM/DDR/PCIe simulation substrates, the
+models, burst-granular HBM/PCIe simulation substrates, the
 multi-core accelerator and its multi-threaded host runtime, the
 baseline platform models, and an experiment harness regenerating every
 table and figure of the paper's evaluation.

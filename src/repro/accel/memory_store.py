@@ -6,11 +6,11 @@ tests can compare against the software reference.  Keeping the two
 concerns separate means a model's timing behaviour never depends on
 whether payloads are materialised.
 
-Storage is **page-sparse**: a device region covers gigabytes (16 GiB
-per F1 DDR channel) but a simulation only ever touches the buffers the
-runtime allocates, so pages materialise on first write and reads of
-untouched space return zeros — like the zero-initialised DRAM a fresh
-allocation sees.
+Storage is **page-sparse**: a device region covers a whole HBM
+pseudo-channel (256 MiB on the XUP-VVH) but a simulation only ever
+touches the buffers the runtime allocates, so pages materialise on
+first write and reads of untouched space return zeros — like the
+zero-initialised DRAM a fresh allocation sees.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from repro.compiler.operators import (
 )
 from repro.compiler.datapath import Datapath, DatapathNode, build_datapath
 from repro.compiler.schedule import PipelineSchedule, schedule_datapath
-from repro.compiler.resources import ResourceVector, DeviceResources, ResourceReport
+from repro.compiler.resources import ResourceVector, DeviceResources
 from repro.compiler.frequency import achievable_frequency
 from repro.compiler.design import AcceleratorDesign, CoreSpec, compile_core, compose_design
 from repro.compiler.cgen import CODEGEN_VERSION, generate_kernel_source
@@ -64,7 +64,6 @@ __all__ = [
     "schedule_datapath",
     "ResourceVector",
     "DeviceResources",
-    "ResourceReport",
     "achievable_frequency",
     "AcceleratorDesign",
     "CoreSpec",

@@ -14,7 +14,6 @@ This module is platform-agnostic; the concrete platform descriptions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.compiler.datapath import Datapath, build_datapath
 from repro.compiler.frequency import achievable_frequency
@@ -170,7 +169,6 @@ def compose_design(
     n_cores: int,
     platform: PlatformResources,
     *,
-    n_memory_controllers: Optional[int] = None,
     check_fit: bool = True,
 ) -> AcceleratorDesign:
     """Replicate *core* and fit the design onto *platform*.
@@ -181,24 +179,16 @@ def compose_design(
         The accelerator core and its replication factor.
     platform:
         Target platform resource model.
-    n_memory_controllers:
-        Memory controller instances; defaults to one per core (the
-        paper's HBM design dedicates one channel per core; the prior
-        work traded controllers against cores).
     check_fit:
         When true, raise :class:`~repro.errors.ResourceFitError` if the
         design exceeds the routability limit.
     """
     if n_cores < 1:
         raise CompilerError(f"n_cores must be >= 1, got {n_cores}")
-    if n_memory_controllers is None:
-        n_memory_controllers = n_cores
-    if n_memory_controllers < 1:
-        raise CompilerError("designs need at least one memory controller")
     total = (
         platform.base_infrastructure
         + n_cores * (core.resources + platform.per_core_memory_path)
-        + n_memory_controllers * platform.memory_controller
+        + n_cores * platform.memory_controller
     )
     if check_fit:
         platform.device.check_fit(total, max_utilisation=ROUTABILITY_LIMIT)
@@ -206,9 +196,7 @@ def compose_design(
         core.library.nominal_fmax_mhz,
         total,
         platform.device,
-        soft_memory_controllers=(
-            n_memory_controllers if platform.soft_memory_controllers else 0
-        ),
+        soft_memory_controllers=n_cores if platform.soft_memory_controllers else 0,
         target_mhz=platform.target_clock_mhz,
     )
     return AcceleratorDesign(

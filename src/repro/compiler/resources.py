@@ -9,12 +9,12 @@ checks fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable
 
 from repro.errors import ResourceFitError
 
-__all__ = ["ResourceVector", "DeviceResources", "ResourceReport"]
+__all__ = ["ResourceVector", "DeviceResources"]
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,3 @@ class DeviceResources:
             raise ResourceFitError(
                 f"design exceeds {max_utilisation:.0%} of {self.name}: {detail}"
             )
-
-
-@dataclass(frozen=True)
-class ResourceReport:
-    """A named resource total with its context (Table I row)."""
-
-    label: str
-    used: ResourceVector
-    device: DeviceResources
-
-    @property
-    def utilisation(self) -> Dict[str, float]:
-        """Fractional utilisation per column."""
-        return self.device.utilisation(self.used)

@@ -14,7 +14,6 @@
 from repro.host.pcie import DmaEngine
 from repro.host.memory_manager import DeviceMemoryManager, MemoryBlockAllocator
 from repro.host.device import SimulatedDevice
-from repro.host.f1_device import F1DmaEngine, F1SimulatedDevice
 from repro.host.runtime import InferenceJobConfig, InferenceRuntime, RunStatistics
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "DeviceMemoryManager",
     "MemoryBlockAllocator",
     "SimulatedDevice",
-    "F1SimulatedDevice",
-    "F1DmaEngine",
     "InferenceJobConfig",
     "InferenceRuntime",
     "RunStatistics",

@@ -190,7 +190,7 @@ class InferenceRuntime:
         dma_before = (device.dma.bytes_to_device, device.dma.bytes_from_device)
 
         tracer = self.tracer
-        metrics = getattr(device, "metrics", None)
+        metrics = device.metrics
         dispatch_counters = (
             [metrics.counter(f"pe{i}.dispatch_seconds") for i in range(n_pes)]
             if metrics is not None

@@ -1,4 +1,4 @@
-"""Memory-substrate models: HBM, DDR4, traffic generators.
+"""Memory-substrate models: HBM and its traffic generators.
 
 These models are burst-granular discrete-event components (see
 DESIGN.md §6) plus matching closed-form throughput functions.  The HBM
@@ -11,16 +11,12 @@ throughput" equivalence the architecture relies on (§II-B/IV-A), which
 """
 
 from repro.mem.hbm import HBMChannel, HBMSubsystem, channel_throughput
-from repro.mem.ddr import DDRChannel, DDR4_2400_SPEC, DDRSpec
 from repro.mem.traffic import LinearTrafficGenerator, TrafficResult, run_channel_benchmark
 
 __all__ = [
     "HBMChannel",
     "HBMSubsystem",
     "channel_throughput",
-    "DDRChannel",
-    "DDRSpec",
-    "DDR4_2400_SPEC",
     "LinearTrafficGenerator",
     "TrafficResult",
     "run_channel_benchmark",

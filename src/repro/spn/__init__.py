@@ -55,9 +55,7 @@ from repro.spn.learning import LearnSPNConfig, learn_spn
 from repro.spn.random_gen import random_spn
 from repro.spn.nips import NIPS_BENCHMARKS, nips_spn, nips_benchmark
 from repro.spn.stats import SPNStats, compute_stats
-from repro.spn.mpe import max_log_likelihood, mpe
 from repro.spn.sampling import sample
-from repro.spn.em import em_step, fit_em
 from repro.spn.queries import RangeBox, expectation, probability_of_box
 from repro.spn.transform import contract, prune
 
@@ -98,11 +96,7 @@ __all__ = [
     "nips_benchmark",
     "SPNStats",
     "compute_stats",
-    "max_log_likelihood",
-    "mpe",
     "sample",
-    "em_step",
-    "fit_em",
     "RangeBox",
     "probability_of_box",
     "expectation",

@@ -1,4 +1,4 @@
-"""Unit constants and conversion helpers used across the library.
+"""Unit constants and the alignment helper used across the library.
 
 The paper mixes SI and binary prefixes (GB/s vs GiB/s) and bit- vs
 byte-denominated rates.  Centralising the constants here keeps every
@@ -6,8 +6,7 @@ model honest about which unit it is using and makes conversions explicit
 at call sites instead of burying magic factors inside models.
 
 All simulation time is kept in **seconds** (float) and all clocked
-component math in **cycles** (int) with an explicit frequency; the
-helpers below convert between the two.
+component math in **cycles** (int) with an explicit frequency.
 """
 
 from __future__ import annotations
@@ -34,50 +33,9 @@ US = 1.0e-6
 MS = 1.0e-3
 
 
-def bytes_per_second_from_bits(bits_per_second: float) -> float:
-    """Convert a bit-denominated rate (e.g. 100 Gb/s links) to bytes/s."""
-    return bits_per_second / 8.0
-
-
-def gib_per_s(value_bytes_per_s: float) -> float:
-    """Express a bytes/s rate in GiB/s (the paper's practical unit)."""
-    return value_bytes_per_s / GIB
-
-
-def gb_per_s(value_bytes_per_s: float) -> float:
-    """Express a bytes/s rate in GB/s (the vendor-quote unit)."""
-    return value_bytes_per_s / GB
-
-
-def cycles_to_seconds(cycles: float, frequency_hz: float) -> float:
-    """Duration of *cycles* clock cycles at *frequency_hz*."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return cycles / frequency_hz
-
-
-def seconds_to_cycles(seconds: float, frequency_hz: float) -> float:
-    """Number of clock cycles elapsing in *seconds* at *frequency_hz*."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return seconds * frequency_hz
-
-
 def align_up(value: int, alignment: int) -> int:
     """Round *value* up to the next multiple of *alignment* (power of two
     not required)."""
     if alignment <= 0:
         raise ValueError(f"alignment must be positive, got {alignment}")
     return ((value + alignment - 1) // alignment) * alignment
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round *value* down to the previous multiple of *alignment*."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    return (value // alignment) * alignment
-
-
-def is_power_of_two(value: int) -> bool:
-    """True iff *value* is a positive power of two."""
-    return value > 0 and (value & (value - 1)) == 0

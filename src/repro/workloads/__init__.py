@@ -15,8 +15,6 @@ from repro.workloads.datasets import (
     Dataset,
     encode_samples,
     decode_results,
-    batch_iterator,
-    train_test_split,
 )
 
 __all__ = [
@@ -25,6 +23,4 @@ __all__ = [
     "Dataset",
     "encode_samples",
     "decode_results",
-    "batch_iterator",
-    "train_test_split",
 ]

@@ -13,7 +13,7 @@ same code the functional path uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
     "Dataset",
     "encode_samples",
     "decode_results",
-    "batch_iterator",
-    "train_test_split",
     "RESULT_BYTES",
 ]
 
@@ -91,33 +89,3 @@ def decode_results(payload: bytes, n_samples: Optional[int] = None) -> np.ndarra
     if n_samples is not None and len(out) != n_samples:
         raise ReproError(f"expected {n_samples} results, got {len(out)}")
     return out
-
-
-def batch_iterator(
-    data: np.ndarray, batch_size: int
-) -> Iterator[np.ndarray]:
-    """Yield contiguous row batches of at most *batch_size* rows.
-
-    Views, not copies — the guide's "be easy on the memory" rule; the
-    encoder copies once when packing bytes.
-    """
-    if batch_size < 1:
-        raise ReproError(f"batch_size must be >= 1, got {batch_size}")
-    data = np.asarray(data)
-    for start in range(0, data.shape[0], batch_size):
-        yield data[start: start + batch_size]
-
-
-def train_test_split(
-    data: np.ndarray, test_fraction: float = 0.2, seed: int = 0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Shuffle rows and split into (train, test) by *test_fraction*."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ReproError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    data = np.asarray(data)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(data.shape[0])
-    cut = int(round(data.shape[0] * (1.0 - test_fraction)))
-    if cut == 0 or cut == data.shape[0]:
-        raise ReproError("split produced an empty train or test partition")
-    return data[order[:cut]], data[order[cut:]]

@@ -10,6 +10,7 @@ from repro.errors import MemoryModelError, RuntimeConfigError
 from repro.mem import HBMChannel
 from repro.sim import Engine
 from repro.spn import log_likelihood, random_spn
+from repro.units import GIB, MIB
 from repro.workloads import encode_samples
 
 
@@ -44,6 +45,22 @@ class TestChannelMemory:
         values = np.array([-1.5, 2.25, 3.0])
         mem.write_array(0, values)
         np.testing.assert_array_equal(mem.read_array(0, np.float64, 3), values)
+
+    def test_large_region_stays_sparse(self):
+        memory = ChannelMemory(16 * GIB)
+        memory.write(12 * GIB, b"deep write")
+        assert memory.read(12 * GIB, 10) == b"deep write"
+        assert memory.resident_bytes < 1 * MIB
+
+    def test_untouched_space_reads_zero(self):
+        memory = ChannelMemory(1 * GIB)
+        assert memory.read(500 * 1024 * 1024, 16) == bytes(16)
+
+    def test_cross_page_write(self):
+        memory = ChannelMemory(1 * MIB)
+        payload = bytes(range(256)) * 1024  # 256 KiB spanning pages
+        memory.write(1000, payload)
+        assert memory.read(1000, len(payload)) == payload
 
 
 class TestFunctionalPath:

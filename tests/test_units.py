@@ -1,4 +1,4 @@
-"""Unit tests for unit constants and conversion helpers."""
+"""Unit tests for unit constants and the alignment helper."""
 
 import pytest
 
@@ -17,41 +17,9 @@ def test_si_prefixes_differ_from_binary():
     assert units.GIB > units.GB
 
 
-def test_bits_to_bytes():
-    assert units.bytes_per_second_from_bits(100e9) == pytest.approx(12.5e9)
-
-
-def test_gib_and_gb_views():
-    assert units.gib_per_s(units.GIB) == 1.0
-    assert units.gb_per_s(units.GB) == 1.0
-    # The paper's 460 GB/s is ~428 GiB/s.
-    assert units.gib_per_s(460 * units.GB) == pytest.approx(428.4, rel=0.01)
-
-
-def test_cycle_time_conversions_inverse():
-    assert units.cycles_to_seconds(225, 225e6) == pytest.approx(1e-6)
-    assert units.seconds_to_cycles(1e-6, 225e6) == pytest.approx(225)
-    with pytest.raises(ValueError):
-        units.cycles_to_seconds(1, 0)
-    with pytest.raises(ValueError):
-        units.seconds_to_cycles(1, -1)
-
-
-def test_align_up_down():
+def test_align_up():
     assert units.align_up(1, 4096) == 4096
     assert units.align_up(4096, 4096) == 4096
     assert units.align_up(4097, 4096) == 8192
-    assert units.align_down(4097, 4096) == 4096
-    assert units.align_down(4095, 4096) == 0
     with pytest.raises(ValueError):
         units.align_up(1, 0)
-    with pytest.raises(ValueError):
-        units.align_down(1, -2)
-
-
-def test_is_power_of_two():
-    assert units.is_power_of_two(1)
-    assert units.is_power_of_two(4096)
-    assert not units.is_power_of_two(0)
-    assert not units.is_power_of_two(3)
-    assert not units.is_power_of_two(-8)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.workloads import (
-    Dataset,
-    batch_iterator,
-    decode_results,
-    encode_samples,
-    train_test_split,
-)
+from repro.workloads import Dataset, decode_results, encode_samples
 
 
 class TestEncoding:
@@ -61,47 +55,3 @@ class TestDataset:
     def test_rejects_non_2d(self):
         with pytest.raises(ReproError):
             Dataset("d", np.zeros(5))
-
-
-class TestBatchIterator:
-    def test_covers_all_rows_in_order(self):
-        data = np.arange(10)[:, np.newaxis]
-        batches = list(batch_iterator(data, 3))
-        assert [len(b) for b in batches] == [3, 3, 3, 1]
-        np.testing.assert_array_equal(np.concatenate(batches), data)
-
-    def test_batches_are_views(self):
-        data = np.arange(10)[:, np.newaxis]
-        first = next(iter(batch_iterator(data, 4)))
-        assert first.base is not None
-        assert np.shares_memory(first, data)
-
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(ReproError):
-            list(batch_iterator(np.zeros((4, 1)), 0))
-
-
-class TestSplit:
-    def test_partition_sizes(self):
-        data = np.arange(100)[:, np.newaxis]
-        train, test = train_test_split(data, test_fraction=0.2, seed=1)
-        assert len(train) == 80
-        assert len(test) == 20
-
-    def test_partitions_disjoint_and_complete(self):
-        data = np.arange(50)[:, np.newaxis]
-        train, test = train_test_split(data, 0.3, seed=2)
-        merged = sorted(np.concatenate([train, test]).ravel().tolist())
-        assert merged == list(range(50))
-
-    def test_deterministic(self):
-        data = np.arange(30)[:, np.newaxis]
-        a = train_test_split(data, 0.5, seed=9)
-        b = train_test_split(data, 0.5, seed=9)
-        np.testing.assert_array_equal(a[0], b[0])
-
-    def test_invalid_fraction_rejected(self):
-        with pytest.raises(ReproError):
-            train_test_split(np.zeros((10, 1)), 0.0)
-        with pytest.raises(ReproError):
-            train_test_split(np.zeros((10, 1)), 1.0)
