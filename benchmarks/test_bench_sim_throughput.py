@@ -3,12 +3,13 @@
 These benchmarks measure *simulated samples per wall-clock second* —
 how fast the discrete-event simulation itself runs, not the modelled
 device throughput.  Steady-state fast-forwarding turns each uncontended
-job into one event at a replayed end time, so the floors below sit
-well above what the burst-granular model can reach (1.4e8
-sim-samples/s for NIPS10 and 2.0e7 for NIPS80, best of 3 on a 2-vCPU
-Intel Xeon, Python 3.11); a regression that silently drops jobs back
-to the granular path fails them immediately.  The CI perf-smoke job
-runs this file.
+job into one event at a replayed end time, and each host transfer is
+one event at its closed-form completion time, so the floors below sit
+well above what the burst-granular model can reach (1.5e8-2.2e8
+sim-samples/s for NIPS10 and 2.7e7-3.1e7 for NIPS80, best of 3 on a
+2-vCPU Intel Xeon, Python 3.11); a regression that silently drops jobs
+back to the granular path fails them immediately.  The CI perf-smoke
+job runs this file.
 """
 
 import pytest
@@ -32,11 +33,11 @@ def _simulate(core, n_cores, n_samples):
 @pytest.mark.parametrize(
     "bench_name,floor,modelled_rate",
     [
-        # Floors leave ~3x headroom under the measured 8.9e8 (NIPS10) /
-        # 1.4e8 (NIPS80) on the same host for slower CI hosts, yet stay
+        # Floors leave ~3x headroom under the measured 1.8e9 (NIPS10) /
+        # 2.8e8 (NIPS80) on the same host for slower CI hosts, yet stay
         # above the burst-granular model's ceiling.
-        ("NIPS10", 3.0e8, 6.06e8),
-        ("NIPS80", 4.0e7, 1.16e8),
+        ("NIPS10", 6.0e8, 6.06e8),
+        ("NIPS80", 9.0e7, 1.16e8),
     ],
 )
 def test_bench_sim_throughput(benchmark, timed_seconds, bench_name, floor, modelled_rate):

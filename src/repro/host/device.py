@@ -145,17 +145,14 @@ class SimulatedDevice:
     def copy_to_device(self, pe: int, address: int, payload: bytes) -> Event:
         """DMA *payload* into the PE's HBM block; yields on completion.
 
-        Functional write happens on completion so that a job launched
-        after yielding this event sees the data.
+        Functional write happens on completion (the event's first
+        callback) so that a job launched after yielding this event sees
+        the data.
         """
-        done = Event(self.env)
-        self.env.process(self._h2d(pe, address, payload, done), name="h2d")
+        done = self.dma.copy_to_device(len(payload))
+        memory = self.memories[pe]
+        done.callbacks.append(lambda _event: memory.write(address, payload))
         return done
-
-    def _h2d(self, pe: int, address: int, payload: bytes, done: Event):
-        yield self.dma.copy_to_device(len(payload))
-        self.memories[pe].write(address, payload)
-        done.succeed(None)
 
     def dma_h2d_timed(self, pe: int, n_bytes: int) -> Event:
         """Timing-only host-to-device transfer (shared DMA engine)."""
@@ -166,14 +163,19 @@ class SimulatedDevice:
         return self.dma.copy_from_device(n_bytes)
 
     def copy_from_device(self, pe: int, address: int, n_bytes: int) -> Event:
-        """DMA out of the PE's HBM block; yields with the bytes."""
-        done = Event(self.env)
-        self.env.process(self._d2h(pe, address, n_bytes, done), name="d2h")
-        return done
+        """DMA out of the PE's HBM block; yields with the bytes.
 
-    def _d2h(self, pe: int, address: int, n_bytes: int, done: Event):
-        yield self.dma.copy_from_device(n_bytes)
-        done.succeed(self.memories[pe].read(address, n_bytes))
+        The bytes are read on completion, by the event's first
+        callback, which sets the value its waiters resume with.
+        """
+        done = self.dma.copy_from_device(n_bytes)
+        memory = self.memories[pe]
+
+        def read(event: Event) -> None:
+            event._value = memory.read(address, n_bytes)
+
+        done.callbacks.append(read)
+        return done
 
     def launch(
         self,

@@ -18,6 +18,7 @@ independence of the blocks themselves).
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Dict, List, Tuple
 
 from repro.errors import AllocationError
@@ -102,16 +103,17 @@ class MemoryBlockAllocator:
             if self._m_frees is not None:
                 self._m_frees.add(1)
                 self._m_allocated.add(-size)
-            # Insert sorted and coalesce with neighbours.
-            self._free.append((address, size))
-            self._free.sort()
-            merged: List[Tuple[int, int]] = []
-            for addr, sz in self._free:
-                if merged and merged[-1][0] + merged[-1][1] == addr:
-                    merged[-1] = (merged[-1][0], merged[-1][1] + sz)
-                else:
-                    merged.append((addr, sz))
-            self._free = merged
+            # The free list is sorted and fully coalesced, so the freed
+            # range can only touch the two ranges around its slot.
+            free = self._free
+            index = bisect_left(free, (address, 0))
+            if index < len(free) and address + size == free[index][0]:
+                size += free[index][1]
+                del free[index]
+            if index and free[index - 1][0] + free[index - 1][1] == address:
+                free[index - 1] = (free[index - 1][0], free[index - 1][1] + size)
+            else:
+                free.insert(index, (address, size))
 
     @property
     def bytes_allocated(self) -> int:

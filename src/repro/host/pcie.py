@@ -9,7 +9,13 @@ host-to-device bytes cost 1.0, device-to-host bytes cost
 latency (descriptor ring, doorbell, completion interrupt).
 
 The engine is the paper's measured bottleneck; every end-to-end
-experiment exercises this model.
+experiment exercises this model.  It is a FIFO rate server behind a
+fixed setup delay, so a transfer's completion time is known when it is
+requested: the setup delay is the same for every transfer, so transfers
+reach the token bucket in request order, and
+:meth:`~repro.sim.resource.TokenBucket.reserve` returns the FIFO
+completion time in closed form.  A transfer is therefore one
+``timeout_until`` event and no process.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ class DmaEngine:
         self._bucket = TokenBucket(
             env, rate=spec.weighted_capacity, burst=4096.0, name=f"dma-{spec.name}"
         )
+        #: Bytes requested each way; counted when a transfer is issued,
+        #: so they include any transfer still in flight.
         self.bytes_to_device = 0
         self.bytes_from_device = 0
         # Metrics (optional, see repro.obs.metrics): resolved once, one
@@ -62,32 +70,37 @@ class DmaEngine:
     def _transfer(self, n_bytes: int, to_device: bool) -> Event:
         if n_bytes <= 0:
             raise RuntimeConfigError(f"transfer needs positive size, got {n_bytes}")
-        done = Event(self.env)
-        self.env.process(self._serve(n_bytes, to_device, done), name="dma-xfer")
-        return done
-
-    def _serve(self, n_bytes: int, to_device: bool, done: Event):
-        yield self.env.timeout(self.spec.transfer_setup_latency)
-        weight = 1.0 if to_device else self.spec.d2h_weight
-        yield self._bucket.consume(n_bytes * weight)
+        env = self.env
+        spec = self.spec
+        weight = 1.0 if to_device else spec.d2h_weight
+        end = self._bucket.reserve(
+            n_bytes * weight, env.now + spec.transfer_setup_latency
+        )
         if to_device:
             self.bytes_to_device += n_bytes
         else:
             self.bytes_from_device += n_bytes
+        done = env.timeout_until(end)
         if self._m_busy is not None:
-            if to_device:
-                self._m_requests_h2d.add(1)
-                self._m_bytes_h2d.add(n_bytes)
-            else:
-                self._m_requests_d2h.add(1)
-                self._m_bytes_d2h.add(n_bytes)
-            # Engine occupancy: descriptor setup plus the weighted
-            # drain time of this transfer's bytes.
-            self._m_busy.add(
-                self.spec.transfer_setup_latency
-                + n_bytes * weight / self.spec.weighted_capacity
+            done.callbacks.append(
+                lambda _event: self._account(n_bytes, to_device, weight)
             )
-        done.succeed(None)
+        return done
+
+    def _account(self, n_bytes: int, to_device: bool, weight: float) -> None:
+        """Record a completed transfer in the metrics registry."""
+        if to_device:
+            self._m_requests_h2d.add(1)
+            self._m_bytes_h2d.add(n_bytes)
+        else:
+            self._m_requests_d2h.add(1)
+            self._m_bytes_d2h.add(n_bytes)
+        # Engine occupancy: descriptor setup plus the weighted
+        # drain time of this transfer's bytes.
+        self._m_busy.add(
+            self.spec.transfer_setup_latency
+            + n_bytes * weight / self.spec.weighted_capacity
+        )
 
     @property
     def total_weighted_bytes(self) -> float:

@@ -259,9 +259,14 @@ class InferenceRuntime:
                         yield device.dma_h2d_timed(pe, input_bytes)
                     if tracer is not None and (transfers or data is not None):
                         tracer.record("dma h2d", f"pe{pe}b{start_sample}", mark, env.now)
-                    # The PE is exclusive: dispatch overhead + job.
-                    grant = pe_locks[pe].request()
-                    yield grant
+                    # The PE is exclusive: dispatch overhead + job.  An
+                    # idle lock is taken at once; only a sibling thread's
+                    # hold costs a grant event.
+                    lock = pe_locks[pe]
+                    if lock.in_use:
+                        yield lock.request()
+                    else:
+                        lock.seize()
                     try:
                         mark = env.now
                         if dispatch_counters is not None:
@@ -277,7 +282,7 @@ class InferenceRuntime:
                         if tracer is not None:
                             tracer.record(f"pe{pe}", f"b{start_sample}", mark, env.now)
                     finally:
-                        pe_locks[pe].release()
+                        lock.release()
                     mark = env.now
                     if data is not None:
                         raw = yield device.copy_from_device(pe, result_addr, result_bytes)

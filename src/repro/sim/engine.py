@@ -290,6 +290,11 @@ class Engine:
         """Current simulated time in seconds."""
         return self._now
 
+    @property
+    def scheduled_events(self) -> int:
+        """Events put on the heap so far (the simulator's unit of work)."""
+        return self._sequence
+
     # -- factories -------------------------------------------------------------
     def event(self) -> Event:
         """Create a fresh pending event bound to this engine."""

@@ -3,13 +3,14 @@
 :class:`SimResource` is a counted resource with FIFO arbitration —
 used for DMA engines, memory-controller command slots and PCIe lanes.
 :class:`TokenBucket` is a byte-rate limiter used to impose sustained
-bandwidth caps with burst tolerance.
+bandwidth caps with burst tolerance; it computes each request's FIFO
+completion time in closed form, so a metered request is one event.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine, Event
@@ -87,10 +88,16 @@ class TokenBucket:
     """A byte-rate limiter with burst capacity.
 
     Models a link that sustains ``rate`` bytes/s but can absorb bursts of
-    up to ``burst`` bytes.  Consumers call :meth:`consume` and yield the
-    returned event; the event triggers once enough tokens have accrued.
-    Requests are served strictly in FIFO order, so the bucket also acts
-    as an arbiter.
+    up to ``burst`` bytes.  Requests are served strictly in FIFO order,
+    so the bucket also acts as an arbiter.
+
+    Because service is FIFO, a request's completion time is known the
+    moment it arrives: it starts at ``max(arrival, previous
+    completion)``, refills for the gap, and either pays from the bucket
+    (completing at its start) or empties it and occupies the link for
+    the deficit.  :meth:`reserve` computes that time in closed form and
+    :meth:`consume` turns it into one event, so the bucket never runs a
+    process of its own.
     """
 
     def __init__(self, env: Engine, rate: float, burst: float, name: str = "bucket"):
@@ -103,47 +110,48 @@ class TokenBucket:
         self.burst = float(burst)
         self.name = name
         self._tokens = float(burst)
+        # Time of the last refill, which is also the completion time of
+        # the last reservation: the link is free from here on.
         self._updated = env.now
-        self._pending: Deque[tuple] = deque()  # (event, amount)
-        self._draining = False
+        self._arrival = env.now
+        #: Bytes reserved so far, including any still draining.
         self.total_consumed = 0.0
 
-    def _refill(self) -> None:
-        now = self.env.now
-        self._tokens = min(self.burst, self._tokens + (now - self._updated) * self.rate)
-        self._updated = now
+    def reserve(self, amount: float, at: float) -> float:
+        """Queue *amount* bytes arriving at time *at*; return when they
+        have drained.
 
-    def consume(self, amount: float) -> Event:
-        """Request *amount* bytes of link time.
-
-        Amounts larger than the burst size are allowed: they simply take
-        ``amount / rate`` seconds of link time to drain.
+        Arrivals must come in time order (ties in call order), which is
+        what makes the FIFO closed form exact; an earlier *at* than the
+        previous call's raises.  Amounts larger than the burst size are
+        allowed: they take ``amount / rate`` seconds of link time.
         """
         if amount < 0:
             raise SimulationError(f"negative consume amount {amount}")
-        event = Event(self.env)
-        self._pending.append((event, float(amount)))
-        if not self._draining:
-            self._draining = True
-            self.env.process(self._drain(), name=f"{self.name}-drain")
-        return event
+        if at < self._arrival:
+            raise SimulationError(
+                f"{self.name}: arrival {at} precedes the previous arrival {self._arrival}"
+            )
+        self._arrival = at
+        amount = float(amount)
+        updated = self._updated
+        start = at if at > updated else updated
+        # The same float operations, in the same order, as a drain loop
+        # that refills at the service start and then sleeps off the
+        # deficit: the wait itself pays for the accrual, so the clock
+        # (not the capped bucket) meters it.
+        tokens = min(self.burst, self._tokens + (start - updated) * self.rate)
+        if tokens >= amount:
+            self._tokens = tokens - amount
+            end = start
+        else:
+            self._tokens = 0.0
+            end = start + (amount - tokens) / self.rate
+        self._updated = end
+        self.total_consumed += amount
+        return end
 
-    def _drain(self):
-        while self._pending:
-            event, amount = self._pending[0]
-            self._refill()
-            if self._tokens >= amount:
-                self._tokens -= amount
-            else:
-                # Larger-than-burst (or currently unaffordable) requests
-                # drain the bucket and then occupy the link for the
-                # remaining bytes; the wait time itself pays for the
-                # accrual, so the clock (not the capped bucket) meters it.
-                deficit = amount - self._tokens
-                self._tokens = 0.0
-                yield self.env.timeout(deficit / self.rate)
-                self._updated = self.env.now
-            self.total_consumed += amount
-            self._pending.popleft()
-            event.succeed(None)
-        self._draining = False
+    def consume(self, amount: float) -> Event:
+        """Request *amount* bytes of link time now; the event triggers
+        once they have drained."""
+        return self.env.timeout_until(self.reserve(amount, self.env.now))

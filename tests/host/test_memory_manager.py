@@ -125,6 +125,42 @@ class TestAllocator:
         assert alloc.bytes_free == capacity
         assert alloc.largest_free == capacity
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(1, 40_000), st.integers(0, 1 << 16)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_property_free_list_equals_sort_and_merge(self, ops):
+        """Each free leaves the list a full sort-and-merge would give."""
+
+        def sort_and_merge(ranges):
+            merged = []
+            for addr, size in sorted(ranges):
+                if merged and merged[-1][0] + merged[-1][1] == addr:
+                    merged[-1] = (merged[-1][0], merged[-1][1] + size)
+                else:
+                    merged.append((addr, size))
+            return merged
+
+        alloc = MemoryBlockAllocator(0, 1 << 20)
+        live = {}
+        for is_alloc, size, pick in ops:
+            if is_alloc or not live:
+                try:
+                    address = alloc.alloc(size)
+                except AllocationError:
+                    continue
+                live[address] = -(-size // ALLOCATION_ALIGNMENT) * ALLOCATION_ALIGNMENT
+            else:
+                address = sorted(live)[pick % len(live)]
+                expected = sort_and_merge(alloc._free + [(address, live.pop(address))])
+                alloc.free(address)
+                assert alloc._free == expected
+        assert alloc.bytes_free == (1 << 20) - sum(live.values())
+
 
 class TestDeviceMemoryManager:
     def test_per_block_isolation(self):

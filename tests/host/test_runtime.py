@@ -198,3 +198,43 @@ class TestRuntimeTiming:
 
         five, eight = rate(5), rate(8)
         assert (eight - five) / five < 0.10
+
+
+class TestEventBudget:
+    """A block is a handful of heap events, not a chain of coroutines."""
+
+    @staticmethod
+    def _events(n_blocks, transfers):
+        bench = nips_benchmark("NIPS10")
+        core = compile_core(bench.spn, "cfp")
+        device = SimulatedDevice(compose_design(core, 2, XUPVVH_HBM_PLATFORM))
+        runtime = InferenceRuntime(device, InferenceJobConfig(threads_per_pe=1))
+        n_samples = n_blocks * runtime.samples_per_block
+        if transfers:
+            stats = runtime.run_timing_only(n_samples)
+        else:
+            stats = runtime.run_on_device_only(n_samples)
+        assert stats.n_blocks == n_blocks
+        return device.env.scheduled_events
+
+    @pytest.mark.parametrize("transfers,budget", [(True, 4), (False, 2)])
+    def test_events_per_job(self, transfers, budget):
+        """Marginal cost of eight more blocks: DMA in, dispatch, the
+        fast-forwarded job and DMA out with transfers; dispatch and job
+        without."""
+        extra = self._events(16, transfers) - self._events(8, transfers)
+        assert extra <= budget * 8
+
+    def test_functional_run_times_like_timing_only(self):
+        """Functional copies read and write the backing store in the
+        transfer's completion callback: no extra event, same clock."""
+        spn = random_spn(8, depth=3, n_bins=16, seed=77)
+        data = np.random.default_rng(3).integers(0, 16, size=(30_000, 8))
+        config = InferenceJobConfig(block_bytes=64 * 1024)
+        device, _ = _device(spn=spn)
+        results, functional = InferenceRuntime(device, config).run(data)
+        np.testing.assert_array_equal(results, log_likelihood(spn, data))
+        device, _ = _device(spn=spn)
+        timed = InferenceRuntime(device, config).run_timing_only(len(data))
+        assert functional.elapsed_seconds == timed.elapsed_seconds
+        assert functional.n_blocks == timed.n_blocks > 2

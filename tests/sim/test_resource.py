@@ -1,9 +1,14 @@
 """Unit tests for SimResource and TokenBucket."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Engine, SimResource, TokenBucket
+from repro.sim.engine import Event
 
 
 def test_resource_serialises_exclusive_access():
@@ -167,3 +172,160 @@ class TestTokenBucket:
         bucket = TokenBucket(eng, rate=1.0, burst=1.0)
         with pytest.raises(SimulationError):
             bucket.consume(-1.0)
+
+
+class _DrainBucket:
+    """Reference oracle: the token bucket as a FIFO drain process.
+
+    This is the coroutine :class:`TokenBucket` used before it computed
+    completion times in closed form, kept verbatim: every ``reserve`` /
+    ``consume`` completion must equal the time this drain loop reaches.
+    """
+
+    def __init__(self, env, rate, burst):
+        self.env = env
+        self.rate = float(rate)
+        self.burst = float(burst)
+        self._tokens = float(burst)
+        self._updated = env.now
+        self._pending = deque()  # (event, amount)
+        self._draining = False
+        self.total_consumed = 0.0
+
+    def _refill(self):
+        now = self.env.now
+        self._tokens = min(self.burst, self._tokens + (now - self._updated) * self.rate)
+        self._updated = now
+
+    def consume(self, amount):
+        event = Event(self.env)
+        self._pending.append((event, float(amount)))
+        if not self._draining:
+            self._draining = True
+            self.env.process(self._drain(), name="reference-drain")
+        return event
+
+    def _drain(self):
+        while self._pending:
+            event, amount = self._pending[0]
+            self._refill()
+            if self._tokens >= amount:
+                self._tokens -= amount
+            else:
+                # Larger-than-burst (or currently unaffordable) requests
+                # drain the bucket and then occupy the link for the
+                # remaining bytes; the wait time itself pays for the
+                # accrual, so the clock (not the capped bucket) meters it.
+                deficit = amount - self._tokens
+                self._tokens = 0.0
+                yield self.env.timeout(deficit / self.rate)
+                self._updated = self.env.now
+            self.total_consumed += amount
+            self._pending.popleft()
+            event.succeed(None)
+        self._draining = False
+
+
+def _drive(make_bucket, rate, burst, steps):
+    """Issue *steps* through ``consume`` in simulated time.
+
+    A step is ``(gap, amount)``: ``gap`` is seconds after the previous
+    arrival, or ``None`` to arrive exactly when the previous request
+    completes.  Returns the completion times in request order.
+    """
+    env = Engine()
+    bucket = make_bucket(env, rate, burst)
+    completions = []
+
+    def driver():
+        previous = None
+        for gap, amount in steps:
+            if gap is None:
+                if previous is not None:
+                    yield previous
+            elif gap > 0:
+                yield env.timeout_until(env.now + gap)
+            previous = bucket.consume(amount)
+            previous.add_callback(lambda _event: completions.append(env.now))
+
+    env.process(driver())
+    env.run()
+    return completions, bucket.total_consumed
+
+
+def _reserve_all(rate, burst, steps):
+    """The same steps through ``reserve`` alone, with no event loop."""
+    bucket = TokenBucket(Engine(), rate, burst)
+    at = 0.0
+    ends = []
+    for gap, amount in steps:
+        if gap is None:
+            at = ends[-1] if ends else at
+        else:
+            at = at + gap
+        ends.append(bucket.reserve(amount, at))
+    return ends, bucket.total_consumed
+
+
+_RATE_BURST = [(100.0, 50.0), (10.0, 1e-9), (3.0, 7.0)]
+
+
+class TestClosedFormAgainstDrainLoop:
+    @pytest.mark.parametrize("rate,burst", _RATE_BURST)
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            # Equal arrivals: three requests in one instant.
+            [(0.0, 10.0), (0.0, 10.0), (0.0, 100.0)],
+            # Arrivals exactly at the previous completion.
+            [(0.0, 200.0), (None, 5.0), (None, 200.0), (None, 0.0)],
+            # Zero, below-burst and above-burst amounts.
+            [(0.0, 0.0), (0.5, 1.0), (0.0, 500.0), (0.1, 0.0)],
+            # Refill gaps longer than burst / rate.
+            [(0.0, 60.0), (100.0, 40.0), (250.0, 60.0), (1e6, 1.0)],
+        ],
+    )
+    def test_cases_match_reference(self, rate, burst, steps):
+        expected = _drive(_DrainBucket, rate, burst, steps)
+        assert _drive(TokenBucket, rate, burst, steps) == expected
+        assert _reserve_all(rate, burst, steps) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rate_burst=st.sampled_from(_RATE_BURST)
+        | st.tuples(
+            st.floats(1e-3, 1e6, allow_nan=False),
+            st.floats(1e-3, 1e6, allow_nan=False),
+        ),
+        data=st.data(),
+    )
+    def test_property_completion_times_equal_reference(self, rate_burst, data):
+        rate, burst = rate_burst
+        refill = burst / rate
+        gaps = st.one_of(
+            st.just(0.0),
+            st.none(),
+            st.floats(0.0, refill, allow_nan=False),
+            st.floats(refill, 4.0 * refill, allow_nan=False),
+        )
+        amounts = st.one_of(
+            st.just(0.0),
+            st.floats(0.0, burst, allow_nan=False),
+            st.floats(burst, 8.0 * burst, allow_nan=False),
+        )
+        steps = data.draw(st.lists(st.tuples(gaps, amounts), min_size=1, max_size=25))
+        expected = _drive(_DrainBucket, rate, burst, steps)
+        assert _drive(TokenBucket, rate, burst, steps) == expected
+        assert _reserve_all(rate, burst, steps) == expected
+
+    def test_out_of_order_reserve_rejected(self):
+        bucket = TokenBucket(Engine(), rate=10.0, burst=5.0)
+        assert bucket.reserve(1.0, 2.0) == 2.0
+        assert bucket.reserve(1.0, 2.0) == 2.0  # ties are in order
+        with pytest.raises(SimulationError):
+            bucket.reserve(1.0, 1.5)
+
+    def test_negative_reserve_rejected(self):
+        bucket = TokenBucket(Engine(), rate=10.0, burst=5.0)
+        with pytest.raises(SimulationError):
+            bucket.reserve(-1.0, 0.0)
