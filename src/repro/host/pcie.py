@@ -95,12 +95,11 @@ class DmaEngine:
         else:
             self._m_requests_d2h.add(1)
             self._m_bytes_d2h.add(n_bytes)
-        # Engine occupancy: descriptor setup plus the weighted
-        # drain time of this transfer's bytes.
-        self._m_busy.add(
-            self.spec.transfer_setup_latency
-            + n_bytes * weight / self.spec.weighted_capacity
-        )
+        # Engine occupancy is the serialized drain time of the weighted
+        # bytes.  The setup latency is not: setups of queued transfers
+        # overlap one another and the drain, so adding them counted the
+        # saturated engine as busy for more than the elapsed time.
+        self._m_busy.add(n_bytes * weight / self.spec.weighted_capacity)
 
     @property
     def total_weighted_bytes(self) -> float:

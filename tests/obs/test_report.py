@@ -121,6 +121,17 @@ class TestUtilizationReport:
         assert untraced.dma_compute_overlap_fraction is None
         assert untraced.channels
 
+    def test_saturated_dma_busy_at_most_elapsed(self):
+        """NIPS10 on 8 PEs is PCIe-bound (Fig. 4 right): the one shared
+        engine drains almost all the time, and never longer than the
+        run.  Setup latencies of queued transfers overlap, so they are
+        not engine occupancy."""
+        saturated = run_utilization(
+            "NIPS10", 8, threads_per_pe=1, samples_per_core=1_000_000, trace=False
+        )
+        assert saturated.dma.busy_fraction <= 1.0
+        assert saturated.dma.busy_fraction == pytest.approx(1.0, rel=0.05)
+
 
 def _elapsed(metrics, *, trace=False, **config):
     core = benchmark_core("NIPS20", "cfp")
