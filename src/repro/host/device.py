@@ -145,9 +145,9 @@ class SimulatedDevice:
     def copy_to_device(self, pe: int, address: int, payload: bytes) -> Event:
         """DMA *payload* into the PE's HBM block; yields on completion.
 
-        Functional write happens on completion (the event's first
-        callback) so that a job launched after yielding this event sees
-        the data.
+        Functional write happens on completion, in a callback that runs
+        before any waiter resumes, so that a job launched after yielding
+        this event sees the data.
         """
         done = self.dma.copy_to_device(len(payload))
         memory = self.memories[pe]
@@ -165,8 +165,8 @@ class SimulatedDevice:
     def copy_from_device(self, pe: int, address: int, n_bytes: int) -> Event:
         """DMA out of the PE's HBM block; yields with the bytes.
 
-        The bytes are read on completion, by the event's first
-        callback, which sets the value its waiters resume with.
+        The bytes are read on completion, by a callback that runs before
+        any waiter resumes and sets the value they resume with.
         """
         done = self.dma.copy_from_device(n_bytes)
         memory = self.memories[pe]

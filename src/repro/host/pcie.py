@@ -96,9 +96,9 @@ class DmaEngine:
             self._m_requests_d2h.add(1)
             self._m_bytes_d2h.add(n_bytes)
         # Engine occupancy is the serialized drain time of the weighted
-        # bytes.  The setup latency is not: setups of queued transfers
-        # overlap one another and the drain, so adding them counted the
-        # saturated engine as busy for more than the elapsed time.
+        # bytes.  Setup latency is left out: setups of queued transfers
+        # overlap one another and the drain, so summing them would put
+        # a saturated engine's busy time above the elapsed time.
         self._m_busy.add(n_bytes * weight / self.spec.weighted_capacity)
 
     @property

@@ -136,10 +136,11 @@ class TokenBucket:
         amount = float(amount)
         updated = self._updated
         start = at if at > updated else updated
-        # The same float operations, in the same order, as a drain loop
-        # that refills at the service start and then sleeps off the
-        # deficit: the wait itself pays for the accrual, so the clock
-        # (not the capped bucket) meters it.
+        # The same float operations, in the same order, as a drain
+        # process that refills at the service start and then sleeps off
+        # the deficit (the oracle in tests/sim/test_resource.py): the
+        # wait itself pays for the accrual, so the clock (not the capped
+        # bucket) meters it.
         tokens = min(self.burst, self._tokens + (start - updated) * self.rate)
         if tokens >= amount:
             self._tokens = tokens - amount
