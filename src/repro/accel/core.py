@@ -538,8 +538,11 @@ class SPNAcceleratorCore:
         engine = channel._engine
         return engine.in_use == 0 and engine.queue_length == 0
 
-    def _job_schedule(self, n_samples: int) -> Optional[Tuple[float, _JobSchedule]]:
-        """End time and schedule of a job of *n_samples* starting now.
+    def _job_schedule(
+        self, n_samples: int, start: Optional[float] = None
+    ) -> Optional[Tuple[float, _JobSchedule]]:
+        """End time and schedule of a job of *n_samples* starting at
+        *start* (default: now).
 
         The first job of a shape runs the emulator and records its
         schedule; later ones replay it.  A replay that cannot be proven
@@ -556,7 +559,8 @@ class SPNAcceleratorCore:
             channel.effective_bandwidth,
             self.core_spec.pipeline_depth,
         )
-        start = self.env.now
+        if start is None:
+            start = self.env.now
         schedule = self._schedules.get(key)
         if schedule is not None:
             end = schedule.replay(start)
@@ -596,19 +600,44 @@ class SPNAcceleratorCore:
 
         def finish(_event: Event) -> None:
             engine.release()
-            engine.total_grants += schedule.n_reads + schedule.n_writes
-            channel.account_fast_forward(
-                schedule.n_reads,
-                schedule.n_writes,
-                n_samples * self.sample_bytes,
-                n_samples * self.result_bytes,
-            )
+            self._account_fast_forward(n_samples, schedule.n_reads, schedule.n_writes)
             if results is not None:
                 self.memory.write_array(result_addr, results)
             self._complete_job(n_samples, start)
 
         done.callbacks.append(finish)
         return done
+
+    def _account_fast_forward(self, n_samples: int, n_reads: int, n_writes: int) -> None:
+        """Credit fast-forwarded jobs' bursts to the channel: its
+        engine's grants and its traffic counters."""
+        channel = self.channel
+        channel._engine.total_grants += n_reads + n_writes
+        channel.account_fast_forward(
+            n_reads, n_writes, n_samples * self.sample_bytes, n_samples * self.result_bytes
+        )
+
+    def commit_jobs(
+        self,
+        input_addr: int,
+        result_addr: int,
+        last_count: int,
+        n_samples: int,
+        n_reads: int,
+        n_writes: int,
+    ) -> None:
+        """Leave the core as a run of fast-forwarded, timing-only jobs
+        would, for a caller that timed them with :meth:`_job_schedule`
+        and scheduled no event.
+
+        Credits the jobs' *n_samples* samples and their bursts, and
+        leaves the last job (*last_count* samples at the given
+        addresses) in the registers, finished.
+        """
+        self.registers.set_job(input_addr, result_addr, last_count)
+        self._account_fast_forward(n_samples, n_reads, n_writes)
+        self.total_samples += n_samples
+        self.registers.set_busy(False)
 
     def _run_job(
         self,

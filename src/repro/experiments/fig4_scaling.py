@@ -31,9 +31,10 @@ from repro.spn.nips import NIPS_BENCHMARKS
 
 __all__ = ["Fig4Result", "run_fig4", "format_fig4"]
 
-#: Samples simulated per core.  Steady-state fast-forwarding makes
-#: paper-scale runs affordable, so the default sits at 10 M per core
-#: (the paper measures 100 M per run).
+#: Samples simulated per core by default (the paper measures 100 M per
+#: run).  A plain timing-only run is folded without the event loop
+#: (``InferenceRuntime._fold``): a serial 80-point sweep takes ~0.9 s at
+#: 10 M per core and ~5.3 s at 64 M on a 2-vCPU host.
 SAMPLES_PER_CORE = 10_000_000
 
 

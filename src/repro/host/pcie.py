@@ -67,28 +67,43 @@ class DmaEngine:
         """Device-to-host transfer; yields on completion."""
         return self._transfer(n_bytes, to_device=False)
 
-    def _transfer(self, n_bytes: int, to_device: bool) -> Event:
+    def reserve(self, n_bytes: int, to_device: bool, at: float) -> float:
+        """Queue a transfer issued at time *at*; return when it completes.
+
+        Counts the bytes and pays the setup latency.  Issues must come
+        in time order (ties in call order), as
+        :meth:`~repro.sim.resource.TokenBucket.reserve` requires.
+        """
         if n_bytes <= 0:
             raise RuntimeConfigError(f"transfer needs positive size, got {n_bytes}")
-        env = self.env
         spec = self.spec
         weight = 1.0 if to_device else spec.d2h_weight
-        end = self._bucket.reserve(
-            n_bytes * weight, env.now + spec.transfer_setup_latency
-        )
+        end = self._bucket.reserve(n_bytes * weight, at + spec.transfer_setup_latency)
         if to_device:
             self.bytes_to_device += n_bytes
         else:
             self.bytes_from_device += n_bytes
-        done = env.timeout_until(end)
+        return end
+
+    def checkpoint(self) -> tuple:
+        """The engine's reservation state, for :meth:`rollback`."""
+        return self.bytes_to_device, self.bytes_from_device, dict(vars(self._bucket))
+
+    def rollback(self, state: tuple) -> None:
+        """Forget every reservation made since *state* was checkpointed."""
+        self.bytes_to_device, self.bytes_from_device, bucket = state
+        vars(self._bucket).update(bucket)
+
+    def _transfer(self, n_bytes: int, to_device: bool) -> Event:
+        env = self.env
+        done = env.timeout_until(self.reserve(n_bytes, to_device, env.now))
         if self._m_busy is not None:
-            done.callbacks.append(
-                lambda _event: self._account(n_bytes, to_device, weight)
-            )
+            done.callbacks.append(lambda _event: self._account(n_bytes, to_device))
         return done
 
-    def _account(self, n_bytes: int, to_device: bool, weight: float) -> None:
+    def _account(self, n_bytes: int, to_device: bool) -> None:
         """Record a completed transfer in the metrics registry."""
+        weight = 1.0 if to_device else self.spec.d2h_weight
         if to_device:
             self._m_requests_h2d.add(1)
             self._m_bytes_h2d.add(n_bytes)

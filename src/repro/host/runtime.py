@@ -14,9 +14,14 @@ Execution scheme, exactly as the paper describes it:
   parameters (register-file config read-out) instead of requiring the
   user to supply them.
 
-Control threads are modelled as DES processes so their interleaving
-happens in simulated time; the device memory manager they call is the
-real thread-safe allocator from :mod:`repro.host.memory_manager`.
+Control threads run as DES processes, so their interleaving happens
+in simulated time; the device memory manager they call is the real
+thread-safe allocator from :mod:`repro.host.memory_manager`.  A
+timing-only run with one control thread per PE, static scheduling and
+no observer has one shared resource, the DMA engine, and every job
+fast-forwards; such a run is computed without the event loop, as a fold
+over the order in which the DMA engine receives its transfers
+(:meth:`InferenceRuntime._fold`), and the DES is its oracle.
 
 The per-sub-job dispatch overhead (register writes, doorbell,
 completion interrupt, thread wake-up) occupies the accelerator between
@@ -27,10 +32,12 @@ end-to-end anchor of 133,139,305 samples/s (§V-B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
+from repro.accel.registers import ExecutionMode
 from repro.errors import AllocationError, RuntimeConfigError
 from repro.host.device import SimulatedDevice
 from repro.sim.engine import Event
@@ -175,20 +182,165 @@ class InferenceRuntime:
         stats = RunStatistics(n_samples=n_samples)
 
         # Build the global block list and deal it to PEs round-robin.
-        blocks = []  # (start_sample, n_block_samples)
-        start = 0
-        while start < n_samples:
-            count = min(self.samples_per_block, n_samples - start)
-            blocks.append((start, count))
-            start += count
+        per_block = self.samples_per_block
+        blocks = [  # (start_sample, n_block_samples)
+            (start, min(per_block, n_samples - start))
+            for start in range(0, n_samples, per_block)
+        ]
         stats.n_blocks = len(blocks)
-        queues: List[List[tuple]] = [[] for _ in range(n_pes)]
-        for index, block in enumerate(blocks):
-            queues[index % n_pes].append(block)
+        queues: List[List[tuple]] = [blocks[pe::n_pes] for pe in range(n_pes)]
 
-        pe_locks = [SimResource(env, 1, name=f"pe{i}-lock") for i in range(n_pes)]
         dma_before = (device.dma.bytes_to_device, device.dma.bytes_from_device)
+        start_time = env.now
+        if not (data is None and self._can_fold() and self._fold(queues, transfers, stats)):
+            self._simulate(blocks, queues, data, results, transfers, stats)
+        stats.elapsed_seconds = env.now - start_time
+        stats.bytes_to_device = device.dma.bytes_to_device - dma_before[0]
+        stats.bytes_from_device = device.dma.bytes_from_device - dma_before[1]
+        return stats
 
+    def _can_fold(self) -> bool:
+        """True when nothing but the DMA engine couples the run's PEs and
+        every job will be fast-forwarded, so :meth:`_fold` can time it."""
+        device = self.device
+        return (
+            self.tracer is None
+            and device.metrics is None
+            and self.config.threads_per_pe == 1
+            and self.config.scheduling == "static"
+            and device.env.peek() == float("inf")
+            and all(
+                not core.registers.busy
+                and core.registers.mode is ExecutionMode.INFERENCE
+                and core._can_fast_forward()
+                for core in device.cores
+            )
+        )
+
+    def _fold(self, queues: List[List[tuple]], transfers: bool, stats: RunStatistics) -> bool:
+        """Time a timing-only run without the event loop, as a fold over
+        the order in which the DMA engine receives its transfers.
+
+        With one control thread per PE a PE's blocks form a chain: H2D
+        transfer, dispatch, the fast-forwarded job, D2H transfer.  The
+        only state the chains share is the DMA engine, so a heap holds
+        just the events that reserve it (a block's start issues its H2D
+        transfer, a job's end its D2H transfer) and pops them in time
+        order, the order the event loop reaches them.  Each job's end is
+        ``_job_schedule`` at the time the dispatch timeout would fire,
+        the same float operations as the event-driven run; without
+        transfers the chains share nothing and fold one by one.
+
+        At an exact time tie between two reserving events (other than
+        the shared start, where the control threads run in PE order)
+        the event loop's order would depend on heap sequence numbers.
+        The fold then gives up, as it does when a job has no schedule or
+        a block's buffers do not fit: it commits nothing and returns
+        False, and the event-driven run (:meth:`_simulate`, the fold's
+        oracle) runs instead.  On success it leaves the device, the
+        clock and *stats* as the event-driven run would.
+        """
+        device = self.device
+        env = device.env
+        dma = device.dma
+        cores = device.cores
+        sample_bytes = self.sample_bytes
+        result_bytes = self.result_bytes
+        start = env.now
+        # A block frees both its buffers before the next one allocates,
+        # so every block of a PE gets the addresses a lone allocation
+        # of its size gets; probing them also finds blocks that cannot fit.
+        last_buffers = {}
+        try:
+            for pe, queue in enumerate(queues):
+                for _, count in (queue[:1] + queue[-1:]):
+                    input_addr = device.alloc(pe, count * sample_bytes)
+                    try:
+                        result_addr = device.alloc(pe, count * result_bytes)
+                    finally:
+                        device.free(pe, input_addr)
+                    device.free(pe, result_addr)
+                    last_buffers[pe] = (input_addr, result_addr, count)
+        except AllocationError:
+            return False
+        # Job schedules the fold records stay: up to a give-up it times
+        # each core's jobs at the starts, and in the order, the DES does.
+        checkpoint = dma.checkpoint()
+        bursts = [[0, 0] for _ in cores]  # reads, writes per PE
+
+        def job_end(pe: int, count: int, ready: float) -> Optional[float]:
+            """End of a block's job whose input is on the device at *ready*."""
+            job = cores[pe]._job_schedule(count, start=ready + JOB_DISPATCH_OVERHEAD)
+            if job is None:
+                return None
+            end, schedule = job
+            tally = bursts[pe]
+            tally[0] += schedule.n_reads
+            tally[1] += schedule.n_writes
+            return end
+
+        def run_end() -> Optional[float]:
+            """When the last block completes, or None to give up."""
+            finish = start
+            if not transfers:
+                for pe, queue in enumerate(queues):
+                    t = start
+                    for _, count in queue:
+                        t = job_end(pe, count, t)
+                        if t is None:
+                            return None
+                    finish = max(finish, t)
+                return finish
+            position = [0] * len(queues)
+            # (time, pe, issues H2D): at the shared start, in PE order.
+            heap = [(start, pe, True) for pe, queue in enumerate(queues) if queue]
+            last = start
+            while heap:
+                t, pe, issues_h2d = heappop(heap)
+                if t == last and t != start:
+                    return None
+                last = t
+                count = queues[pe][position[pe]][1]
+                if issues_h2d:
+                    end = job_end(pe, count, dma.reserve(count * sample_bytes, True, t))
+                    if end is None:
+                        return None
+                    heappush(heap, (end, pe, False))
+                    continue
+                done = dma.reserve(count * result_bytes, False, t)
+                position[pe] += 1
+                if position[pe] < len(queues[pe]):
+                    heappush(heap, (done, pe, True))
+                else:
+                    finish = max(finish, done)
+            return finish
+
+        finish = run_end()
+        if finish is None:
+            dma.rollback(checkpoint)
+            return False
+        for pe, queue in enumerate(queues):
+            if queue:
+                n_samples = sum(count for _, count in queue)
+                stats.samples_per_pe[pe] = n_samples
+                cores[pe].commit_jobs(*last_buffers[pe], n_samples, *bursts[pe])
+        env.run(until=finish)
+        return True
+
+    def _simulate(
+        self,
+        blocks: List[tuple],
+        queues: List[List[tuple]],
+        data: Optional[np.ndarray],
+        results: Optional[np.ndarray],
+        transfers: bool,
+        stats: RunStatistics,
+    ) -> None:
+        """Run the blocks as DES control threads, one process each."""
+        device = self.device
+        env = device.env
+        n_pes = device.n_pes
+        pe_locks = [SimResource(env, 1, name=f"pe{i}-lock") for i in range(n_pes)]
         tracer = self.tracer
         metrics = device.metrics
         dispatch_counters = (
@@ -322,23 +474,18 @@ class InferenceRuntime:
                     core.burst_granular = True
                     forced_granular.append(core)
         try:
-            start_time = env.now
             done = env.all_of(threads)
             env.run(until_event=done)
         finally:
             for core in forced_granular:
                 core.burst_granular = False
-        stats.elapsed_seconds = env.now - start_time
-        stats.bytes_to_device = device.dma.bytes_to_device - dma_before[0]
-        stats.bytes_from_device = device.dma.bytes_from_device - dma_before[1]
         processed = sum(stats.samples_per_pe.values())
-        if processed != n_samples:
+        if processed != stats.n_samples:
             # Should be unreachable now that control threads wait out
             # transient allocation failures, but kept as a loud
             # invariant against silently under-reporting samples.
             raise AllocationError(
-                f"runtime processed {processed} of {n_samples} samples; "
+                f"runtime processed {processed} of {stats.n_samples} samples; "
                 f"{len(shared_queue) if shared_queue else 0} block(s) left "
                 "unclaimed after allocation failures"
             )
-        return stats

@@ -1,12 +1,19 @@
 """Integration tests for the device façade and inference runtime."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.accel.core import SPNAcceleratorCore
+from repro.accel.registers import ExecutionMode
 from repro.compiler import compile_core, compose_design
 from repro.errors import RuntimeConfigError
+from repro.experiments.cache import benchmark_core
 from repro.host import InferenceJobConfig, InferenceRuntime, SimulatedDevice
 from repro.host.runtime import RunStatistics
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace_export import SpanRecorder
 from repro.platforms.specs import XUPVVH_HBM_PLATFORM
 from repro.spn import log_likelihood, nips_benchmark, random_spn
 from repro.spn.nips import nips_dataset
@@ -201,13 +208,16 @@ class TestRuntimeTiming:
 
 
 class TestEventBudget:
-    """A block is a handful of heap events, not a chain of coroutines."""
+    """A block is a handful of heap events, not a chain of coroutines,
+    and a plain timing-only run is none at all."""
 
     @staticmethod
-    def _events(n_blocks, transfers):
+    def _events(n_blocks, transfers, metrics=None):
         bench = nips_benchmark("NIPS10")
         core = compile_core(bench.spn, "cfp")
-        device = SimulatedDevice(compose_design(core, 2, XUPVVH_HBM_PLATFORM))
+        device = SimulatedDevice(
+            compose_design(core, 2, XUPVVH_HBM_PLATFORM), metrics=metrics
+        )
         runtime = InferenceRuntime(device, InferenceJobConfig(threads_per_pe=1))
         n_samples = n_blocks * runtime.samples_per_block
         if transfers:
@@ -219,11 +229,19 @@ class TestEventBudget:
 
     @pytest.mark.parametrize("transfers,budget", [(True, 4), (False, 2)])
     def test_events_per_job(self, transfers, budget):
-        """Marginal cost of eight more blocks: DMA in, dispatch, the
+        """Event-driven run (a metrics registry keeps it off the fold):
+        marginal cost of eight more blocks is DMA in, dispatch, the
         fast-forwarded job and DMA out with transfers; dispatch and job
         without."""
-        extra = self._events(16, transfers) - self._events(8, transfers)
+        extra = self._events(16, transfers, MetricsRegistry()) - self._events(
+            8, transfers, MetricsRegistry()
+        )
         assert extra <= budget * 8
+
+    @pytest.mark.parametrize("transfers", [True, False])
+    def test_fold_schedules_no_event(self, transfers):
+        """A plain timing-only run is folded: no heap event per block."""
+        assert self._events(16, transfers) - self._events(8, transfers) == 0
 
     def test_functional_run_times_like_timing_only(self):
         """Functional copies read and write the backing store in the
@@ -238,3 +256,192 @@ class TestEventBudget:
         timed = InferenceRuntime(device, config).run_timing_only(len(data))
         assert functional.elapsed_seconds == timed.elapsed_seconds
         assert functional.n_blocks == timed.n_blocks > 2
+
+
+def _nips_device(name, n_cores, **kwargs):
+    core = benchmark_core(name, "cfp")
+    return SimulatedDevice(compose_design(core, n_cores, XUPVVH_HBM_PLATFORM), **kwargs)
+
+
+def _committed(device, stats):
+    """Everything a timing-only run leaves behind, floats as bits."""
+    bucket = {
+        key: value.hex() if isinstance(value, float) else value
+        for key, value in vars(device.dma._bucket).items()
+        if key != "env"
+    }
+    cores = [
+        (
+            core.total_samples,
+            core._busy,
+            core.registers.job_parameters(),
+            core.registers.busy,
+            core.channel._engine.total_grants,
+            core.channel._engine.in_use,
+            core.channel.bytes_read,
+            core.channel.bytes_written,
+            device.memory_manager.allocator(core.index)._free,
+        )
+        for core in device.cores
+    ]
+    return (
+        stats.n_samples,
+        stats.n_blocks,
+        stats.elapsed_seconds.hex(),
+        stats.samples_per_pe,
+        stats.bytes_to_device,
+        stats.bytes_from_device,
+        device.env.now.hex(),
+        device.dma.bytes_to_device,
+        device.dma.bytes_from_device,
+        bucket,
+        cores,
+    )
+
+
+def _timing_run(device, config, n_samples, transfers):
+    runtime = InferenceRuntime(device, config)
+    if transfers:
+        return runtime.run_timing_only(n_samples)
+    return runtime.run_on_device_only(n_samples)
+
+
+def _fold_and_des(name, n_cores, config, n_samples, transfers_order):
+    """Run the panels in *transfers_order* on one plain device (folded)
+    and on one with a metrics registry attached (event-driven); return
+    what each left behind after every run."""
+    states = []
+    for metrics in (None, MetricsRegistry()):
+        device = _nips_device(name, n_cores, metrics=metrics)
+        runs = [
+            _committed(device, _timing_run(device, config, n_samples, transfers))
+            for transfers in transfers_order
+        ]
+        states.append((runs, device.env.scheduled_events))
+    return states
+
+
+class TestFold:
+    """A timing-only run folded over the DMA issue order leaves exactly
+    what the event-driven run leaves."""
+
+    @pytest.mark.parametrize("name", ["NIPS10", "NIPS80"])
+    @pytest.mark.parametrize("n_cores", range(1, 9))
+    @pytest.mark.parametrize("block_bytes", [64 * 1024, 1 * MIB])
+    @pytest.mark.parametrize("transfers_first", [True, False])
+    def test_fold_commits_what_the_des_commits(
+        self, name, n_cores, block_bytes, transfers_first
+    ):
+        config = InferenceJobConfig(block_bytes=block_bytes)
+        per_block = max(1, block_bytes // nips_benchmark(name).spn.n_variables)
+        # Two blocks per PE, one more, and a short tail block; the two
+        # panels run back to back on one device, so the second starts
+        # at a nonzero time with every job shape already recorded.
+        n_samples = per_block * (2 * n_cores + 1) + per_block // 7
+        (folded, fold_events), (des, _) = _fold_and_des(
+            name, n_cores, config, n_samples, (transfers_first, not transfers_first)
+        )
+        assert fold_events == 0
+        assert folded == des
+
+    @pytest.mark.parametrize(
+        "setup",
+        ["metrics", "tracer", "two_threads", "shared", "pending_event", "busy_core",
+         "burst_granular"],
+    )
+    def test_each_des_precondition_falls_back(self, setup):
+        """Every configuration the fold does not model runs the DES and
+        still times the run as the fold does."""
+        config = InferenceJobConfig()
+        kwargs = {}
+        if setup == "two_threads":
+            config = InferenceJobConfig(threads_per_pe=2)
+        elif setup == "shared":
+            config = InferenceJobConfig(scheduling="shared")
+        elif setup == "metrics":
+            kwargs["metrics"] = MetricsRegistry()
+        elif setup == "burst_granular":
+            kwargs["burst_granular"] = True
+        device = _nips_device("NIPS10", 3, **kwargs)
+        runtime = InferenceRuntime(
+            device, config, tracer=SpanRecorder() if setup == "tracer" else None
+        )
+        if setup == "pending_event":
+            device.env.timeout(1.0)
+        elif setup == "busy_core":
+            device.launch(0, 0, 0, 1000, functional=False)
+        n_samples = 7 * runtime.samples_per_block + 99
+        stats = runtime.run_timing_only(n_samples)
+        assert device.env.scheduled_events > 10
+
+        if setup in ("two_threads", "shared"):
+            # Schedules the fold does not model: the oracle is the DES.
+            oracle = _nips_device("NIPS10", 3, metrics=MetricsRegistry())
+        else:
+            oracle = _nips_device("NIPS10", 3)
+        assert stats == _timing_run(oracle, config, n_samples, True)
+
+    def test_config_readout_mode_still_raises(self):
+        device = _nips_device("NIPS10", 2)
+        device.cores[1].registers.set_mode(ExecutionMode.CONFIG_READOUT)
+        with pytest.raises(RuntimeConfigError):
+            InferenceRuntime(device).run_timing_only(1_000_000)
+
+    @staticmethod
+    def _spy_fold(monkeypatch):
+        outcomes = []
+        fold = InferenceRuntime._fold
+
+        def spy(self, *args):
+            outcomes.append(fold(self, *args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(InferenceRuntime, "_fold", spy)
+        return outcomes
+
+    def test_tie_gives_up_and_commits_nothing(self, monkeypatch):
+        """Job ends rounded up to a 1 ms grid make two PEs' jobs end at
+        the same time: the fold gives up after reserving DMA time, rolls
+        back, and the DES leaves what it leaves with no fold tried.  The
+        panel without transfers shares nothing between PEs, so its ties
+        are harmless and it folds, from the state the DES left."""
+        job_schedule = SPNAcceleratorCore._job_schedule
+
+        def on_grid(self, n_samples, start=None):
+            end, schedule = job_schedule(self, n_samples, start)
+            return math.ceil(end * 1e3) / 1e3, schedule
+
+        monkeypatch.setattr(SPNAcceleratorCore, "_job_schedule", on_grid)
+        outcomes = self._spy_fold(monkeypatch)
+        (folded, fold_events), (des, _) = _fold_and_des(
+            "NIPS10", 4, InferenceJobConfig(), 4_000_000, (True, False)
+        )
+        assert outcomes == [False, True]
+        assert fold_events > 0
+        assert folded == des
+
+    def test_job_without_schedule_gives_up(self, monkeypatch):
+        """An emulator tie (no schedule) for the tail block: the fold
+        gives up and that job runs burst by burst in the DES."""
+        job_schedule = SPNAcceleratorCore._job_schedule
+
+        def no_tail(self, n_samples, start=None):
+            if n_samples == 1234:
+                return None
+            return job_schedule(self, n_samples, start)
+
+        monkeypatch.setattr(SPNAcceleratorCore, "_job_schedule", no_tail)
+        outcomes = self._spy_fold(monkeypatch)
+        device = _nips_device("NIPS10", 2)
+        runtime = InferenceRuntime(device)
+        n_samples = 5 * runtime.samples_per_block + 1234
+        folded = _committed(device, runtime.run_timing_only(n_samples))
+        monkeypatch.undo()
+        des_device = _nips_device("NIPS10", 2, metrics=MetricsRegistry())
+        des = _committed(
+            des_device, InferenceRuntime(des_device).run_timing_only(n_samples)
+        )
+        assert outcomes == [False]
+        # The burst-granular tail job leaves the schedules' times and
+        # counters: only the event count tells the two runs apart.
+        assert folded == des
