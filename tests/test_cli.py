@@ -119,7 +119,13 @@ def test_cache_command_reports_and_prunes(tmp_path, monkeypatch, capsys):
 
 def test_closed_stdout_exits_without_traceback(tmp_path):
     """A reader that closes early (``repro ... | head``) gets exit 1, no traceback."""
-    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    # The child runs in an empty directory: point it at this session's
+    # learned-SPN cache so it does not learn all five networks again.
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(repro.__file__).parents[1]),
+        REPRO_CACHE_DIR=os.path.abspath(os.environ.get("REPRO_CACHE_DIR", ".repro_cache")),
+    )
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "fig5"],
         stdout=subprocess.PIPE,
