@@ -245,15 +245,18 @@ class TestEventBudget:
 
     def test_functional_run_times_like_timing_only(self):
         """Functional copies read and write the backing store in the
-        transfer's completion callback: no extra event, same clock."""
+        transfer's completion callback: no extra event, same clock.  A
+        functional run is event-driven; the timing-only one is folded."""
         spn = random_spn(8, depth=3, n_bins=16, seed=77)
         data = np.random.default_rng(3).integers(0, 16, size=(30_000, 8))
         config = InferenceJobConfig(block_bytes=64 * 1024)
         device, _ = _device(spn=spn)
         results, functional = InferenceRuntime(device, config).run(data)
         np.testing.assert_array_equal(results, log_likelihood(spn, data))
+        assert device.env.scheduled_events > 0
         device, _ = _device(spn=spn)
         timed = InferenceRuntime(device, config).run_timing_only(len(data))
+        assert device.env.scheduled_events == 0
         assert functional.elapsed_seconds == timed.elapsed_seconds
         assert functional.n_blocks == timed.n_blocks > 2
 
