@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import ulp
 from operator import add
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -408,7 +408,6 @@ class SPNAcceleratorCore:
         n_variables: Optional[int] = None,
         compute_format: Optional[NumberFormat] = None,
         burst_granular: bool = False,
-        metrics=None,
     ):
         if clock_hz <= 0:
             raise RuntimeConfigError(f"clock must be positive, got {clock_hz}")
@@ -442,17 +441,14 @@ class SPNAcceleratorCore:
         #: Recorded fast-forward schedules, one per job shape.
         self._schedules: Dict[tuple, _JobSchedule] = {}
         self._busy = False
+        # Plain statistics, updated once per job, never from the
+        # burst-level hot path (``SimulatedDevice`` publishes them as
+        # ``pe{i}.*`` metrics).  The runtime counts the dispatch
+        # overhead it pays before each job.
+        self.jobs = 0
         self.total_samples = 0
-        # Metrics (optional, see repro.obs.metrics): updated once per
-        # job completion, never from the burst-level hot path.
-        if metrics is not None:
-            self._m_jobs = metrics.counter(f"pe{index}.jobs")
-            self._m_samples = metrics.counter(f"pe{index}.samples")
-            self._m_busy_seconds = metrics.counter(f"pe{index}.busy_seconds")
-        else:
-            self._m_jobs = None
-            self._m_samples = None
-            self._m_busy_seconds = None
+        self.busy_seconds = 0.0
+        self.dispatch_seconds = 0.0
 
     # -- configuration read-out (the runtime's §IV-B query) -----------------------
     def read_configuration(self) -> dict:
@@ -625,18 +621,23 @@ class SPNAcceleratorCore:
         n_samples: int,
         n_reads: int,
         n_writes: int,
+        job_seconds: List[float],
     ) -> None:
         """Leave the core as a run of fast-forwarded, timing-only jobs
         would, for a caller that timed them with :meth:`_job_schedule`
         and scheduled no event.
 
-        Credits the jobs' *n_samples* samples and their bursts, and
-        leaves the last job (*last_count* samples at the given
-        addresses) in the registers, finished.
+        Credits the jobs' *n_samples* samples, their bursts and each
+        job's busy time (*job_seconds*, in job order), and leaves the
+        last job (*last_count* samples at the given addresses) in the
+        registers, finished.
         """
         self.registers.set_job(input_addr, result_addr, last_count)
         self._account_fast_forward(n_samples, n_reads, n_writes)
+        self.jobs += len(job_seconds)
         self.total_samples += n_samples
+        for seconds in job_seconds:
+            self.busy_seconds += seconds
         self.registers.set_busy(False)
 
     def _run_job(
@@ -716,10 +717,8 @@ class SPNAcceleratorCore:
 
     def _complete_job(self, n_samples: int, start: float) -> None:
         """Shared completion bookkeeping of both timing paths."""
-        if self._m_jobs is not None:
-            self._m_jobs.add(1)
-            self._m_samples.add(n_samples)
-            self._m_busy_seconds.add(self.env.now - start)
+        self.jobs += 1
         self.total_samples += n_samples
+        self.busy_seconds += self.env.now - start
         self._busy = False
         self.registers.set_busy(False)

@@ -71,16 +71,14 @@ class SimulatedDevice:
         self.env = Engine()
         self.crossbar = crossbar
         #: Optional :class:`repro.obs.metrics.MetricsRegistry`; when
-        #: set, every subsystem (HBM channels, DMA, PEs, memory
-        #: manager) records its activity there without perturbing the
-        #: simulated timings.
+        #: set, it publishes every subsystem's statistics without
+        #: perturbing the simulated timings.
         self.metrics = metrics
-        self.hbm = HBMSubsystem(self.env, hbm_spec, crossbar=crossbar, metrics=metrics)
-        self.dma = DmaEngine(self.env, pcie_spec, metrics=metrics)
+        self.hbm = HBMSubsystem(self.env, hbm_spec, crossbar=crossbar)
+        self.dma = DmaEngine(self.env, pcie_spec)
         self.memory_manager = DeviceMemoryManager(
             n_blocks=design.n_cores,
             block_capacity=hbm_spec.channel_capacity_bytes,
-            metrics=metrics,
         )
         self.memories: List[ChannelMemory] = [
             ChannelMemory(hbm_spec.channel_capacity_bytes)
@@ -107,10 +105,39 @@ class SimulatedDevice:
                 clock_hz=design.clock_mhz * 1e6,
                 compute_format=compute_format,
                 burst_granular=burst_granular,
-                metrics=metrics,
             )
             for index in range(design.n_cores)
         ]
+        if metrics is not None:
+            self._register_stats(metrics)
+
+    def _register_stats(self, metrics) -> None:
+        """Publish the components' statistics fields in *metrics*, which
+        reads them when it is read.  The HBM queue depth, a time-weighted
+        level, is the one instrument a channel updates itself."""
+        for channel in self.hbm.channels:
+            prefix = f"hbm.ch{channel.index}"
+            metrics.register_stats(channel, prefix, (
+                "requests", "bytes_read", "bytes_written", "busy_seconds",
+                "refresh_stall_seconds",
+            ), gauges={"plateau_bandwidth": ("plateau_bandwidth", "plateau_bandwidth")})
+            channel.queue_depth = metrics.time_stat(prefix + ".queue_depth")
+        metrics.register_stats(self.dma, "dma", {
+            "requests_h2d": "requests_h2d", "requests_d2h": "requests_d2h",
+            "bytes_h2d": "bytes_to_device", "bytes_d2h": "bytes_from_device",
+            "busy_seconds": "busy_seconds",
+        })
+        for index in range(self.memory_manager.n_blocks):
+            metrics.register_stats(
+                self.memory_manager.allocator(index), f"mem.block{index}",
+                ("allocs", "frees", "alloc_failures"),
+                gauges={"allocated_bytes": ("bytes_allocated", "peak_bytes_allocated")},
+            )
+        for core in self.cores:
+            metrics.register_stats(core, f"pe{core.index}", {
+                "jobs": "jobs", "samples": "total_samples",
+                "busy_seconds": "busy_seconds", "dispatch_seconds": "dispatch_seconds",
+            })
 
     def attach_tracer(self, tracer) -> None:
         """Attach a span tracer to the device's HBM channels.

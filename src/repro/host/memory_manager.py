@@ -38,9 +38,6 @@ class MemoryBlockAllocator:
         base: int,
         capacity: int,
         alignment: int = ALLOCATION_ALIGNMENT,
-        *,
-        metrics=None,
-        metrics_prefix: str = "mem.block",
     ):
         if capacity <= 0:
             raise AllocationError(f"capacity must be positive, got {capacity}")
@@ -54,18 +51,15 @@ class MemoryBlockAllocator:
         self._lock = threading.Lock()
         self._free: List[Tuple[int, int]] = [(base, capacity)]  # (addr, size)
         self._allocated: Dict[int, int] = {}
-        # Metrics (optional, see repro.obs.metrics): alloc/free counts,
-        # transient failures and the allocated-bytes high-water mark.
-        if metrics is not None:
-            self._m_allocs = metrics.counter(metrics_prefix + ".allocs")
-            self._m_frees = metrics.counter(metrics_prefix + ".frees")
-            self._m_failures = metrics.counter(metrics_prefix + ".alloc_failures")
-            self._m_allocated = metrics.gauge(metrics_prefix + ".allocated_bytes")
-        else:
-            self._m_allocs = None
-            self._m_frees = None
-            self._m_failures = None
-            self._m_allocated = None
+        # Plain statistics (``SimulatedDevice`` publishes them as
+        # ``mem.block{i}.*`` metrics): alloc/free counts, transient
+        # failures, and the allocated bytes (after alignment rounding)
+        # with their high-water mark.
+        self.allocs = 0
+        self.frees = 0
+        self.alloc_failures = 0
+        self.bytes_allocated = 0
+        self.peak_bytes_allocated = 0
 
     def alloc(self, n_bytes: int) -> int:
         """Allocate *n_bytes* (rounded up to the alignment); returns the
@@ -83,12 +77,11 @@ class MemoryBlockAllocator:
                     else:
                         del self._free[index]
                     self._allocated[addr] = size
-                    if self._m_allocs is not None:
-                        self._m_allocs.add(1)
-                        self._m_allocated.add(size)
+                    self.allocs += 1
+                    self.bytes_allocated += size
+                    self.peak_bytes_allocated = max(self.peak_bytes_allocated, self.bytes_allocated)
                     return addr
-            if self._m_failures is not None:
-                self._m_failures.add(1)
+            self.alloc_failures += 1
             raise AllocationError(
                 f"no free range of {size} bytes (largest free: "
                 f"{max((s for _, s in self._free), default=0)})"
@@ -100,9 +93,8 @@ class MemoryBlockAllocator:
             size = self._allocated.pop(address, None)
             if size is None:
                 raise AllocationError(f"free of unallocated address {address:#x}")
-            if self._m_frees is not None:
-                self._m_frees.add(1)
-                self._m_allocated.add(-size)
+            self.frees += 1
+            self.bytes_allocated -= size
             # The free list is sorted and fully coalesced, so the freed
             # range can only touch the two ranges around its slot.
             free = self._free
@@ -114,12 +106,6 @@ class MemoryBlockAllocator:
                 free[index - 1] = (free[index - 1][0], free[index - 1][1] + size)
             else:
                 free.insert(index, (address, size))
-
-    @property
-    def bytes_allocated(self) -> int:
-        """Currently allocated bytes (after alignment rounding)."""
-        with self._lock:
-            return sum(self._allocated.values())
 
     @property
     def bytes_free(self) -> int:
@@ -137,19 +123,13 @@ class MemoryBlockAllocator:
 class DeviceMemoryManager:
     """One allocator per HBM block, addressable by block index."""
 
-    def __init__(self, n_blocks: int, block_capacity: int, *, metrics=None):
+    def __init__(self, n_blocks: int, block_capacity: int):
         if n_blocks <= 0:
             raise AllocationError(f"n_blocks must be positive, got {n_blocks}")
         self.n_blocks = n_blocks
         self.block_capacity = block_capacity
         self._allocators = [
-            MemoryBlockAllocator(
-                base=0,
-                capacity=block_capacity,
-                metrics=metrics,
-                metrics_prefix=f"mem.block{index}",
-            )
-            for index in range(n_blocks)
+            MemoryBlockAllocator(base=0, capacity=block_capacity) for _ in range(n_blocks)
         ]
 
     def allocator(self, block: int) -> MemoryBlockAllocator:

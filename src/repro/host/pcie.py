@@ -31,7 +31,7 @@ __all__ = ["DmaEngine"]
 class DmaEngine:
     """Discrete-event model of the shared host DMA engine."""
 
-    def __init__(self, env: Engine, spec: PCIeSpec = PCIE_GEN3_X16, *, metrics=None):
+    def __init__(self, env: Engine, spec: PCIeSpec = PCIE_GEN3_X16):
         self.env = env
         self.spec = spec
         # Weighted engine time is metered by a token bucket; the burst
@@ -40,37 +40,31 @@ class DmaEngine:
         self._bucket = TokenBucket(
             env, rate=spec.weighted_capacity, burst=4096.0, name=f"dma-{spec.name}"
         )
-        #: Bytes requested each way; counted when a transfer is issued,
-        #: so they include any transfer still in flight.
+        # Plain statistics, counted when a transfer is issued, so they
+        # include any transfer still in flight (``SimulatedDevice``
+        # publishes them as ``dma.*`` metrics).
+        self.requests_h2d = 0
+        self.requests_d2h = 0
         self.bytes_to_device = 0
         self.bytes_from_device = 0
-        # Metrics (optional, see repro.obs.metrics): resolved once, one
-        # is-None check per transfer when disabled.
-        if metrics is not None:
-            self._m_requests_h2d = metrics.counter("dma.requests_h2d")
-            self._m_requests_d2h = metrics.counter("dma.requests_d2h")
-            self._m_bytes_h2d = metrics.counter("dma.bytes_h2d")
-            self._m_bytes_d2h = metrics.counter("dma.bytes_d2h")
-            self._m_busy = metrics.counter("dma.busy_seconds")
-        else:
-            self._m_requests_h2d = None
-            self._m_requests_d2h = None
-            self._m_bytes_h2d = None
-            self._m_bytes_d2h = None
-            self._m_busy = None
+        #: Engine occupancy: the serialized drain time of the weighted
+        #: bytes.  Setup latency is left out: setups of queued transfers
+        #: overlap one another and the drain, so summing them would put
+        #: a saturated engine's busy time above the elapsed time.
+        self.busy_seconds = 0.0
 
     def copy_to_device(self, n_bytes: int) -> Event:
         """Host-to-device transfer; yields on completion."""
-        return self._transfer(n_bytes, to_device=True)
+        return self.env.timeout_until(self.reserve(n_bytes, True, self.env.now))
 
     def copy_from_device(self, n_bytes: int) -> Event:
         """Device-to-host transfer; yields on completion."""
-        return self._transfer(n_bytes, to_device=False)
+        return self.env.timeout_until(self.reserve(n_bytes, False, self.env.now))
 
     def reserve(self, n_bytes: int, to_device: bool, at: float) -> float:
         """Queue a transfer issued at time *at*; return when it completes.
 
-        Counts the bytes and pays the setup latency.  Issues must come
+        Counts the transfer and pays the setup latency.  Issues must come
         in time order (ties in call order), as
         :meth:`~repro.sim.resource.TokenBucket.reserve` requires.
         """
@@ -80,43 +74,20 @@ class DmaEngine:
         weight = 1.0 if to_device else spec.d2h_weight
         end = self._bucket.reserve(n_bytes * weight, at + spec.transfer_setup_latency)
         if to_device:
+            self.requests_h2d += 1
             self.bytes_to_device += n_bytes
         else:
+            self.requests_d2h += 1
             self.bytes_from_device += n_bytes
+        self.busy_seconds += n_bytes * weight / spec.weighted_capacity
         return end
 
     def checkpoint(self) -> tuple:
-        """The engine's reservation state, for :meth:`rollback`."""
-        return self.bytes_to_device, self.bytes_from_device, dict(vars(self._bucket))
+        """The engine's reservation state and counters, for :meth:`rollback`."""
+        return dict(vars(self)), dict(vars(self._bucket))
 
     def rollback(self, state: tuple) -> None:
         """Forget every reservation made since *state* was checkpointed."""
-        self.bytes_to_device, self.bytes_from_device, bucket = state
+        engine, bucket = state
+        vars(self).update(engine)
         vars(self._bucket).update(bucket)
-
-    def _transfer(self, n_bytes: int, to_device: bool) -> Event:
-        env = self.env
-        done = env.timeout_until(self.reserve(n_bytes, to_device, env.now))
-        if self._m_busy is not None:
-            done.callbacks.append(lambda _event: self._account(n_bytes, to_device))
-        return done
-
-    def _account(self, n_bytes: int, to_device: bool) -> None:
-        """Record a completed transfer in the metrics registry."""
-        weight = 1.0 if to_device else self.spec.d2h_weight
-        if to_device:
-            self._m_requests_h2d.add(1)
-            self._m_bytes_h2d.add(n_bytes)
-        else:
-            self._m_requests_d2h.add(1)
-            self._m_bytes_d2h.add(n_bytes)
-        # Engine occupancy is the serialized drain time of the weighted
-        # bytes.  Setup latency is left out: setups of queued transfers
-        # overlap one another and the drain, so summing them would put
-        # a saturated engine's busy time above the elapsed time.
-        self._m_busy.add(n_bytes * weight / self.spec.weighted_capacity)
-
-    @property
-    def total_weighted_bytes(self) -> float:
-        """Engine-time-equivalent bytes moved so far."""
-        return self.bytes_to_device + self.spec.d2h_weight * self.bytes_from_device

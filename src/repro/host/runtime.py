@@ -266,17 +266,19 @@ class InferenceRuntime:
         # Job schedules the fold records stay: up to a give-up it times
         # each core's jobs at the starts, and in the order, the DES does.
         checkpoint = dma.checkpoint()
-        bursts = [[0, 0] for _ in cores]  # reads, writes per PE
+        tallies = [[0, 0, []] for _ in cores]  # reads, writes, job seconds per PE
 
         def job_end(pe: int, count: int, ready: float) -> Optional[float]:
             """End of a block's job whose input is on the device at *ready*."""
-            job = cores[pe]._job_schedule(count, start=ready + JOB_DISPATCH_OVERHEAD)
+            begin = ready + JOB_DISPATCH_OVERHEAD
+            job = cores[pe]._job_schedule(count, start=begin)
             if job is None:
                 return None
             end, schedule = job
-            tally = bursts[pe]
+            tally = tallies[pe]
             tally[0] += schedule.n_reads
             tally[1] += schedule.n_writes
+            tally[2].append(end - begin)
             return end
 
         def run_end() -> Optional[float]:
@@ -323,7 +325,9 @@ class InferenceRuntime:
             if queue:
                 n_samples = sum(count for _, count in queue)
                 stats.samples_per_pe[pe] = n_samples
-                cores[pe].commit_jobs(*last_buffers[pe], n_samples, *bursts[pe])
+                cores[pe].commit_jobs(*last_buffers[pe], n_samples, *tallies[pe])
+                for _ in queue:
+                    cores[pe].dispatch_seconds += JOB_DISPATCH_OVERHEAD
         env.run(until=finish)
         return True
 
@@ -342,12 +346,6 @@ class InferenceRuntime:
         n_pes = device.n_pes
         pe_locks = [SimResource(env, 1, name=f"pe{i}-lock") for i in range(n_pes)]
         tracer = self.tracer
-        metrics = device.metrics
-        dispatch_counters = (
-            [metrics.counter(f"pe{i}.dispatch_seconds") for i in range(n_pes)]
-            if metrics is not None
-            else None
-        )
         shared_queue = list(reversed(blocks)) if self.config.scheduling == "shared" else None
 
         # Allocation back-pressure: a control thread that cannot get its
@@ -421,8 +419,7 @@ class InferenceRuntime:
                         lock.seize()
                     try:
                         mark = env.now
-                        if dispatch_counters is not None:
-                            dispatch_counters[pe].add(JOB_DISPATCH_OVERHEAD)
+                        device.cores[pe].dispatch_seconds += JOB_DISPATCH_OVERHEAD
                         yield env.timeout(JOB_DISPATCH_OVERHEAD)
                         yield device.launch(
                             pe,

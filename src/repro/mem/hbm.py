@@ -178,7 +178,6 @@ class HBMChannel:
         *,
         extra_request_latency: float = 0.0,
         explicit_refresh: bool = False,
-        metrics=None,
     ):
         if not 0 <= index:
             raise MemoryModelError(f"channel index must be >= 0, got {index}")
@@ -197,36 +196,26 @@ class HBMChannel:
         # per-request overhead occupies the channel, it does not
         # overlap with another request's data phase.
         self._engine = SimResource(env, capacity=1, name=f"hbm{index}-engine")
+        # Plain statistics (``SimulatedDevice`` publishes them as
+        # ``hbm.ch{i}.*`` metrics when a registry is attached).
+        self.requests = 0
         self.bytes_read = 0
         self.bytes_written = 0
+        self.busy_seconds = 0.0
         self.refresh_count = 0
+        self.refresh_stall_seconds = 0.0
+        #: The Fig. 2 plateau the channel is judged against: the
+        #: refresh-derated rate even when refresh is simulated
+        #: explicitly (the stalls then show up as stall time).
+        self.plateau_bandwidth = plateau_bandwidth(spec)
         #: Optional :class:`repro.obs.trace_export.SpanRecorder`; when attached
         #: (see :meth:`repro.host.device.SimulatedDevice.attach_tracer`)
         #: every request records a span on the ``hbm ch{i}`` track.
         #: Purely observational: recording only reads ``env.now``.
         self.tracer = None
-        # Metrics are resolved once here and updated from the transfer
-        # callbacks; with no registry every update site is one is-None
-        # check (see repro.obs.metrics for the zero-perturbation rules).
-        if metrics is not None:
-            prefix = f"hbm.ch{index}"
-            self._m_requests = metrics.counter(prefix + ".requests")
-            self._m_bytes_read = metrics.counter(prefix + ".bytes_read")
-            self._m_bytes_written = metrics.counter(prefix + ".bytes_written")
-            self._m_busy = metrics.counter(prefix + ".busy_seconds")
-            self._m_refresh_stall = metrics.counter(prefix + ".refresh_stall_seconds")
-            self._m_queue = metrics.time_stat(prefix + ".queue_depth")
-            # The Fig. 2 plateau this channel is judged against is the
-            # refresh-derated rate even when refresh is simulated
-            # explicitly (the stalls then show up as stall time).
-            metrics.gauge(prefix + ".plateau_bandwidth").set(plateau_bandwidth(spec))
-        else:
-            self._m_requests = None
-            self._m_bytes_read = None
-            self._m_bytes_written = None
-            self._m_busy = None
-            self._m_refresh_stall = None
-            self._m_queue = None
+        #: Optional :class:`repro.obs.metrics.TimeWeightedStat` of the
+        #: engine's queue length, attached like :attr:`tracer`.
+        self.queue_depth = None
         if explicit_refresh:
             env.process(self._refresh_loop(), name=f"hbm{index}-refresh")
 
@@ -249,8 +238,7 @@ class HBMChannel:
                 while True:
                     yield self.env.timeout(TRFC_SECONDS)
                     self.refresh_count += 1
-                    if self._m_refresh_stall is not None:
-                        self._m_refresh_stall.add(TRFC_SECONDS)
+                    self.refresh_stall_seconds += TRFC_SECONDS
                     deadline += TREFI_SECONDS
                     if deadline > self.env.now:
                         break
@@ -284,13 +272,10 @@ class HBMChannel:
                 self.bytes_written += n_bytes
             else:
                 self.bytes_read += n_bytes
-            if self._m_requests is not None:
-                self._m_requests.add(1)
-                (self._m_bytes_written if is_write else self._m_bytes_read).add(n_bytes)
-                self._m_busy.add(
-                    self.request_overhead + n_bytes / self.effective_bandwidth
-                )
-                self._m_queue.update(self._engine.queue_length, self.env.now)
+            self.requests += 1
+            self.busy_seconds += self.request_overhead + n_bytes / self.effective_bandwidth
+            if self.queue_depth is not None:
+                self.queue_depth.update(self._engine.queue_length, self.env.now)
             if self.tracer is not None:
                 self.tracer.record(
                     f"hbm ch{self.index}",
@@ -312,8 +297,8 @@ class HBMChannel:
             busy.callbacks.append(on_done)
 
         grant = self._engine.request()
-        if self._m_queue is not None:
-            self._m_queue.update(self._engine.queue_length, self.env.now)
+        if self.queue_depth is not None:
+            self.queue_depth.update(self._engine.queue_length, self.env.now)
         if grant.triggered:
             # Uncontended: the engine is ours already; schedule the data
             # phase now instead of waiting for the grant event's heap hop
@@ -334,16 +319,13 @@ class HBMChannel:
         request costs its fixed overhead plus its data occupancy, so
         the sum telescopes to the expression below.
         """
+        self.requests += n_reads + n_writes
         self.bytes_read += bytes_read
         self.bytes_written += bytes_written
-        if self._m_requests is not None:
-            self._m_requests.add(n_reads + n_writes)
-            self._m_bytes_read.add(bytes_read)
-            self._m_bytes_written.add(bytes_written)
-            self._m_busy.add(
-                (n_reads + n_writes) * self.request_overhead
-                + (bytes_read + bytes_written) / self.effective_bandwidth
-            )
+        self.busy_seconds += (
+            (n_reads + n_writes) * self.request_overhead
+            + (bytes_read + bytes_written) / self.effective_bandwidth
+        )
 
 
 class HBMSubsystem:
@@ -361,14 +343,13 @@ class HBMSubsystem:
         spec: HBMSpec = HBM_XUPVVH,
         *,
         crossbar: bool = False,
-        metrics=None,
     ):
         self.env = env
         self.spec = spec
         self.crossbar = crossbar
         extra = CROSSBAR_LATENCY_SECONDS if crossbar else 0.0
         self.channels: List[HBMChannel] = [
-            HBMChannel(env, index, spec, extra_request_latency=extra, metrics=metrics)
+            HBMChannel(env, index, spec, extra_request_latency=extra)
             for index in range(spec.n_channels)
         ]
         self._switch: Optional[TokenBucket] = (

@@ -1,28 +1,28 @@
 """The metrics registry: counters, gauges, time stats and histograms.
 
 Instrumentation backbone for the simulated system *and* the host-side
-serving datapath.  A :class:`MetricsRegistry` is handed to
-:class:`repro.host.device.SimulatedDevice` (and propagated to the HBM
-channels, the DMA engine, the PE cores and the device memory manager)
-or to the serving broker/executor; each component resolves its metric
-objects **once at construction** and updates them from the callbacks
-it already executes.  Three invariants make the layer safe to leave
-on:
+serving datapath.  Simulated components keep plain numeric fields that
+:class:`repro.host.device.SimulatedDevice` registers once
+(:meth:`MetricsRegistry.register_stats`) and the registry reads when it
+is read; the serving broker/executor resolve registry-created
+instruments **once at construction** and update them from the
+callbacks they already execute.  Three invariants make the layer safe
+to leave on:
 
-* **zero cost when disabled** — components hold ``None`` instead of
-  metric objects when no registry is supplied, and every update site
-  is guarded by a single ``is not None`` check;
+* **zero cost when disabled** — a field update is one add with or
+  without a registry, and a component holding no instrument skips it
+  with one ``is not None`` check;
 * **strictly observational** — metrics never create simulation events
   or timeouts, only read ``env.now``, so simulated timings are
   bit-identical with and without a registry attached (asserted by the
   fast-forward equivalence suite);
-* **atomic under threads** — every instrument of a registry shares
-  that registry's lock, so increments from the broker's ``n_lanes``
-  dispatch threads and the executor's lane submits never lose updates,
-  and :meth:`MetricsRegistry.snapshot` is a consistent point-in-time
-  view (a bare ``value += amount`` is a read-modify-write race under
-  concurrent lane completion; the regression test hammers two lanes to
-  prove updates survive).
+* **atomic under threads** — every instrument the registry creates
+  shares that registry's lock, so increments from the broker's
+  ``n_lanes`` dispatch threads and the executor's lane submits never
+  lose updates, and :meth:`MetricsRegistry.snapshot` is a consistent
+  point-in-time view of them (a bare ``value += amount`` is a
+  read-modify-write race under concurrent lane completion; the
+  regression test hammers two lanes to prove updates survive).
 
 Metric names are dotted paths (``hbm.ch0.bytes_read``,
 ``pe1.busy_seconds``, ``serving.queue_wait``); the
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.obs.hist import LogHistogram
@@ -134,6 +134,23 @@ class TimeWeightedStat:
             return self._area / self._observed
 
 
+class _FieldStat(NamedTuple):
+    """A counter or gauge whose value lives in a field of its owner."""
+
+    name: str
+    owner: object
+    field: str
+    max_field: Optional[str] = None
+
+    @property
+    def value(self) -> float:
+        return float(getattr(self.owner, self.field))
+
+    @property
+    def maximum(self) -> float:
+        return float(getattr(self.owner, self.max_field))
+
+
 class MetricsRegistry:
     """Get-or-create registry of counters, gauges, time stats, histograms.
 
@@ -145,8 +162,8 @@ class MetricsRegistry:
 
     def __init__(self):
         self._lock = threading.RLock()
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
+        self._counters: Dict[str, Union[Counter, _FieldStat]] = {}
+        self._gauges: Dict[str, Union[Gauge, _FieldStat]] = {}
         self._stats: Dict[str, TimeWeightedStat] = {}
         self._histograms: Dict[str, LogHistogram] = {}
 
@@ -216,6 +233,28 @@ class MetricsRegistry:
                     name, lock=self._lock, **kwargs
                 )
             return hist
+
+    def register_stats(
+        self,
+        owner,
+        prefix: str,
+        counters: Union[Iterable[str], Mapping[str, str]],
+        gauges: Optional[Mapping[str, Tuple[str, str]]] = None,
+    ) -> None:
+        """Publish *owner*'s numeric fields as ``prefix.name`` metrics,
+        read whenever the registry is read.  *counters* maps metric
+        names to fields, or lists fields named like their metrics;
+        *gauges* maps a metric name to its value and high-water fields."""
+        if not isinstance(counters, Mapping):
+            counters = {name: name for name in counters}
+        entries = [(self._counters, name, (field, None)) for name, field in counters.items()]
+        entries += [(self._gauges, name, fields) for name, fields in (gauges or {}).items()]
+        with self._lock:
+            for table, name, (field, max_field) in entries:
+                full = f"{prefix}.{name}"
+                if self.has(full):
+                    raise ReproError(f"metric {full!r} is already registered")
+                table[full] = _FieldStat(full, owner, field, max_field)
 
     # -- read-only access -------------------------------------------------------
     def value(self, name: str, default: float = 0.0) -> float:

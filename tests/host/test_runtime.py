@@ -392,11 +392,24 @@ class TestFold:
 
     @staticmethod
     def _spy_fold(monkeypatch):
+        """Record each fold's outcome; a fold that gives up must leave
+        every numeric field of the DMA engine and its bucket as it was."""
         outcomes = []
         fold = InferenceRuntime._fold
 
+        def dma_fields(dma):
+            return [
+                (key, value)
+                for owner in (dma, dma._bucket)
+                for key, value in vars(owner).items()
+                if isinstance(value, (int, float))
+            ]
+
         def spy(self, *args):
+            before = dma_fields(self.device.dma)
             outcomes.append(fold(self, *args))
+            if not outcomes[-1]:
+                assert dma_fields(self.device.dma) == before
             return outcomes[-1]
 
         monkeypatch.setattr(InferenceRuntime, "_fold", spy)
@@ -405,7 +418,8 @@ class TestFold:
     def test_tie_gives_up_and_commits_nothing(self, monkeypatch):
         """Job ends rounded up to a 1 ms grid make two PEs' jobs end at
         the same time: the fold gives up after reserving DMA time, rolls
-        back, and the DES leaves what it leaves with no fold tried.  The
+        back every DMA field to its value before the run (the spy checks),
+        and the DES leaves what it leaves with no fold tried.  The
         panel without transfers shares nothing between PEs, so its ties
         are harmless and it folds, from the state the DES left."""
         job_schedule = SPNAcceleratorCore._job_schedule
@@ -422,6 +436,38 @@ class TestFold:
         assert outcomes == [False, True]
         assert fold_events > 0
         assert folded == des
+
+    def test_fold_keeps_the_statistics_fields(self):
+        """Three panels on one device: the fold leaves the DMA and core
+        statistics fields the DES leaves, bit for bit.  A channel's busy
+        time is one fast-forward sum per folded run, equal to rounding."""
+
+        def fields(device):
+            dma = [
+                (key, value.hex() if isinstance(value, float) else value)
+                for key, value in vars(device.dma).items()
+                if isinstance(value, (int, float))
+            ]
+            cores = [
+                (core.jobs, core.total_samples, core.busy_seconds.hex(),
+                 core.dispatch_seconds.hex(), core.channel.requests)
+                for core in device.cores
+            ]
+            return dma, cores, [core.channel.busy_seconds for core in device.cores]
+
+        states = []
+        for metrics in (None, MetricsRegistry()):
+            device = _nips_device("NIPS10", 4, metrics=metrics)
+            runtime = InferenceRuntime(device)
+            runtime.run_timing_only(3_000_000)
+            runtime.run_on_device_only(2_000_000)
+            runtime.run_timing_only(1_500_000)
+            states.append((fields(device), device.env.scheduled_events))
+        ((fold_dma, fold_cores, fold_busy), fold_events), ((dma, cores, busy), _) = states
+        assert fold_events == 0
+        assert fold_dma == dma
+        assert fold_cores == cores
+        assert fold_busy == pytest.approx(busy, rel=1e-12)
 
     def test_job_without_schedule_gives_up(self, monkeypatch):
         """An emulator tie (no schedule) for the tail block: the fold

@@ -69,11 +69,13 @@ class TestSharedAllocationFailure:
         from repro.host.memory_manager import DeviceMemoryManager
 
         device = SimulatedDevice(compose_design(core, 1, XUPVVH_HBM_PLATFORM))
-        device.memory_manager = DeviceMemoryManager(
-            n_blocks=1, block_capacity=capacity, metrics=metrics
-        )
+        device.memory_manager = DeviceMemoryManager(n_blocks=1, block_capacity=capacity)
         if metrics is not None:
-            device.metrics = metrics
+            # The device registers its own allocators at construction;
+            # publish the replacement's failure count instead.
+            metrics.register_stats(
+                device.memory_manager.allocator(0), "mem.block0", ("alloc_failures",)
+            )
         return InferenceRuntime(
             device,
             InferenceJobConfig(

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.errors import ReproError
 from repro.obs.hist import LogHistogram
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry, TimeWeightedStat
 
@@ -161,12 +162,52 @@ class TestMetricsRegistry:
         assert summary["p99"] is None and summary["mean"] is None
 
 
+class TestRegisteredFields:
+    """Field-backed stats: the owner keeps plain numbers, the registry
+    reads them whenever it is read."""
+
+    class Owner:
+        def __init__(self):
+            self.requests = 0
+            self.total_samples = 0
+            self.level = 0
+            self.peak = 0
+
+    def test_reads_fields_live_as_floats(self):
+        registry, owner = MetricsRegistry(), self.Owner()
+        registry.register_stats(
+            owner, "pe0", {"jobs": "requests", "samples": "total_samples"},
+            gauges={"level": ("level", "peak")},
+        )
+        owner.requests, owner.level, owner.peak = 3, 2, 5
+        assert registry.value("pe0.jobs") == 3.0
+        assert registry.maximum("pe0.level") == 5.0
+        assert registry.has("pe0.samples")
+        snap = json.loads(registry.to_json())
+        assert snap["counters"] == {"pe0.jobs": 3.0, "pe0.samples": 0.0}
+        assert snap["gauges"] == {"pe0.level": {"value": 2.0, "max": 5.0}}
+        assert '"pe0.samples": 0.0' in registry.to_json()
+
+    def test_field_names_double_as_metric_names(self):
+        registry, owner = MetricsRegistry(), self.Owner()
+        registry.register_stats(owner, "hbm.ch0", ("requests",))
+        owner.requests += 1
+        assert registry.value("hbm.ch0.requests") == 1.0
+
+    def test_name_registered_twice_rejected(self):
+        registry = MetricsRegistry()
+        registry.counter("dma.requests")
+        with pytest.raises(ReproError):
+            registry.register_stats(self.Owner(), "dma", ("requests",))
+
+
 class TestConcurrentLaneCompletion:
     """Regression: dispatch-lane threads update shared instruments
     concurrently; every increment must land exactly once."""
 
     N_THREADS = 4
     ROUNDS = 5_000
+    SNAPSHOTS = 200
 
     def _hammer(self, work):
         threads = [
@@ -210,25 +251,36 @@ class TestConcurrentLaneCompletion:
 
     def test_snapshot_during_hammer_is_consistent(self):
         # Snapshots taken mid-flight under the registry lock must see
-        # a consistent cut (counter == histogram count per round).
+        # a consistent cut (counter == histogram count per round).  The
+        # snapshotter stops after SNAPSHOTS mid-flight cuts or when the
+        # workers finish, and worker 0 waits halfway until one cut has
+        # landed, so at least one snapshot is taken mid-flight.
         registry = MetricsRegistry()
         counter = registry.counter("serving.requests")
         hist = registry.histogram("serving.e2e")
+        total = self.N_THREADS * self.ROUNDS
         stop = threading.Event()
+        halfway = threading.Event()
         errors = []
+        mid_flight = []
 
-        def work(_):
-            for _ in range(self.ROUNDS):
+        def work(thread):
+            for round_ in range(self.ROUNDS):
+                if thread == 0 and round_ == self.ROUNDS // 2:
+                    halfway.wait()
                 with registry._lock:
                     counter.add(1)
                     hist.record(0.001)
 
         def snapshotter():
-            while not stop.is_set():
+            while not stop.is_set() and len(mid_flight) < self.SNAPSHOTS:
                 snap = registry.snapshot()
-                if (snap["counters"]["serving.requests"]
-                        != snap["histograms"]["serving.e2e"]["count"]):
+                count = snap["counters"]["serving.requests"]
+                if count != snap["histograms"]["serving.e2e"]["count"]:
                     errors.append(snap)
+                if 0 < count < total:
+                    mid_flight.append(count)
+                    halfway.set()
 
         watcher = threading.Thread(target=snapshotter)
         watcher.start()
@@ -236,4 +288,5 @@ class TestConcurrentLaneCompletion:
         stop.set()
         watcher.join()
         assert not errors
+        assert mid_flight
         assert counter.value == self.N_THREADS * self.ROUNDS
