@@ -48,12 +48,12 @@ lane, copies the batch into its arena once, and rides the same path.
   ``"pool"`` pins the pool.  Inside forked workers kernel threads are
   always pinned to 1, so pool dispatch can never nest-oversubscribe
   the machine;
-* **observability** — with a :class:`~repro.obs.metrics.MetricsRegistry`
-  attached the executor records shards dispatched, shared-memory bytes
-  in/out, per-worker busy seconds and dispatch latency under
-  ``executor.*`` names, which ``repro report --host`` fuses into a
-  host-side utilization report.  Without a registry every update site
-  is a single ``is not None`` check — zero perturbation.
+* **observability** — the executor always folds each batch into its
+  :class:`ExecutorStats` fields (shards dispatched, shared-memory
+  bytes in/out, per-worker busy seconds, dispatch latency), one lock
+  per batch; with a :class:`~repro.obs.metrics.MetricsRegistry`
+  attached it registers them once under ``executor.*`` names, which
+  ``repro report --host`` fuses into a host-side utilization report.
 
 Workers prefer the ``fork`` start method, inheriting the parent's SPN
 object *and* its compiled plan through the plan cache — on fork
@@ -73,6 +73,7 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,7 +83,7 @@ from repro.spn.graph import SPN
 from repro.spn.plan import InferencePlan, get_plan
 from repro.spn.plan_eval import plan_log_likelihood
 
-__all__ = ["ExecutorLane", "ParallelPlanExecutor", "check_batch"]
+__all__ = ["ExecutorLane", "ExecutorStats", "ParallelPlanExecutor", "check_batch"]
 
 #: Default floor on rows per shard; below it the per-shard dispatch
 #: overhead (one pipe round-trip) is no longer amortised.
@@ -295,6 +296,24 @@ def _release_shared_state(state: Dict[str, object]) -> None:
             pass
 
 
+class ExecutorStats:
+    """Plain statistics an executor always keeps, registry or not,
+    folded in once per batch under its ``_metrics_lock``; ``workers[n]``
+    holds worker slot *n*'s ``busy_seconds``."""
+
+    #: Fields published as ``executor.<name>`` counters.
+    COUNTERS = (
+        "submits", "rows", "shards", "bytes_in", "bytes_out",
+        "dispatch_seconds", "compute_seconds", "kernel_threads",
+    )
+    __slots__ = COUNTERS + ("workers",)
+
+    def __init__(self):
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+        self.workers: List[SimpleNamespace] = []
+
+
 class ExecutorLane:
     """One reentrant staging lane of a :class:`ParallelPlanExecutor`.
 
@@ -502,7 +521,8 @@ class ParallelPlanExecutor:
         ``max_lanes * capacity_rows * row_bytes``.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; when
-        given the executor records ``executor.*`` counters.
+        given the executor registers :attr:`stats` there as the
+        ``executor.*`` counters.
     host_tracer:
         Optional :class:`~repro.obs.trace_export.SpanRecorder`;
         when given every shard evaluation records a wall-clock span on
@@ -567,27 +587,21 @@ class ParallelPlanExecutor:
         )
         self._registry = metrics
         self._host_tracer = host_tracer
+        self.stats = ExecutorStats()
         self._worker_slots: Dict[int, int] = {}
         self._max_lanes = max_lanes
         self._lanes: List[ExecutorLane] = []
         self._lane_free: List[ExecutorLane] = []
         # Lock order (never reversed): _lane_lock -> _shm_lock.
-        # _metrics_lock is a leaf, taken around counter folds only —
-        # lanes submit from several broker dispatch threads at once
-        # and the counters' read-modify-write would otherwise race.
+        # _metrics_lock guards the stats folds and the worker-slot
+        # table — lanes submit from several broker dispatch threads at
+        # once and a read-modify-write would otherwise race; only the
+        # registry's own lock is ever taken inside it.
         self._lane_lock = threading.Lock()
         self._shm_lock = threading.Lock()
         self._metrics_lock = threading.Lock()
         if metrics is not None:
-            self._m_submits = metrics.counter("executor.submits")
-            self._m_rows = metrics.counter("executor.rows")
-            self._m_shards = metrics.counter("executor.shards")
-            self._m_bytes_in = metrics.counter("executor.bytes_in")
-            self._m_bytes_out = metrics.counter("executor.bytes_out")
-            self._m_dispatch = metrics.counter("executor.dispatch_seconds")
-            self._m_compute = metrics.counter("executor.compute_seconds")
-        else:
-            self._m_submits = None
+            metrics.register_stats(self.stats, "executor", ExecutorStats.COUNTERS)
 
         start = time.perf_counter()
         self._plan = get_plan(spn)
@@ -817,11 +831,24 @@ class ParallelPlanExecutor:
         ]
 
     def _worker_slot(self, pid: int) -> int:
-        """Stable small index for a worker process id."""
+        """Stable small index for a worker process id.  A new slot, its
+        field and its registered name are made under ``_metrics_lock``
+        (names stay contiguous from 0); the pid is published last."""
         slot = self._worker_slots.get(pid)
-        if slot is None:
-            slot = self._worker_slots[pid] = len(self._worker_slots)
-        return slot
+        if slot is not None:
+            return slot
+        with self._metrics_lock:
+            slot = self._worker_slots.get(pid)
+            if slot is None:
+                slot = len(self.stats.workers)
+                worker = SimpleNamespace(busy_seconds=0.0)
+                self.stats.workers.append(worker)
+                if self._registry is not None:
+                    self._registry.register_stats(
+                        worker, f"executor.worker{slot}", ("busy_seconds",)
+                    )
+                self._worker_slots[pid] = slot
+            return slot
 
     def _record_worker_span(
         self, pid: int, label: str, begin: float, end: float
@@ -981,28 +1008,25 @@ class ParallelPlanExecutor:
         shm_bytes_in: int = 0,
         kernel_threads: int = 0,
     ) -> None:
-        """Fold one evaluated batch into the ``executor.*`` counters."""
-        if self._m_submits is None:
-            return
+        """Fold one evaluated batch into :attr:`stats`, under one lock."""
+        busy_by_slot = [
+            (self._worker_slot(pid), busy) for pid, busy in busy_by_pid.items()
+        ]
+        stats = self.stats
         with self._metrics_lock:
-            self._m_submits.add(1)
-            self._m_rows.add(rows)
-            self._m_shards.add(shards)
-            self._m_compute.add(wall)
+            stats.submits += 1
+            stats.rows += rows
+            stats.shards += shards
+            stats.compute_seconds += wall
+            stats.kernel_threads += kernel_threads
             if shm_bytes_in:
-                self._m_bytes_in.add(shm_bytes_in)
-                self._m_bytes_out.add(rows * 8)
-                self._m_dispatch.add(
-                    max(0.0, wall - max(busy_by_pid.values()))
+                stats.bytes_in += shm_bytes_in
+                stats.bytes_out += rows * 8
+                stats.dispatch_seconds += max(
+                    0.0, wall - max(busy_by_pid.values())
                 )
-            if kernel_threads:
-                self._registry.counter("executor.kernel_threads").add(
-                    kernel_threads
-                )
-            for pid, busy in busy_by_pid.items():
-                self._registry.counter(
-                    f"executor.worker{self._worker_slot(pid)}.busy_seconds"
-                ).add(busy)
+            for slot, busy in busy_by_slot:
+                stats.workers[slot].busy_seconds += busy
 
     def _eval_inline(
         self,

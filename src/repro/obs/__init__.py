@@ -1,8 +1,9 @@
 """Observability: metrics, tracing, reports.
 
-See :mod:`repro.obs.metrics` for the registry the simulated components
-update (counters, gauges, time-weighted stats and log-bucketed
-:class:`LogHistogram` latency histograms), :mod:`repro.obs.rtrace` for
+See :mod:`repro.obs.metrics` for the registry that reads the
+components' registered stat fields (counters and gauges) and holds
+time-weighted stats and log-bucketed :class:`LogHistogram` latency
+histograms, :mod:`repro.obs.rtrace` for
 request-scoped tracing through the serving datapath,
 :mod:`repro.obs.report` for the fused :class:`UtilizationReport` and
 :mod:`repro.obs.trace_export` for the one span model — :class:`Span`
@@ -14,7 +15,7 @@ measured by the end-to-end benchmark, ``benchmarks/e2e/run.py``.
 """
 
 from repro.obs.hist import LogHistogram
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, TimeWeightedStat
+from repro.obs.metrics import Counter, MetricsRegistry, TimeWeightedStat
 from repro.obs.report import (
     ChannelUtilization,
     DmaUtilization,
@@ -40,7 +41,6 @@ from repro.obs.trace_export import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "LogHistogram",
     "MetricsRegistry",
     "TimeWeightedStat",

@@ -1,13 +1,13 @@
 """The metrics registry: counters, gauges, time stats and histograms.
 
 Instrumentation backbone for the simulated system *and* the host-side
-serving datapath.  Simulated components keep plain numeric fields that
-:class:`repro.host.device.SimulatedDevice` registers once
-(:meth:`MetricsRegistry.register_stats`) and the registry reads when it
-is read; the serving broker/executor resolve registry-created
-instruments **once at construction** and update them from the
-callbacks they already execute.  Three invariants make the layer safe
-to leave on:
+serving datapath.  Components — the simulated HBM channels, DMA,
+allocators and cores, the broker's ``BrokerStats`` and the executor's
+``ExecutorStats`` — keep plain numeric fields and register them once
+(:meth:`MetricsRegistry.register_stats`); the registry reads them when
+it is read.  It creates only the latency histograms, the HBM
+queue-depth time stat and the native kernel's counters.  Three
+invariants make the layer safe to leave on:
 
 * **zero cost when disabled** — a field update is one add with or
   without a registry, and a component holding no instrument skips it
@@ -18,11 +18,10 @@ to leave on:
   fast-forward equivalence suite);
 * **atomic under threads** — every instrument the registry creates
   shares that registry's lock, so increments from the broker's
-  ``n_lanes`` dispatch threads and the executor's lane submits never
-  lose updates, and :meth:`MetricsRegistry.snapshot` is a consistent
-  point-in-time view of them (a bare ``value += amount`` is a
-  read-modify-write race under concurrent lane completion; the
-  regression test hammers two lanes to prove updates survive).
+  dispatch threads never lose updates, and :meth:`MetricsRegistry.
+  snapshot` is a consistent cut of them.  Fields are their owner's
+  to guard: the executor folds a batch in under its own lock, and the
+  broker's fields live on its event-loop thread.
 
 Metric names are dotted paths (``hbm.ch0.bytes_read``,
 ``pe1.busy_seconds``, ``serving.queue_wait``); the
@@ -37,14 +36,13 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.obs.hist import LogHistogram
 
 __all__ = [
     "Counter",
-    "Gauge",
     "TimeWeightedStat",
     "LogHistogram",
     "MetricsRegistry",
@@ -67,30 +65,6 @@ class Counter:
             raise ValueError(f"counter {self.name!r} cannot decrease ({amount})")
         with self._lock:
             self.value += amount
-
-
-class Gauge:
-    """A named instantaneous value that also tracks its high-water mark."""
-
-    __slots__ = ("name", "value", "maximum", "_lock")
-
-    def __init__(self, name: str, *, lock: Optional[threading.RLock] = None):
-        self.name = name
-        self.value = 0.0
-        self.maximum = 0.0
-        self._lock = lock if lock is not None else threading.RLock()
-
-    def set(self, value: float) -> None:
-        """Replace the current value (high-water mark is retained)."""
-        with self._lock:
-            self.value = value
-            if value > self.maximum:
-                self.maximum = value
-
-    def add(self, delta: float) -> None:
-        """Shift the current value by *delta* (may be negative)."""
-        with self._lock:
-            self.set(self.value + delta)
 
 
 class TimeWeightedStat:
@@ -134,36 +108,34 @@ class TimeWeightedStat:
             return self._area / self._observed
 
 
-class _FieldStat(NamedTuple):
-    """A counter or gauge whose value lives in a field of its owner."""
-
-    name: str
-    owner: object
-    field: str
-    max_field: Optional[str] = None
+class _FieldStat(list):
+    """The ``(owner, field, max_field)`` sources of a counter or gauge
+    whose value lives in its owners' fields: several owners (one broker
+    per rate point of a sweep) read as the sum of their fields, and a
+    gauge's maximum as the largest of their high-water fields."""
 
     @property
     def value(self) -> float:
-        return float(getattr(self.owner, self.field))
+        return float(sum(getattr(owner, field) for owner, field, _ in self))
 
     @property
     def maximum(self) -> float:
-        return float(getattr(self.owner, self.max_field))
+        return float(max(getattr(owner, field) for owner, _, field in self))
 
 
 class MetricsRegistry:
-    """Get-or-create registry of counters, gauges, time stats, histograms.
+    """Registry of field-backed counters and gauges, and of the
+    counters, time stats and histograms it creates on first use.
 
     All instruments created through one registry share one reentrant
-    lock: increments are atomic across the serving broker's dispatch
-    threads and executor lanes, and :meth:`snapshot` reads a consistent
-    cut of every instrument.
+    lock: increments are atomic across threads, and :meth:`snapshot`
+    reads a consistent cut of every instrument.
     """
 
     def __init__(self):
         self._lock = threading.RLock()
         self._counters: Dict[str, Union[Counter, _FieldStat]] = {}
-        self._gauges: Dict[str, Union[Gauge, _FieldStat]] = {}
+        self._gauges: Dict[str, _FieldStat] = {}
         self._stats: Dict[str, TimeWeightedStat] = {}
         self._histograms: Dict[str, LogHistogram] = {}
 
@@ -197,15 +169,6 @@ class MetricsRegistry:
                 self._check_collision(name, "counter")
                 counter = self._counters[name] = Counter(name, lock=self._lock)
             return counter
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge registered as *name* (created on first use)."""
-        with self._lock:
-            gauge = self._gauges.get(name)
-            if gauge is None:
-                self._check_collision(name, "gauge")
-                gauge = self._gauges[name] = Gauge(name, lock=self._lock)
-            return gauge
 
     def time_stat(self, name: str) -> TimeWeightedStat:
         """The time-weighted stat registered as *name*."""
@@ -244,7 +207,9 @@ class MetricsRegistry:
         """Publish *owner*'s numeric fields as ``prefix.name`` metrics,
         read whenever the registry is read.  *counters* maps metric
         names to fields, or lists fields named like their metrics;
-        *gauges* maps a metric name to its value and high-water fields."""
+        *gauges* maps a metric name to its value and high-water fields.
+        A name other owners registered too reads as their sum; one the
+        registry created an instrument for raises."""
         if not isinstance(counters, Mapping):
             counters = {name: name for name in counters}
         entries = [(self._counters, name, (field, None)) for name, field in counters.items()]
@@ -252,9 +217,12 @@ class MetricsRegistry:
         with self._lock:
             for table, name, (field, max_field) in entries:
                 full = f"{prefix}.{name}"
-                if self.has(full):
-                    raise ReproError(f"metric {full!r} is already registered")
-                table[full] = _FieldStat(full, owner, field, max_field)
+                stat = table.get(full)
+                if not isinstance(stat, _FieldStat):
+                    if self.has(full):
+                        raise ReproError(f"metric {full!r} is already registered")
+                    stat = table[full] = _FieldStat()
+                stat.append((owner, field, max_field))
 
     # -- read-only access -------------------------------------------------------
     def value(self, name: str, default: float = 0.0) -> float:

@@ -68,6 +68,9 @@ class ChannelUtilization:
     bytes_read: int
     bytes_written: int
     busy_seconds: float
+    #: Time lost to explicit refresh.  Reads 0 from every
+    #: ``SimulatedDevice`` run: ``HBMSubsystem`` never enables
+    #: ``explicit_refresh`` on its channels.
     refresh_stall_seconds: float
     #: The Fig. 2 saturation bandwidth the channel is judged against.
     plateau_bandwidth: float

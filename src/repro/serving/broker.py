@@ -53,9 +53,10 @@ or pooled, numpy or native backend):
   shedding only past the hard bound, and
   ``serving.arena_waits``/``serving.arenas_busy`` make the distinction
   observable.
-* **observability** — with a :class:`~repro.obs.metrics.MetricsRegistry`
-  attached the broker records ``serving.*`` counters/gauges plus
-  per-stage latency histograms (``serving.batch_form`` /
+* **observability** — the broker always counts into
+  :class:`BrokerStats`; with a :class:`~repro.obs.metrics.MetricsRegistry`
+  attached it registers those fields as ``serving.*`` counters/gauges
+  and records per-stage latency histograms (``serving.batch_form`` /
   ``queue_wait`` / ``dispatch`` / ``kernel`` / ``scatter`` / ``e2e``
   and ``serving.shed`` — the five stages partition e2e exactly); with
   a :class:`~repro.obs.trace_export.SpanRecorder` every dispatched
@@ -92,28 +93,40 @@ _Key = Tuple[Optional[Tuple[int, ...]], Optional[float]]
 
 
 class BrokerStats:
-    """Plain counters the broker always keeps (registry or not)."""
+    """Plain statistics the broker always keeps, registry or not, all
+    updated on its event-loop thread; ``queue_rows`` and ``arenas_busy``
+    are levels with a high-water field each."""
 
     __slots__ = (
         "requests",
         "rejected",
         "batches",
         "rows",
+        "batch_seconds",
         "flush_full",
         "flush_wait",
         "flush_close",
         "arena_waits",
+        "queue_rows",
+        "queue_rows_max",
+        "arenas_busy",
+        "arenas_busy_max",
     )
 
+    #: Fields published as ``serving.<name>`` counters.
+    COUNTERS = (
+        "requests", "rejected", "batches", "rows", "batch_seconds",
+        "flush_full", "flush_wait", "arena_waits",
+    )
+    #: ``serving.<name>`` gauges: (value field, high-water field).
+    GAUGES = {
+        "queue_rows": ("queue_rows", "queue_rows_max"),
+        "arenas_busy": ("arenas_busy", "arenas_busy_max"),
+    }
+
     def __init__(self):
-        self.requests = 0
-        self.rejected = 0
-        self.batches = 0
-        self.rows = 0
-        self.flush_full = 0
-        self.flush_wait = 0
-        self.flush_close = 0
-        self.arena_waits = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     @property
     def mean_batch_rows(self) -> float:
@@ -121,7 +134,7 @@ class BrokerStats:
         return self.rows / self.batches if self.batches else 0.0
 
     def to_dict(self) -> dict:
-        """JSON-native snapshot of all counters."""
+        """JSON-native snapshot of every field."""
         return {name: getattr(self, name) for name in self.__slots__} | {
             "mean_batch_rows": self.mean_batch_rows
         }
@@ -211,9 +224,11 @@ class MicroBatchBroker:
         PR 8 behaviour; serving sweeps default higher
         (:func:`~repro.serving.scenarios.run_serve`).
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` for the
-        ``serving.*`` counters and the ``serving.queue_rows`` /
-        ``serving.arenas_busy`` gauges.
+        Optional :class:`~repro.obs.metrics.MetricsRegistry`; the
+        broker registers :attr:`stats` there as the ``serving.*``
+        counters and the ``serving.queue_rows`` /
+        ``serving.arenas_busy`` gauges, summed with any other broker
+        registered on the same registry.
     host_tracer:
         Optional :class:`~repro.obs.trace_export.SpanRecorder`;
         every batch records a span (label ``batch<N> <rows>r``) on its
@@ -280,7 +295,6 @@ class MicroBatchBroker:
         self.stats = BrokerStats()
         self._pending: Dict[_Key, _PendingBatch] = {}
         self._inflight: set = set()
-        self._queued_rows = 0
         self._closed = False
         self._batch_ids = itertools.count()
         # The arena ring: one spare beyond the lane count so the event
@@ -291,7 +305,6 @@ class MicroBatchBroker:
         self._n_arenas = self.n_lanes + 1
         self._arena_free: List[_Arena] = []
         self._arena_count = 0
-        self._arenas_busy = 0
         # Admitted rows no arena could take yet, in arrival order:
         # (key, row, future, enqueue_t, trace) — _place()'s arguments.
         self._parked: Deque[tuple] = deque()
@@ -303,29 +316,18 @@ class MicroBatchBroker:
             max_workers=self.n_lanes, thread_name_prefix="repro-serve"
         )
         self._host_tracer = host_tracer
+        self._hist: Optional[Dict[str, object]] = None
         if metrics is not None:
-            self._m_requests = metrics.counter("serving.requests")
-            self._m_rejected = metrics.counter("serving.rejected")
-            self._m_batches = metrics.counter("serving.batches")
-            self._m_rows = metrics.counter("serving.rows")
-            self._m_batch_seconds = metrics.counter("serving.batch_seconds")
-            self._m_flush_full = metrics.counter("serving.flush_full")
-            self._m_flush_wait = metrics.counter("serving.flush_wait")
-            self._m_arena_waits = metrics.counter("serving.arena_waits")
-            self._m_queue = metrics.gauge("serving.queue_rows")
-            self._m_arenas_busy = metrics.gauge("serving.arenas_busy")
-            self._h_e2e = metrics.histogram("serving.e2e")
-            self._h_shed = metrics.histogram("serving.shed")
-            self._h_stage = {
+            # The registry holds the stats, never the broker: a sweep-wide
+            # registry does not pin a finished broker's arenas.
+            metrics.register_stats(
+                self.stats, "serving", BrokerStats.COUNTERS,
+                gauges=BrokerStats.GAUGES,
+            )
+            self._hist = {
                 name: metrics.histogram(f"serving.{name}")
-                for name, _, _ in STAGE_HISTOGRAMS
+                for name in ("e2e", "shed", *(s for s, _, _ in STAGE_HISTOGRAMS))
             }
-        else:
-            self._m_requests = None
-            self._m_queue = None
-            self._h_e2e = None
-            self._h_shed = None
-            self._h_stage = None
         self._rtrace = rtrace
         # One flag guards every stamp site: with neither metrics nor a
         # request-trace recorder attached, the broker takes zero extra
@@ -341,7 +343,7 @@ class MicroBatchBroker:
     @property
     def queued_rows(self) -> int:
         """Rows currently in the system (pending + in flight)."""
-        return self._queued_rows
+        return self.stats.queue_rows
 
     @property
     def n_variables(self) -> int:
@@ -388,16 +390,15 @@ class MicroBatchBroker:
         trace = self._rtrace.sample() if self._rtrace is not None else None
         if trace is not None:
             trace.stamp("enqueue", enqueue_t)
-        if self._m_requests is not None:
-            self._m_requests.add(1)
-        self.stats.requests += 1
-        if self._queued_rows + 1 > self.max_queue_rows:
+        stats = self.stats
+        stats.requests += 1
+        if stats.queue_rows + 1 > self.max_queue_rows:
             self._count_shed(enqueue_t, trace)
             raise ServingOverloadError(
-                f"request shed: {self._queued_rows} rows queued >= "
+                f"request shed: {stats.queue_rows} rows queued >= "
                 f"max_queue_rows={self.max_queue_rows}"
             )
-        self._set_queued(self._queued_rows + 1)
+        self._set_queued(stats.queue_rows + 1)
 
         key: _Key = (marginalized, missing_value)
         # The request's one future: its result.  Whether the row is
@@ -409,12 +410,10 @@ class MicroBatchBroker:
         except Exception:
             # Admitted (counted into the queue bound) but opening a new
             # arena failed — give the row back.
-            self._set_queued(self._queued_rows - 1)
+            self._set_queued(stats.queue_rows - 1)
             raise
         if not placed:
-            self.stats.arena_waits += 1
-            if self._m_requests is not None:
-                self._m_arena_waits.add(1)
+            stats.arena_waits += 1
             self._parked.append((key, row, future, enqueue_t, trace))
         return await future
 
@@ -459,15 +458,14 @@ class MicroBatchBroker:
         return row
 
     def _set_queued(self, value: int) -> None:
-        self._queued_rows = value
-        if self._m_queue is not None:
-            self._m_queue.set(value)
+        stats = self.stats
+        stats.queue_rows = value
+        if value > stats.queue_rows_max:
+            stats.queue_rows_max = value
 
     def _count_shed(self, enqueue_t: float, trace) -> None:
         """Count one request shed, at the door or while parked."""
         self.stats.rejected += 1
-        if self._m_requests is not None:
-            self._m_rejected.add(1)
         self._record_shed(enqueue_t, trace)
 
     def _record_shed(self, enqueue_t: float, trace) -> None:
@@ -482,8 +480,8 @@ class MicroBatchBroker:
         if not self._timing:
             return
         now = time.perf_counter()
-        if self._h_shed is not None:
-            self._h_shed.record(max(0.0, now - enqueue_t))
+        if self._hist is not None:
+            self._hist["shed"].record(max(0.0, now - enqueue_t))
         if trace is not None:
             trace.shed = True
             trace.stamp("complete", now)
@@ -501,9 +499,10 @@ class MicroBatchBroker:
             self._arena_count += 1
         else:
             return None
-        self._arenas_busy += 1
-        if self._m_queue is not None:
-            self._m_arenas_busy.set(self._arenas_busy)
+        stats = self.stats
+        stats.arenas_busy += 1
+        if stats.arenas_busy > stats.arenas_busy_max:
+            stats.arenas_busy_max = stats.arenas_busy
         return arena
 
     def _new_arena(self) -> Optional[_Arena]:
@@ -533,9 +532,7 @@ class MicroBatchBroker:
         return _Arena(index, lane.arena, lane)
 
     def _release_arena(self, arena: _Arena) -> None:
-        self._arenas_busy -= 1
-        if self._m_queue is not None:
-            self._m_arenas_busy.set(self._arenas_busy)
+        self.stats.arenas_busy -= 1
         self._arena_free.append(arena)
         # Drain the parked rows in arrival order, in this one pass: no
         # task is woken to place a row.  The head can always be placed
@@ -547,7 +544,7 @@ class MicroBatchBroker:
             future = entry[2]
             if future.done():  # cancelled by its caller while parked
                 parked.popleft()
-                self._set_queued(self._queued_rows - 1)
+                self._set_queued(self.stats.queue_rows - 1)
                 continue
             try:
                 if not self._place(*entry):
@@ -555,7 +552,7 @@ class MicroBatchBroker:
             except Exception as exc:  # noqa: BLE001 - forwarded to its caller
                 # Opening a new arena failed: this row's caller gets
                 # the error submit() would have raised; the rest drain.
-                self._set_queued(self._queued_rows - 1)
+                self._set_queued(self.stats.queue_rows - 1)
                 future.set_exception(exc)
             parked.popleft()
 
@@ -569,12 +566,8 @@ class MicroBatchBroker:
             batch.timer.cancel()
         if reason == "full":
             self.stats.flush_full += 1
-            if self._m_requests is not None:
-                self._m_flush_full.add(1)
         elif reason == "wait":
             self.stats.flush_wait += 1
-            if self._m_requests is not None:
-                self._m_flush_wait.add(1)
         else:
             self.stats.flush_close += 1
         if self._timing:
@@ -653,12 +646,10 @@ class MicroBatchBroker:
                         else ServingError(f"batch evaluation failed: {exc}")
                     )
         else:
-            self.stats.batches += 1
-            self.stats.rows += len(batch.futures)
-            if self._m_requests is not None:
-                self._m_batches.add(1)
-                self._m_rows.add(len(batch.futures))
-                self._m_batch_seconds.add(seconds)
+            stats = self.stats
+            stats.batches += 1
+            stats.rows += len(batch.futures)
+            stats.batch_seconds += seconds
             values = np.asarray(out, dtype=np.float64).tolist()
             for future, value in zip(batch.futures, values):
                 if not future.done():
@@ -666,7 +657,7 @@ class MicroBatchBroker:
             if self._timing and stage is not None:
                 self._record_batch_timing(batch, stage)
         finally:
-            self._set_queued(self._queued_rows - len(batch.futures))
+            self._set_queued(self.stats.queue_rows - len(batch.futures))
             self._release_arena(batch.arena)
 
     def _record_batch_timing(self, batch: _PendingBatch, stage: dict) -> None:
@@ -686,14 +677,14 @@ class MicroBatchBroker:
         dispatch = stage.get("dispatch", sealed)
         kernel_start = stage.get("kernel_start", dispatch)
         kernel_end = stage.get("kernel_end", kernel_start)
-        if self._h_e2e is not None and batch.enqueues:
-            hist = self._h_stage
+        hist = self._hist
+        if hist is not None and batch.enqueues:
             n = len(batch.enqueues)
             hist["queue_wait"].record(dispatch - sealed, n)
             hist["dispatch"].record(kernel_start - dispatch, n)
             hist["kernel"].record(kernel_end - kernel_start, n)
             hist["scatter"].record(complete - kernel_end, n)
-            batch_form, e2e = hist["batch_form"], self._h_e2e
+            batch_form, e2e = hist["batch_form"], hist["e2e"]
             for enqueue in batch.enqueues:
                 batch_form.record(sealed - enqueue)
                 e2e.record(complete - enqueue)
@@ -732,7 +723,7 @@ class MicroBatchBroker:
         # below have nothing to place into a closing broker.
         while self._parked:
             _, _, future, enqueue_t, trace = self._parked.popleft()
-            self._set_queued(self._queued_rows - 1)
+            self._set_queued(self.stats.queue_rows - 1)
             if future.done():  # cancelled by its caller while parked
                 continue
             future.set_exception(ServingOverloadError(
@@ -764,11 +755,9 @@ class MicroBatchBroker:
                     ServingOverloadError("broker closed before dispatch")
                 )
         self.stats.rejected += len(batch.futures)
-        if self._m_requests is not None:
-            self._m_rejected.add(len(batch.futures))
         for enqueue, trace in zip(batch.enqueues, batch.traces):
             self._record_shed(enqueue, trace)
-        self._set_queued(self._queued_rows - len(batch.futures))
+        self._set_queued(self.stats.queue_rows - len(batch.futures))
         self._release_arena(batch.arena)
 
     async def __aenter__(self) -> "MicroBatchBroker":

@@ -10,6 +10,8 @@ lane exhaustion, transient ``/dev/shm`` allocation failures.
 """
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -245,6 +247,45 @@ def test_metrics_traffic_accounting(setup):
         assert metrics.value("executor.bytes_out") == data.shape[0] * 8
         assert metrics.has("executor.worker0.busy_seconds")
         assert metrics.value("executor.worker0.busy_seconds") > 0
+
+
+def test_concurrent_folds_lose_nothing_and_slots_stay_contiguous(setup):
+    """Lanes fold batches from several dispatch threads, each meeting
+    new worker pids: no fold is lost, no two pids share a slot, and the
+    registered ``executor.worker{n}`` names run contiguously from 0."""
+    spn, _ = setup
+    metrics = MetricsRegistry()
+    n_threads, rounds = 8, 200
+    start = threading.Barrier(n_threads, timeout=30)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ParallelPlanExecutor(spn, n_workers=1, metrics=metrics) as running:
+
+            def work(thread):
+                start.wait()
+                for round_ in range(rounds):
+                    pid = 10_000 + thread * rounds + round_ % 4
+                    running._fold_metrics(1, 1, 0.0, {pid: 1.0, 1: 1.0})
+
+            threads = [
+                threading.Thread(target=work, args=(t,)) for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            slots = running._worker_slots
+    finally:
+        sys.setswitchinterval(interval)
+    n_pids = n_threads * 4 + 1
+    assert sorted(slots.values()) == list(range(n_pids))
+    assert metrics.value("executor.rows") == n_threads * rounds
+    busy = [metrics.value(f"executor.worker{n}.busy_seconds") for n in range(n_pids)]
+    assert sum(busy) == 2 * n_threads * rounds
+    assert busy[slots[1]] == n_threads * rounds
+    assert not metrics.has(f"executor.worker{n_pids}.busy_seconds")
 
 
 def test_serial_fallback_is_exact(setup):

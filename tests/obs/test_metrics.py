@@ -7,7 +7,20 @@ import pytest
 
 from repro.errors import ReproError
 from repro.obs.hist import LogHistogram
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, TimeWeightedStat
+from repro.obs.metrics import Counter, MetricsRegistry, TimeWeightedStat
+
+
+class Level:
+    """An owner of one level field and its high-water mark."""
+
+    def __init__(self, level=0.0, peak=0.0):
+        self.level = level
+        self.peak = peak
+
+
+def register_gauge(registry, name, owner):
+    prefix, _, leaf = name.rpartition(".")
+    registry.register_stats(owner, prefix, (), gauges={leaf: ("level", "peak")})
 
 
 class TestCounter:
@@ -22,22 +35,6 @@ class TestCounter:
         counter = Counter("x")
         with pytest.raises(ValueError, match="cannot decrease"):
             counter.add(-1.0)
-
-
-class TestGauge:
-    def test_set_tracks_high_water_mark(self):
-        gauge = Gauge("depth")
-        gauge.set(4.0)
-        gauge.set(1.0)
-        assert gauge.value == 1.0
-        assert gauge.maximum == 4.0
-
-    def test_add_moves_relative_and_may_go_negative(self):
-        gauge = Gauge("delta")
-        gauge.add(3.0)
-        gauge.add(-5.0)
-        assert gauge.value == -2.0
-        assert gauge.maximum == 3.0
 
 
 class TestTimeWeightedStat:
@@ -61,7 +58,6 @@ class TestMetricsRegistry:
     def test_get_or_create_returns_same_object(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("g") is registry.gauge("g")
         assert registry.time_stat("t") is registry.time_stat("t")
         assert registry.histogram("h") is registry.histogram("h")
 
@@ -89,45 +85,44 @@ class TestMetricsRegistry:
     def test_value_reads_counters_and_gauges(self):
         registry = MetricsRegistry()
         registry.counter("c").add(2)
-        registry.gauge("g").set(5)
+        register_gauge(registry, "x.g", Level(5, 5))
         assert registry.value("c") == 2
-        assert registry.value("g") == 5
+        assert registry.value("x.g") == 5
         assert registry.value("missing", default=-1) == -1
 
     def test_maximum_reads_gauges_and_time_stats(self):
         registry = MetricsRegistry()
-        registry.gauge("g").set(9)
-        registry.gauge("g").set(1)
+        register_gauge(registry, "x.g", Level(1, 9))
         stat = registry.time_stat("t")
         stat.update(3.0, now=0.0)
-        assert registry.maximum("g") == 9
+        assert registry.maximum("x.g") == 9
         assert registry.maximum("t") == 3.0
         assert registry.maximum("missing", default=-1) == -1
 
     def test_has_and_names_cover_all_kinds(self):
         registry = MetricsRegistry()
         registry.counter("c")
-        registry.gauge("g")
+        register_gauge(registry, "x.g", Level())
         registry.time_stat("t")
-        assert registry.has("c") and registry.has("g") and registry.has("t")
+        assert registry.has("c") and registry.has("x.g") and registry.has("t")
         assert not registry.has("zzz")
-        assert sorted(registry.names()) == ["c", "g", "t"]
+        assert sorted(registry.names()) == ["c", "t", "x.g"]
 
     def test_name_collision_across_kinds_rejected(self):
         from repro.errors import ReproError
 
         registry = MetricsRegistry()
         registry.counter("hbm.ch0.bytes_read")
-        with pytest.raises(ReproError, match="already registered as a counter"):
-            registry.gauge("hbm.ch0.bytes_read")
+        with pytest.raises(ReproError, match="already registered"):
+            register_gauge(registry, "hbm.ch0.bytes_read", Level())
         with pytest.raises(ReproError, match="cannot re-register it as a time_stat"):
             registry.time_stat("hbm.ch0.bytes_read")
-        registry.gauge("depth")
+        register_gauge(registry, "x.depth", Level())
         with pytest.raises(ReproError, match="already registered as a gauge"):
-            registry.counter("depth")
-        registry.time_stat("queue")
-        with pytest.raises(ReproError, match="already registered as a time_stat"):
-            registry.gauge("queue")
+            registry.counter("x.depth")
+        registry.time_stat("x.queue")
+        with pytest.raises(ReproError, match="already registered"):
+            register_gauge(registry, "x.queue", Level())
 
     def test_same_kind_reregistration_is_not_a_collision(self):
         registry = MetricsRegistry()
@@ -139,7 +134,7 @@ class TestMetricsRegistry:
     def test_snapshot_round_trips_through_json(self):
         registry = MetricsRegistry()
         registry.counter("hbm.ch0.requests").add(3)
-        registry.gauge("mem.block0.allocated_bytes").set(4096)
+        register_gauge(registry, "mem.block0.allocated_bytes", Level(4096, 4096))
         registry.time_stat("hbm.ch0.queue_depth").update(1.0, now=0.0)
         registry.time_stat("hbm.ch0.queue_depth").update(0.0, now=2.0)
         registry.histogram("serving.e2e").record(0.004)
@@ -200,6 +195,23 @@ class TestRegisteredFields:
         with pytest.raises(ReproError):
             registry.register_stats(self.Owner(), "dma", ("requests",))
 
+    def test_several_owners_sum_and_keep_the_largest_high_water(self):
+        # One registry across a sweep: each rate point's broker
+        # registers the same names, and the registry adds them up.
+        registry, first, second = MetricsRegistry(), self.Owner(), self.Owner()
+        for owner in (first, second):
+            registry.register_stats(
+                owner, "serving", ("requests",),
+                gauges={"queue_rows": ("level", "peak")},
+            )
+        first.requests, first.peak = 3, 7
+        second.requests, second.level, second.peak = 4, 2, 5
+        assert registry.value("serving.requests") == 7.0
+        assert registry.value("serving.queue_rows") == 2.0
+        assert registry.maximum("serving.queue_rows") == 7.0
+        with pytest.raises(ReproError, match="already registered"):
+            registry.register_stats(first, "serving", ("queue_rows",))
+
 
 class TestConcurrentLaneCompletion:
     """Regression: dispatch-lane threads update shared instruments
@@ -233,20 +245,16 @@ class TestConcurrentLaneCompletion:
     def test_mixed_instrument_hammer_stays_consistent(self):
         registry = MetricsRegistry()
         counter = registry.counter("serving.batches")
-        gauge = registry.gauge("serving.arenas_busy")
         hist = registry.histogram("serving.e2e")
 
         def work(_):
             for _ in range(self.ROUNDS):
                 counter.add(1)
-                gauge.add(1)
                 hist.record(0.002)
-                gauge.add(-1)
 
         self._hammer(work)
         total = self.N_THREADS * self.ROUNDS
         assert counter.value == total
-        assert gauge.value == 0
         assert hist.count == total
 
     def test_snapshot_during_hammer_is_consistent(self):

@@ -10,6 +10,7 @@ timings bit-identical with and without a registry attached.
 import json
 import pickle
 import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -95,7 +96,10 @@ class TestUtilizationReport:
         walk(report.to_dict(), "report")
         registry = MetricsRegistry()
         registry.counter("c").add(2)
-        registry.gauge("g").set(1.5)
+        registry.register_stats(
+            SimpleNamespace(level=1.5, peak=1.5), "x", (),
+            gauges={"g": ("level", "peak")},
+        )
         registry.time_stat("t").update(1.0, now=0.0)
         walk(registry.snapshot(), "snapshot")
         assert json.loads(json.dumps(registry.snapshot())) == registry.snapshot()

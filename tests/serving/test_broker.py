@@ -223,7 +223,7 @@ class TestAdmissionControl:
         run(scenario())
         assert metrics.counter("serving.rejected").value == 1
         assert metrics.counter("serving.requests").value == 6
-        assert metrics.gauge("serving.queue_rows").maximum == 4
+        assert metrics.maximum("serving.queue_rows") == 4
 
     def test_queue_smaller_than_a_batch_is_rejected(self):
         with pytest.raises(ServingError, match="max_queue_rows"):
@@ -399,7 +399,7 @@ class TestLifecycle:
         assert rejected == shed
         assert metrics.counter("serving.rejected").value == shed
         assert metrics.histogram("serving.shed").count == shed
-        assert metrics.gauge("serving.queue_rows").value == 0
+        assert metrics.value("serving.queue_rows") == 0
 
     def test_submit_after_close_raises_serving_error(self):
         async def scenario():
@@ -559,6 +559,14 @@ class TestPipelinedDatapath:
         ) as executor:
             results = run(scenario())
         assert np.array_equal(np.array(results), reference)
+        # Broker and executor count the same batches into one registry:
+        # no update lost across the two dispatch threads, none twice.
+        assert metrics.value("serving.requests") == 41
+        assert metrics.value("serving.rows") == 41
+        assert metrics.value("executor.rows") == 41
+        assert metrics.value("serving.batches") == metrics.value(
+            "executor.submits"
+        )
 
     def test_n_lanes_overlap_in_flight_batches(self):
         """Two full batches against a 50 ms blocking engine finish in
@@ -721,7 +729,7 @@ class TestValidationAndObservability:
         assert len(spans) == 2
         assert all(s.label.startswith("batch") for s in spans)
         assert all("4r" in s.label for s in spans)
-        assert metrics.gauge("serving.arenas_busy").maximum >= 1
+        assert metrics.maximum("serving.arenas_busy") >= 1
 
 
 class TestRequestTracing:

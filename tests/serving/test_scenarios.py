@@ -11,11 +11,14 @@ from repro.serving.scenarios import run_serve, run_serve_selftest
 
 
 class TestRunServe:
-    def test_sweep_table_and_perfetto_spans(self, tmp_path):
+    @pytest.mark.parametrize(
+        "rates", [(400.0,), (200.0, 400.0)], ids=["one_rate", "two_rates"]
+    )
+    def test_sweep_table_and_perfetto_spans(self, tmp_path, rates):
         trace_path = tmp_path / "serve.perfetto.json"
         text, results = run_serve(
             "NIPS10",
-            rates=(400.0,),
+            rates=rates,
             duration_s=0.3,
             max_wait_ms=4.0,
             slo_ms=500.0,
@@ -23,10 +26,11 @@ class TestRunServe:
         )
         assert "Serving sweep - NIPS10" in text
         assert "poisson@400" in text
-        (result,) = results
-        assert result.n_ok > 0
-        assert result.n_rejected == 0
-        assert result.mean_batch_rows >= 1.0
+        assert len(results) == len(rates)
+        for result in results:
+            assert result.n_ok > 0
+            assert result.n_rejected == 0
+            assert result.mean_batch_rows >= 1.0
         # Acceptance criterion: serving batches are visible as spans in
         # the exported Perfetto trace.
         payload = json.loads(trace_path.read_text())
@@ -42,10 +46,16 @@ class TestRunServe:
         counters = {e["name"] for e in events if e.get("ph") == "C"}
         assert "serving.batches" in counters
         assert "serving.rejected" in counters
-        # The end-of-run metrics ride in the same file.
+        # The end-of-run metrics ride in the same file, and one registry
+        # adds the sweep's rate points up.
         snapshot = payload["otherData"]["metrics"][f"pid {HOST_PID}"]
         assert snapshot["counters"]["serving.batches"] > 0
-        assert snapshot["histograms"]["serving.e2e"]["count"] == result.n_ok
+        assert snapshot["counters"]["serving.requests"] == sum(
+            r.n_ok + r.n_rejected for r in results
+        )
+        assert snapshot["histograms"]["serving.e2e"]["count"] == sum(
+            r.n_ok for r in results
+        )
 
     def test_request_flows_ride_in_the_trace(self, tmp_path):
         trace_path = tmp_path / "serve.perfetto.json"
