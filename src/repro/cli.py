@@ -125,7 +125,7 @@ def _cmd_report(args) -> str:
     )
 
     if args.host:
-        report = run_host_utilization(
+        capture = run_host_utilization(
             args.benchmark,
             n_samples=args.samples,
             n_workers=args.host_workers,
@@ -133,7 +133,7 @@ def _cmd_report(args) -> str:
         )
         heading = f"{args.benchmark} (host CPU executor)"
     else:
-        report = run_utilization(
+        capture = run_utilization(
             args.benchmark,
             args.cores,
             threads_per_pe=args.threads,
@@ -142,8 +142,8 @@ def _cmd_report(args) -> str:
         )
         heading = args.benchmark
     if args.json:
-        return report.to_json()
-    return format_utilization(report, benchmark=heading)
+        return capture.report.to_json()
+    return format_utilization(capture.report, benchmark=heading)
 
 
 def _cmd_ablations(args) -> str:
@@ -162,23 +162,20 @@ def _cmd_ablations(args) -> str:
 
 
 def _cmd_trace(args) -> str:
-    from repro.experiments.utilization import (
-        run_traced_host_utilization,
-        run_traced_utilization,
-    )
+    from repro.experiments.utilization import run_host_utilization, run_utilization
     from repro.obs.trace_export import HOST_PID, SIM_PID, ChromeTraceBuilder
 
     # The span tracer forces the burst-granular core model, so cap the
     # instrumented runs at 200k samples regardless of --samples.
     samples = min(args.samples, 200_000)
-    sim = run_traced_utilization(
+    sim = run_utilization(
         args.benchmark,
         args.cores,
         threads_per_pe=args.threads,
         samples_per_core=samples,
         block_bytes=args.block_bytes,
     )
-    host = run_traced_host_utilization(
+    host = run_host_utilization(
         args.benchmark, n_samples=samples, n_workers=args.host_workers
     )
     builder = ChromeTraceBuilder()

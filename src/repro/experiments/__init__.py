@@ -42,8 +42,6 @@ from repro.experiments.utilization import (
     format_utilization,
     host_cpu_batch,
     run_host_utilization,
-    run_traced_host_utilization,
-    run_traced_utilization,
     run_utilization,
 )
 from repro.experiments.ablations import (
@@ -86,9 +84,7 @@ __all__ = [
     "format_plan_speedup",
     "TraceCapture",
     "run_utilization",
-    "run_traced_utilization",
     "run_host_utilization",
-    "run_traced_host_utilization",
     "host_cpu_batch",
     "format_utilization",
     "parallel_map",

@@ -91,7 +91,6 @@ def run_block_size_ablation(
         _block_point,
         [(benchmark, n_cores, size, n_samples) for size in block_sizes],
         workers=workers,
-        persistent=True,
     )
     return BlockSizeAblation(
         benchmark=benchmark,
@@ -116,7 +115,7 @@ def run_thread_ablation(
         for cores in core_counts
         for threads in thread_counts
     ]
-    rates = iter(parallel_map(_thread_point, points, workers=workers, persistent=True))
+    rates = iter(parallel_map(_thread_point, points, workers=workers))
     return {
         cores: {threads: next(rates) for threads in thread_counts}
         for cores in core_counts

@@ -14,8 +14,7 @@ For every benchmark, the best configuration per platform:
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.compiler.design import compose_design
@@ -26,8 +25,6 @@ from repro.experiments.reporting import format_series
 from repro.experiments.sweep import parallel_map
 from repro.host.device import SimulatedDevice
 from repro.host.runtime import InferenceJobConfig, InferenceRuntime
-from repro.obs.report import UtilizationReport
-from repro.obs.trace_export import SpanRecorder, export_run_trace
 from repro.platforms.cpu_model import XEON_E5_2680_V3
 from repro.platforms.f1_model import AWS_F1_SYSTEM
 from repro.platforms.gpu_model import TESLA_V100
@@ -68,9 +65,6 @@ class Fig6Result:
     f1: Dict[str, float]
     cpu: Dict[str, float]
     gpu: Dict[str, float]
-    #: benchmark -> utilization report of one instrumented HBM run at
-    #: the deployed core count (empty unless requested).
-    utilization: Dict[str, UtilizationReport] = field(default_factory=dict)
 
     def winner(self, benchmark: str) -> str:
         """Fastest platform for *benchmark*."""
@@ -110,20 +104,14 @@ def run_fig6(
     *,
     samples_per_core: int = SAMPLES_PER_CORE,
     workers: Optional[int] = None,
-    collect_utilization: bool = False,
     cpu_backend: str = "model",
     cpu_samples: int = 200_000,
-    export_trace: Optional[str] = None,
 ) -> Fig6Result:
     """Measure/model all four platforms per benchmark.
 
     The HBM system simulations (the expensive points) fan across the
     process-parallel sweep runner; the analytic platform models are
-    evaluated inline.  With *collect_utilization* an additional
-    instrumented HBM run per benchmark attaches a
-    :class:`~repro.obs.report.UtilizationReport`; it is capped at 1 M
-    samples per core because the span tracer forces the burst-granular
-    core model.
+    evaluated inline.
 
     ``cpu_backend`` selects the CPU column: ``"model"`` (default) is
     the calibrated Xeon E5-2680 v3 analytic model at the paper's
@@ -131,12 +119,6 @@ def run_fig6(
     zero-copy :class:`~repro.baselines.executor.ParallelPlanExecutor`
     on the local machine — a real measurement, but of *this* machine's
     cores, not the paper's.
-
-    With *export_trace* a Chrome/Perfetto JSON trace is written to
-    that path: the HBM sweep's wall-clock point spans land in the host
-    process group, and one instrumented run of the first benchmark at
-    its deployed core count contributes the simulated-clock tracks
-    (capped at 200 k samples per core).
     """
     if cpu_backend not in ("model", "measured"):
         raise ReproError(
@@ -144,18 +126,10 @@ def run_fig6(
         )
     for name in benchmarks:
         benchmark_core(name, "cfp")
-    recorder = (
-        SpanRecorder(epoch=time.perf_counter())
-        if export_trace is not None
-        else None
-    )
     rates = parallel_map(
         _hbm_point,
         [(name, samples_per_core) for name in benchmarks],
         workers=workers,
-        persistent=True,
-        host_tracer=recorder,
-        span_track="fig6 sweep",
     )
     hbm: Dict[str, float] = dict(zip(benchmarks, rates))
     f1: Dict[str, float] = {}
@@ -171,40 +145,12 @@ def run_fig6(
         else:
             cpu[name] = XEON_E5_2680_V3.samples_per_second(bench.spn)
         gpu[name] = TESLA_V100.samples_per_second(bench.spn)
-    utilization: Dict[str, UtilizationReport] = {}
-    if collect_utilization:
-        from repro.experiments.utilization import run_utilization
-
-        for name in benchmarks:
-            utilization[name] = run_utilization(
-                name,
-                hbm_core_count(name),
-                threads_per_pe=1,
-                samples_per_core=min(samples_per_core, 1_000_000),
-            )
-    if export_trace is not None:
-        from repro.experiments.utilization import run_traced_utilization
-
-        capture = run_traced_utilization(
-            benchmarks[0],
-            hbm_core_count(benchmarks[0]),
-            threads_per_pe=1,
-            samples_per_core=min(samples_per_core, 200_000),
-        )
-        export_run_trace(
-            export_trace,
-            tracer=capture.tracer,
-            metrics=capture.metrics,
-            elapsed_seconds=capture.elapsed_seconds,
-            host_spans=recorder.spans,
-        )
     return Fig6Result(
         benchmarks=tuple(benchmarks),
         hbm=hbm,
         f1=f1,
         cpu=cpu,
         gpu=gpu,
-        utilization=utilization,
     )
 
 
@@ -225,10 +171,4 @@ def format_fig6(result: Fig6Result) -> str:
         "(*reconstructed from quoted anchors)",
     )
     winners = ", ".join(f"{n}: {result.winner(n)}" for n in names)
-    out = table + "\nwinners: " + winners
-    if result.utilization:
-        lines = ["HBM utilization (see `repro report`):"]
-        for name, report in result.utilization.items():
-            lines.append(f"  {name}: {report.summary_line()}")
-        out += "\n\n" + "\n".join(lines)
-    return out
+    return table + "\nwinners: " + winners

@@ -151,7 +151,7 @@ def run_sensitivity(
     points = [
         (constant, factor) for constant in _CONSTANTS for factor in factors
     ]
-    triples = iter(parallel_map(_sensitivity_point, points, workers=workers, persistent=True))
+    triples = iter(parallel_map(_sensitivity_point, points, workers=workers))
     verdicts: Dict[str, Dict[float, Tuple[bool, bool, bool]]] = {
         constant: {factor: next(triples) for factor in factors}
         for constant in _CONSTANTS

@@ -17,7 +17,10 @@ batch-inference run through the zero-copy
 CPU, reporting per-worker busy fractions, shared-memory traffic and
 dispatch overhead (see ``docs/cpu_baselines.md``).
 
-``docs/observability.md`` maps every report field to its paper claim.
+Both return a :class:`TraceCapture`: ``repro report`` prints its
+``.report``, ``repro trace`` exports its ``.tracer``, ``.metrics`` and
+``.host_spans``.  ``docs/observability.md`` maps every report field to
+its paper claim.
 """
 
 from __future__ import annotations
@@ -36,16 +39,14 @@ from repro.host.device import SimulatedDevice
 from repro.host.runtime import InferenceJobConfig, InferenceRuntime
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import UtilizationReport
-from repro.obs.trace_export import SpanRecorder, export_run_trace
+from repro.obs.trace_export import SpanRecorder
 from repro.platforms.specs import XUPVVH_HBM_PLATFORM
 from repro.spn.nips import nips_benchmark, nips_dataset
 from repro.units import MIB
 
 __all__ = [
     "TraceCapture",
-    "run_traced_utilization",
     "run_utilization",
-    "run_traced_host_utilization",
     "run_host_utilization",
     "host_cpu_batch",
     "format_utilization",
@@ -70,7 +71,7 @@ class TraceCapture:
     host_spans: tuple = ()
 
 
-def run_traced_utilization(
+def run_utilization(
     benchmark: str = "NIPS10",
     n_cores: int = 2,
     *,
@@ -80,12 +81,12 @@ def run_traced_utilization(
     scheduling: str = "static",
     trace: bool = True,
 ) -> TraceCapture:
-    """Run one instrumented simulation, keeping the raw tracer/metrics.
+    """Run one instrumented end-to-end simulation and report on it.
 
-    This is :func:`run_utilization` minus the final report-only
-    projection: the returned :class:`TraceCapture` still holds the
-    tracer spans (DMA, PE and per-HBM-channel tracks) and the metrics
-    registry, so callers can export a Chrome/Perfetto trace of the run.
+    With ``trace=True`` (the default) a tracer records DMA, PE and
+    per-HBM-channel spans so the report includes the DMA↔compute
+    overlap; tracing forces the burst-granular core model, so very large
+    sample counts should disable it and accept ``overlap = None``.
     """
     core = benchmark_core(benchmark, "cfp")
     design = compose_design(core, n_cores, XUPVVH_HBM_PLATFORM)
@@ -115,49 +116,6 @@ def run_traced_utilization(
     )
 
 
-def run_utilization(
-    benchmark: str = "NIPS10",
-    n_cores: int = 2,
-    *,
-    threads_per_pe: int = 2,
-    samples_per_core: int = 500_000,
-    block_bytes: int = 1 * MIB,
-    scheduling: str = "static",
-    trace: bool = True,
-    export_trace: Optional[str] = None,
-) -> UtilizationReport:
-    """Run one instrumented end-to-end simulation and report on it.
-
-    With ``trace=True`` (the default) a tracer records DMA and PE spans
-    so the report includes the DMA↔compute overlap; tracing forces the
-    burst-granular core model, so very large sample counts should
-    disable it and accept ``overlap = None``.
-
-    With *export_trace* the run's spans and metrics are additionally
-    written to that path as a Chrome/Perfetto JSON trace (see
-    ``docs/observability.md``).  Export happens after the simulation
-    finished and only reads recorded data: simulated timings are
-    bit-identical with and without it.
-    """
-    capture = run_traced_utilization(
-        benchmark,
-        n_cores,
-        threads_per_pe=threads_per_pe,
-        samples_per_core=samples_per_core,
-        block_bytes=block_bytes,
-        scheduling=scheduling,
-        trace=trace,
-    )
-    if export_trace is not None:
-        export_run_trace(
-            export_trace,
-            tracer=capture.tracer,
-            metrics=capture.metrics,
-            elapsed_seconds=capture.elapsed_seconds,
-        )
-    return capture.report
-
-
 def host_cpu_batch(
     benchmark: str, n_samples: int, *, dtype=np.float64
 ) -> np.ndarray:
@@ -176,7 +134,7 @@ def host_cpu_batch(
     )
 
 
-def run_traced_host_utilization(
+def run_host_utilization(
     benchmark: str = "NIPS10",
     *,
     n_samples: int = 200_000,
@@ -184,16 +142,20 @@ def run_traced_host_utilization(
     dtype=np.float64,
     backend: Optional[str] = None,
 ) -> TraceCapture:
-    """Measure one instrumented executor run, keeping its host spans.
+    """Measure one instrumented executor run on the local CPU.
 
-    Like :func:`run_host_utilization`, but the returned
-    :class:`TraceCapture` also carries the wall-clock shard spans each
-    executor worker recorded, for Perfetto export.  While the run is
-    in flight the native-backend observability sinks are pointed at
-    the same registry/recorder (and restored afterwards), so a
-    ``backend="native"`` run surfaces its ``native.*`` counters —
-    build seconds, cache hits, kernel calls — and per-call kernel
-    spans next to the executor's own.
+    Builds a :class:`~repro.baselines.executor.ParallelPlanExecutor`
+    for the benchmark's SPN with a metrics registry and a span recorder
+    attached, submits one *n_samples*-row batch, and fuses the
+    ``executor.*`` metrics into a host-only
+    :class:`~repro.obs.report.UtilizationReport` (the simulated-hardware
+    sections stay empty).  The capture's ``host_spans`` are the
+    wall-clock shard spans each executor worker recorded.  *backend*
+    picks the executor's evaluation backend; while the run is in flight
+    the native-backend observability sinks point at the same
+    registry/recorder (and are restored afterwards), so a
+    ``backend="native"`` run also carries its ``native.*`` counters —
+    build seconds, cache hits, kernel calls — and per-call kernel spans.
     """
     from repro.compiler.native_build import set_native_observability
 
@@ -222,44 +184,6 @@ def run_traced_host_utilization(
         elapsed_seconds=elapsed,
         host_spans=tuple(recorder.spans),
     )
-
-
-def run_host_utilization(
-    benchmark: str = "NIPS10",
-    *,
-    n_samples: int = 200_000,
-    n_workers: Optional[int] = None,
-    dtype=np.float64,
-    backend: Optional[str] = None,
-    export_trace: Optional[str] = None,
-) -> UtilizationReport:
-    """Measure one instrumented executor run on the local CPU.
-
-    Builds a :class:`~repro.baselines.executor.ParallelPlanExecutor`
-    for the benchmark's SPN with a metrics registry attached, submits
-    one *n_samples*-row batch, and fuses the ``executor.*`` metrics
-    into a host-only :class:`~repro.obs.report.UtilizationReport`
-    (the simulated-hardware sections stay empty).  *backend* picks the
-    executor's evaluation backend (``"native"`` also records the
-    ``native.*`` build/call counters).  With *export_trace* the
-    per-worker wall-clock shard spans are written to that path as a
-    Chrome/Perfetto JSON trace.
-    """
-    capture = run_traced_host_utilization(
-        benchmark,
-        n_samples=n_samples,
-        n_workers=n_workers,
-        dtype=dtype,
-        backend=backend,
-    )
-    if export_trace is not None:
-        export_run_trace(
-            export_trace,
-            metrics=capture.metrics,
-            elapsed_seconds=capture.elapsed_seconds,
-            host_spans=capture.host_spans,
-        )
-    return capture.report
 
 
 def format_utilization(

@@ -36,7 +36,6 @@ from repro.obs.trace_export import (
     ChromeTraceBuilder,
     Span,
     SpanRecorder,
-    export_run_trace,
 )
 
 __all__ = [
@@ -59,5 +58,4 @@ __all__ = [
     "ChromeTraceBuilder",
     "Span",
     "SpanRecorder",
-    "export_run_trace",
 ]

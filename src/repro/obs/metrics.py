@@ -162,12 +162,22 @@ class MetricsRegistry:
             )
 
     def counter(self, name: str) -> Counter:
-        """The counter registered as *name* (created on first use)."""
+        """The counter registered as *name* (created on first use).
+
+        A name published by :meth:`register_stats` lives in its owners'
+        fields and is read with :meth:`value`; asking for it as a
+        counter raises.
+        """
         with self._lock:
             counter = self._counters.get(name)
             if counter is None:
                 self._check_collision(name, "counter")
                 counter = self._counters[name] = Counter(name, lock=self._lock)
+            elif isinstance(counter, _FieldStat):
+                raise ReproError(
+                    f"metric {name!r} is registered from owner fields; "
+                    "cannot re-register it as a counter"
+                )
             return counter
 
     def time_stat(self, name: str) -> TimeWeightedStat:

@@ -17,11 +17,10 @@ the HBM channels) record DMA transfers, PE jobs and per-channel HBM
 requests in simulated seconds, and the §IV-B overlap shows up
 directly as overlapping spans on the DMA and PE tracks.  The host
 code (the :class:`~repro.baselines.executor.ParallelPlanExecutor`
-workers, the serving broker's lanes, the experiment sweep pool and
-native kernel calls) records wall-clock spans from
-:func:`time.perf_counter` stamps.  Recording is strictly
-observational: models never change behaviour when traced (a recorder
-only stores timestamps it is handed).
+workers, the serving broker's lanes and native kernel calls) records
+wall-clock spans from :func:`time.perf_counter` stamps.  Recording is
+strictly observational: models never change behaviour when traced (a
+recorder only stores timestamps it is handed).
 
 :class:`ChromeTraceBuilder` converts recorded spans and
 :class:`~repro.obs.metrics.MetricsRegistry` counters and gauges into
@@ -43,9 +42,10 @@ clock domain explicitly.  Timestamps are microseconds from each
 domain's own zero, the unit the trace format mandates.
 
 **Strictly observational.**  Export runs *after* a simulation has
-finished and only reads spans and metric values; simulated elapsed
-times are bit-identical with and without export (test-enforced, the
-same guarantee the metrics layer gives).
+finished and only reads spans and metric values, so it cannot move a
+simulated time.  ``repro trace`` writes the merged sim+host trace of
+one instrumented run per side; ``repro serve --trace-out`` writes the
+serving trace.
 
 .. _Chrome Trace Event Format:
    https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -69,7 +69,6 @@ __all__ = [
     "merged_intervals",
     "intersection_length",
     "ChromeTraceBuilder",
-    "export_run_trace",
 ]
 
 #: Process id of the simulated-clock process group in exported traces.
@@ -497,39 +496,3 @@ class ChromeTraceBuilder:
             "n_counters": sum(1 for e in events if e["ph"] == "C"),
             "n_flows": sum(1 for e in events if e["ph"] in ("s", "t", "f")),
         }
-
-
-def export_run_trace(
-    path: str,
-    *,
-    tracer=None,
-    metrics=None,
-    elapsed_seconds: Optional[float] = None,
-    host_spans: Iterable[Span] = (),
-) -> dict:
-    """Write one run's observability data as a Chrome/Perfetto trace.
-
-    Any subset of the sources may be supplied: *tracer* (a
-    :class:`SpanRecorder`) contributes simulated-clock spans, *metrics*
-    (with *elapsed_seconds* as the counter timestamp) contributes
-    counter tracks, *host_spans* contributes wall-clock spans in the
-    host process group; both span sources go through
-    :meth:`ChromeTraceBuilder.add_spans`.  A
-    host-only export (no tracer) places the metric counters in the
-    host process group, since they were sampled on the host clock.
-    Returns the summary dict of :meth:`ChromeTraceBuilder.write`.
-    """
-    spans = list(host_spans)
-    if tracer is None and metrics is None and not spans:
-        raise ReproError("export_run_trace needs a tracer, metrics or host spans")
-    builder = ChromeTraceBuilder()
-    if tracer is not None:
-        builder.add_spans(tracer.spans, pid=SIM_PID, category="sim")
-    if metrics is not None:
-        if elapsed_seconds is None:
-            raise ReproError("metrics export needs elapsed_seconds for timestamps")
-        metrics_pid = SIM_PID if tracer is not None or not spans else HOST_PID
-        builder.add_metrics(metrics, at_seconds=elapsed_seconds, pid=metrics_pid)
-    if spans:
-        builder.add_spans(spans, pid=HOST_PID, category="host")
-    return builder.write(path)

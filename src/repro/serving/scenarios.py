@@ -150,9 +150,12 @@ def run_serve(
     flow arrows **and** the sweep's end-of-run metrics snapshot
     (per-stage latency histograms included, under
     ``otherData["metrics"]``) are exported as one Chrome/Perfetto JSON
-    file.  Returns ``(table text, results)``.
+    file.  The executor's ``executor.*`` and the native backend's
+    ``native.*`` counters land in the same registry as the brokers'
+    ``serving.*`` ones.  Returns ``(table text, results)``.
     """
     from repro.baselines.executor import ParallelPlanExecutor
+    from repro.compiler.native_build import set_native_observability
     from repro.experiments.utilization import host_cpu_batch
     from repro.spn.nips import nips_benchmark
 
@@ -180,37 +183,47 @@ def run_serve(
     # the exported trace carries exactly one track per serving.* name.
     # Only the trace reads it, so without one no broker records into it.
     metrics = MetricsRegistry() if trace_out is not None else None
-    with ParallelPlanExecutor(
-        bench.spn,
-        n_workers=n_workers,
-        backend=backend,
-        max_lanes=n_lanes + 1,
-        host_tracer=recorder,
-    ) as executor, _SweepRunner() as runner:
-        for index, rate in enumerate(rates):
-            arrivals = _arrival_trace(arrival, float(rate), duration_s,
-                                      seed + index)
+    previous_sinks = (
+        set_native_observability(metrics, recorder)
+        if trace_out is not None
+        else None
+    )
+    try:
+        with ParallelPlanExecutor(
+            bench.spn,
+            n_workers=n_workers,
+            backend=backend,
+            max_lanes=n_lanes + 1,
+            metrics=metrics,
+            host_tracer=recorder,
+        ) as executor, _SweepRunner() as runner:
+            for index, rate in enumerate(rates):
+                arrivals = _arrival_trace(arrival, float(rate), duration_s,
+                                          seed + index)
 
-            async def run_point() -> LoadResult:
-                async with MicroBatchBroker(
-                    executor,
-                    max_batch_rows=max_batch_rows,
-                    max_wait_ms=max_wait_ms,
-                    max_queue_rows=max_queue_rows,
-                    n_lanes=n_lanes,
-                    metrics=metrics,
-                    host_tracer=recorder,
-                    rtrace=rtrace,
-                ) as broker:
-                    return await run_open_loop(
-                        broker,
-                        data,
-                        arrivals,
-                        name=f"{arrival}@{rate:g}",
-                        slo_ms=slo_ms,
-                    )
+                async def run_point() -> LoadResult:
+                    async with MicroBatchBroker(
+                        executor,
+                        max_batch_rows=max_batch_rows,
+                        max_wait_ms=max_wait_ms,
+                        max_queue_rows=max_queue_rows,
+                        n_lanes=n_lanes,
+                        metrics=metrics,
+                        host_tracer=recorder,
+                        rtrace=rtrace,
+                    ) as broker:
+                        return await run_open_loop(
+                            broker,
+                            data,
+                            arrivals,
+                            name=f"{arrival}@{rate:g}",
+                            slo_ms=slo_ms,
+                        )
 
-            results.append(runner.run(run_point()))
+                results.append(runner.run(run_point()))
+    finally:
+        if previous_sinks is not None:
+            set_native_observability(*previous_sinks)
 
     lines = [
         f"Serving sweep - {benchmark}, {arrival} arrivals, "
@@ -280,6 +293,7 @@ def run_serve_selftest(
     flows and the end-of-run metrics — what CI uploads as an artifact.
     """
     from repro.baselines.executor import ParallelPlanExecutor
+    from repro.compiler.native_build import set_native_observability
     from repro.experiments.utilization import host_cpu_batch
     from repro.spn.nips import nips_benchmark
     from repro.spn.plan import get_plan
@@ -323,13 +337,18 @@ def run_serve_selftest(
                 on_result=lambda i, value: answers.__setitem__(i, value),
             )
 
-    with ParallelPlanExecutor(
-        bench.spn,
-        n_workers=1,
-        max_lanes=DEFAULT_LANES + 1,
-        host_tracer=recorder,
-    ) as executor, _SweepRunner() as runner:
-        result = runner.run(run_point())
+    previous_sinks = set_native_observability(metrics, recorder)
+    try:
+        with ParallelPlanExecutor(
+            bench.spn,
+            n_workers=1,
+            max_lanes=DEFAULT_LANES + 1,
+            metrics=metrics,
+            host_tracer=recorder,
+        ) as executor, _SweepRunner() as runner:
+            result = runner.run(run_point())
+    finally:
+        set_native_observability(*previous_sinks)
 
     problems = []
     if result.n_rejected:

@@ -12,6 +12,7 @@ lane exhaustion, transient ``/dev/shm`` allocation failures.
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -626,6 +627,13 @@ def test_killed_worker_degrades_to_in_process(setup, pooled, via):
     victim = next(iter(running._pool._processes.values()))
     os.kill(victim.pid, signal.SIGKILL)
     victim.join()
+    # The pool learns of the death on its manager thread, which serves
+    # results before dead-worker sentinels: until it has, the surviving
+    # worker may finish every shard and no batch sees a broken pool.
+    deadline = time.monotonic() + 30.0
+    while not running._pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert running._pool._broken
     if via == "submit":
         assert np.array_equal(running.submit(data), reference)
     else:

@@ -46,46 +46,7 @@ class TestFig4:
         text = format_fig4(fig4)
         assert "w/o host transfers" in text
         assert "end-to-end" in text
-        assert "utilization" not in text  # not collected by default
-
-    def test_collect_utilization_attaches_reports(self):
-        result = run_fig4(
-            benchmarks=("NIPS10",),
-            pe_counts=(1, 2),
-            samples_per_core=200_000,
-            collect_utilization=True,
-        )
-        report = result.utilization["NIPS10"]
-        assert len(report.pes) == 2  # instrumented at the largest count
-        assert report.channels
-        text = format_fig4(result)
-        assert "utilization at 2 PEs" in text
-        assert "of plateau" in text
-
-    def test_export_trace_writes_merged_trace(self, tmp_path):
-        import json
-
-        path = tmp_path / "fig4.perfetto.json"
-        result = run_fig4(
-            benchmarks=("NIPS10",),
-            pe_counts=(1, 2),
-            samples_per_core=100_000,
-            export_trace=str(path),
-        )
-        assert result.with_transfers["NIPS10"]  # rates unaffected
-        trace = json.loads(path.read_text())
-        tracks = {
-            (event["pid"], event["args"]["name"])
-            for event in trace["traceEvents"]
-            if event["ph"] == "M" and event["name"] == "thread_name"
-        }
-        # Simulated-clock tracks (pid 1) from the instrumented run...
-        assert any(pid == 1 and name.startswith("pe") for pid, name in tracks)
-        # ...and wall-clock sweep-pool point spans (pid 2).
-        assert any(
-            pid == 2 and name.startswith("fig4 sweep worker")
-            for pid, name in tracks
-        )
+        assert "utilization" not in text  # figures carry no instrumentation
 
 
 @pytest.fixture(scope="module")

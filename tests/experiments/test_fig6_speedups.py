@@ -47,19 +47,6 @@ class TestFig6:
     def test_format_lists_winners(self, fig6):
         assert "winners:" in format_fig6(fig6)
 
-    def test_collect_utilization_attaches_reports(self):
-        result = run_fig6(
-            benchmarks=("NIPS10",),
-            samples_per_core=200_000,
-            collect_utilization=True,
-        )
-        report = result.utilization["NIPS10"]
-        assert report.channels
-        assert report.dma.busy_fraction > 0
-        text = format_fig6(result)
-        assert "HBM utilization" in text
-        assert "of plateau" in text
-
 
 class TestSpeedups:
     def test_geometric_mean(self):

@@ -4,8 +4,12 @@ import os
 
 import pytest
 
+from repro.experiments import sweep
 from repro.experiments.cache import benchmark_core
 from repro.experiments.sweep import parallel_map, sweep_worker_count
+
+#: The test process; forked pool workers inherit this value.
+_PARENT_PID = os.getpid()
 
 
 def _square(x):
@@ -16,6 +20,12 @@ def _maybe_fail(x):
     if x == 3:
         raise ValueError("boom")
     return x
+
+
+def _square_or_die_in_worker(x):
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return x * x
 
 
 class TestWorkerCount:
@@ -62,6 +72,13 @@ class TestParallelMap:
     def test_exceptions_propagate(self):
         with pytest.raises(ValueError):
             parallel_map(_maybe_fail, range(6), workers=1)
+
+    def test_dead_worker_drops_the_pool_and_runs_serially(self):
+        """A worker that dies breaks the shared pool: the sweep drops it
+        and computes every point in this process, in order."""
+        result = parallel_map(_square_or_die_in_worker, range(6), workers=2)
+        assert result == [0, 1, 4, 9, 16, 25]
+        assert sweep._POOL is None
 
 
 class TestBenchmarkCoreCache:

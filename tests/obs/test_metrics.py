@@ -123,6 +123,10 @@ class TestMetricsRegistry:
         registry.time_stat("x.queue")
         with pytest.raises(ReproError, match="already registered"):
             register_gauge(registry, "x.queue", Level())
+        registry.register_stats(Level(3.0), "x", {"served": "level"})
+        with pytest.raises(ReproError, match="cannot re-register it as a counter"):
+            registry.counter("x.served")
+        assert registry.value("x.served") == 3.0
 
     def test_same_kind_reregistration_is_not_a_collision(self):
         registry = MetricsRegistry()

@@ -35,7 +35,7 @@ def report() -> UtilizationReport:
         threads_per_pe=2,
         samples_per_core=400_000,
         block_bytes=1 * MIB,
-    )
+    ).report
 
 
 class TestUtilizationReport:
@@ -120,7 +120,7 @@ class TestUtilizationReport:
     def test_overlap_is_none_without_tracer(self):
         untraced = run_utilization(
             "NIPS10", 1, threads_per_pe=1, samples_per_core=200_000, trace=False
-        )
+        ).report
         assert untraced.dma_compute_overlap_seconds is None
         assert untraced.dma_compute_overlap_fraction is None
         assert untraced.channels
@@ -132,7 +132,7 @@ class TestUtilizationReport:
         not engine occupancy."""
         saturated = run_utilization(
             "NIPS10", 8, threads_per_pe=1, samples_per_core=1_000_000, trace=False
-        )
+        ).report
         assert saturated.dma.busy_fraction <= 1.0
         assert saturated.dma.busy_fraction == pytest.approx(1.0, rel=0.05)
 

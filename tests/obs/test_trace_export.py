@@ -4,12 +4,11 @@ Covers the recorder's interval algebra against a brute-force oracle
 and the exporter's contract: every emitted event carries the
 mandatory Chrome Trace Event Format fields, simulated-clock and host
 wall-clock events live in separate process groups with the clock
-domain announced in metadata, and export is strictly observational —
-simulated elapsed times are bit-identical with and without it.
+domain announced in metadata.  The exported-trace checks read the
+file ``repro trace`` writes.
 """
 
 import json
-import struct
 import time
 
 import pytest
@@ -24,7 +23,6 @@ from repro.obs.trace_export import (
     ChromeTraceBuilder,
     Span,
     SpanRecorder,
-    export_run_trace,
     merged_intervals,
 )
 
@@ -146,49 +144,20 @@ class TestChromeTraceBuilder:
         assert names == {"serving.batches"}
 
 
-class TestExportRunTrace:
-    def test_needs_at_least_one_source(self, tmp_path):
-        with pytest.raises(ReproError, match="needs a tracer"):
-            export_run_trace(str(tmp_path / "t.json"))
-
-    def test_metrics_need_elapsed_seconds(self, tmp_path):
-        with pytest.raises(ReproError, match="elapsed_seconds"):
-            export_run_trace(str(tmp_path / "t.json"), metrics=MetricsRegistry())
-
-    def test_host_only_export_uses_host_process_group(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("executor.rows").add(100)
-        path = tmp_path / "host.json"
-        export_run_trace(
-            str(path),
-            metrics=registry,
-            elapsed_seconds=0.5,
-            host_spans=[Span("executor worker0", "shard0", 0.0, 0.5)],
-        )
-        trace = json.loads(path.read_text())
-        pids = {e["pid"] for e in trace["traceEvents"]}
-        assert pids == {HOST_PID}
-
-
 @pytest.fixture(scope="module")
 def exported_sim_trace(tmp_path_factory):
-    """One instrumented simulation run exported through run_utilization."""
-    from repro.experiments.utilization import run_utilization
+    """The merged trace ``repro trace`` writes: one instrumented
+    simulation run (pid 1) and one executor run (pid 2)."""
+    from repro.cli import main
 
-    path = tmp_path_factory.mktemp("trace") / "sim.perfetto.json"
-    report = run_utilization(
-        "NIPS10",
-        2,
-        threads_per_pe=2,
-        samples_per_core=100_000,
-        export_trace=str(path),
-    )
-    return report, json.loads(path.read_text())
+    path = tmp_path_factory.mktemp("trace") / "run.perfetto.json"
+    assert main(["trace", "--out", str(path), "--samples", "100000"]) == 0
+    return json.loads(path.read_text())
 
 
 class TestExportedTraceSchema:
     def test_every_event_has_mandatory_fields(self, exported_sim_trace):
-        _, trace = exported_sim_trace
+        trace = exported_sim_trace
         assert trace["traceEvents"], "trace must not be empty"
         for event in trace["traceEvents"]:
             for field in MANDATORY_FIELDS:
@@ -200,7 +169,7 @@ class TestExportedTraceSchema:
                 assert "value" in event["args"]
 
     def test_sim_spans_cover_dma_pe_and_hbm_tracks(self, exported_sim_trace):
-        _, trace = exported_sim_trace
+        trace = exported_sim_trace
         sim_tracks = set(_thread_names(trace).get(SIM_PID, []))
         assert "dma h2d" in sim_tracks
         assert "dma d2h" in sim_tracks
@@ -208,7 +177,7 @@ class TestExportedTraceSchema:
         assert any(track.startswith("hbm ch") for track in sim_tracks)
 
     def test_clock_domains_are_announced(self, exported_sim_trace):
-        _, trace = exported_sim_trace
+        trace = exported_sim_trace
         domains = trace["otherData"]["clock_domains"]
         assert f"pid {SIM_PID}" in domains
         assert "sim" in domains[f"pid {SIM_PID}"]
@@ -220,7 +189,7 @@ class TestExportedTraceSchema:
         assert any("sim clock" in name for name in process_names)
 
     def test_metric_counters_present(self, exported_sim_trace):
-        _, trace = exported_sim_trace
+        trace = exported_sim_trace
         counters = {
             event["name"]
             for event in trace["traceEvents"]
@@ -230,26 +199,13 @@ class TestExportedTraceSchema:
 
 
 class TestMergedTraceHasBothClockDomains:
-    def test_host_executor_spans_join_sim_spans(self, tmp_path):
-        from repro.experiments.utilization import (
-            run_traced_host_utilization,
-            run_traced_utilization,
-        )
-
-        sim = run_traced_utilization(
-            "NIPS10", 1, threads_per_pe=1, samples_per_core=50_000
-        )
-        host = run_traced_host_utilization("NIPS10", n_samples=20_000)
-        assert host.host_spans, "executor must record worker spans"
-        path = tmp_path / "merged.json"
-        export_run_trace(
-            str(path),
-            tracer=sim.tracer,
-            metrics=sim.metrics,
-            elapsed_seconds=sim.elapsed_seconds,
-            host_spans=host.host_spans,
-        )
-        trace = json.loads(path.read_text())
+    def test_host_executor_spans_join_sim_spans(self, exported_sim_trace):
+        trace = exported_sim_trace
+        host_spans = [
+            e for e in trace["traceEvents"]
+            if e["ph"] == "X" and e["pid"] == HOST_PID
+        ]
+        assert host_spans, "executor must record worker spans"
         tracks = _thread_names(trace)
         assert any(t.startswith("pe") for t in tracks[SIM_PID])
         assert any(t.startswith("executor worker") for t in tracks[HOST_PID])
@@ -307,10 +263,10 @@ class TestMergedTraceWithRequestFlows:
     every step binds inside a span that actually exists."""
 
     def test_flows_reference_only_existing_spans(self, tmp_path):
-        from repro.experiments.utilization import run_traced_utilization
+        from repro.experiments.utilization import run_utilization
         from repro.obs.rtrace import RequestTrace, add_request_flows
 
-        sim = run_traced_utilization(
+        sim = run_utilization(
             "NIPS10", 1, threads_per_pe=1, samples_per_core=50_000
         )
         builder = ChromeTraceBuilder()
@@ -357,23 +313,3 @@ class TestMergedTraceWithRequestFlows:
                 and s["ts"] <= flow["ts"] <= s["ts"] + s["dur"]
                 for s in spans
             ), f"dangling flow step: {flow}"
-
-
-class TestZeroPerturbation:
-    def test_simulated_elapsed_bit_identical_with_export(self, tmp_path):
-        from repro.experiments.utilization import run_utilization
-
-        bare = run_utilization(
-            "NIPS10", 1, threads_per_pe=2, samples_per_core=100_000
-        )
-        exported = run_utilization(
-            "NIPS10",
-            1,
-            threads_per_pe=2,
-            samples_per_core=100_000,
-            export_trace=str(tmp_path / "run.json"),
-        )
-        assert struct.pack("<d", bare.elapsed_seconds) == struct.pack(
-            "<d", exported.elapsed_seconds
-        )
-        assert (tmp_path / "run.json").exists()

@@ -221,8 +221,8 @@ class TestAdmissionControl:
                 await broker.submit(np.ones(3))
 
         run(scenario())
-        assert metrics.counter("serving.rejected").value == 1
-        assert metrics.counter("serving.requests").value == 6
+        assert metrics.value("serving.rejected") == 1
+        assert metrics.value("serving.requests") == 6
         assert metrics.maximum("serving.queue_rows") == 4
 
     def test_queue_smaller_than_a_batch_is_rejected(self):
@@ -397,7 +397,7 @@ class TestLifecycle:
             assert [size for size, _, _ in engine.calls] == [4]
         shed = 3 if flush else 5
         assert rejected == shed
-        assert metrics.counter("serving.rejected").value == shed
+        assert metrics.value("serving.rejected") == shed
         assert metrics.histogram("serving.shed").count == shed
         assert metrics.value("serving.queue_rows") == 0
 
@@ -611,8 +611,8 @@ class TestPipelinedDatapath:
 
         results = run(scenario())
         assert results == [i * 10.0 for i in range(12)]
-        assert metrics.counter("serving.arena_waits").value == 4
-        assert metrics.counter("serving.rejected").value == 0
+        assert metrics.value("serving.arena_waits") == 4
+        assert metrics.value("serving.rejected") == 0
 
     def test_parked_rows_are_placed_in_arrival_order(self):
         """Three signatures over a 2-arena ring: parked rows take the
@@ -718,11 +718,11 @@ class TestValidationAndObservability:
                 await asyncio.gather(*(broker.submit(row) for row in rows(8)))
 
         run(scenario())
-        assert metrics.counter("serving.requests").value == 8
-        assert metrics.counter("serving.rows").value == 8
-        assert metrics.counter("serving.batches").value == 2
-        assert metrics.counter("serving.flush_full").value == 2
-        assert metrics.counter("serving.batch_seconds").value > 0
+        assert metrics.value("serving.requests") == 8
+        assert metrics.value("serving.rows") == 8
+        assert metrics.value("serving.batches") == 2
+        assert metrics.value("serving.flush_full") == 2
+        assert metrics.value("serving.batch_seconds") > 0
         spans = [
             s for s in recorder.spans if s.track.startswith("serving lane")
         ]

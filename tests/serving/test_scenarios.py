@@ -56,6 +56,11 @@ class TestRunServe:
         assert snapshot["histograms"]["serving.e2e"]["count"] == sum(
             r.n_ok for r in results
         )
+        # The executor below the brokers counts into the same registry:
+        # every served row and every dispatched batch, once.
+        counters = snapshot["counters"]
+        assert counters["executor.rows"] == counters["serving.rows"]
+        assert counters["executor.submits"] == counters["serving.batches"]
 
     def test_request_flows_ride_in_the_trace(self, tmp_path):
         trace_path = tmp_path / "serve.perfetto.json"
