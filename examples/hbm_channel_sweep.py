@@ -3,17 +3,17 @@
 
 Sweeps request sizes against one HBM pseudo-channel for both
 attachment configurations, then runs the two ablations the paper
-discusses but does not plot: the optional crossbar's cost, and how
-channel *independence* makes aggregate bandwidth scale linearly with
-channel count.
+discusses but does not plot: the optional crossbar's cost (closed
+form), and how channel *independence* makes aggregate bandwidth scale
+linearly with channel count.
 
 Run:  python examples/hbm_channel_sweep.py
 """
 
-from repro import channel_throughput, run_channel_benchmark
+from repro import channel_throughput
 from repro.experiments import format_fig2, run_fig2
 from repro.experiments.reporting import format_table
-from repro.mem import HBMSubsystem
+from repro.mem import HBMChannel
 from repro.sim import Engine
 from repro.units import GIB, KIB, MIB
 
@@ -44,14 +44,13 @@ def independence_ablation():
     rows = []
     for n_channels in (1, 4, 16, 32):
         env = Engine()
-        hbm = HBMSubsystem(env)
-        slice_bytes = hbm.spec.channel_capacity_bytes
+        channels = [HBMChannel(env, index) for index in range(n_channels)]
 
         def stream(channel):
             for _ in range(8):
-                yield hbm.transfer(channel, channel * slice_bytes, 1 * MIB)
+                yield channel.transfer(1 * MIB)
 
-        done = env.all_of([env.process(stream(c)) for c in range(n_channels)])
+        done = env.all_of([env.process(stream(c)) for c in channels])
         env.run(until_event=done)
         total = n_channels * 8 * MIB / env.now
         rows.append([n_channels, total / GIB, total / n_channels / GIB])

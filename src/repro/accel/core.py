@@ -19,12 +19,12 @@ burst-aggregated) units.
 
 Steady-state fast-forwarding
 ----------------------------
-When the core is the sole master of a plain HBM channel (no crossbar,
-no explicit refresh, engine idle at job start) the whole
-load/compute/store burst schedule is determined by the job parameters
-alone.  A scalar emulator (:func:`_emulate_burst_pipeline`) re-enacts
-it with *exactly* the same float operations in the same order as the
-discrete-event model, so its end time is bit-identical.
+When the core's HBM channel engine is idle at job start (the core is
+its sole master, §II-B) the whole load/compute/store burst schedule is
+determined by the job parameters alone.  A scalar emulator
+(:func:`_emulate_burst_pipeline`) re-enacts it with *exactly* the same
+float operations in the same order as the discrete-event model, so its
+end time is bit-identical.
 
 The emulator runs once per job shape (sample count, sample and result
 widths, clock, request overhead, bandwidth, pipeline depth) and
@@ -519,19 +519,12 @@ class SPNAcceleratorCore:
 
     # -- timed path -------------------------------------------------------------------
     def _can_fast_forward(self) -> bool:
-        """True when this job's burst schedule is closed over the core.
-
-        Requires the core to be the sole, uncontended master of a plain
-        HBM channel: no crossbar port (shared switch), no explicit
-        refresh process (engine contention at refresh deadlines), and a
-        currently idle command engine.  ``burst_granular`` opts out.
-        """
+        """True when this job's burst schedule is closed over the core:
+        the channel's command engine is idle, so nothing else can
+        contend for it.  ``burst_granular`` opts out."""
         if self.burst_granular:
             return False
-        channel = self.channel
-        if not isinstance(channel, HBMChannel) or channel.explicit_refresh:
-            return False
-        engine = channel._engine
+        engine = self.channel._engine
         return engine.in_use == 0 and engine.queue_length == 0
 
     def _job_schedule(

@@ -57,9 +57,8 @@ class ResourceFitError(CompilerError):
 class MemoryModelError(ReproError):
     """A memory-substrate model was used inconsistently.
 
-    Examples: AXI burst crossing a forbidden boundary, accessing an HBM
-    channel's address space without the crossbar enabled, freeing an
-    unallocated device buffer.
+    Examples: an access outside a channel's backing store, a
+    non-positive HBM transfer size, freeing an unallocated device buffer.
     """
 
 

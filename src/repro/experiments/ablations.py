@@ -6,8 +6,9 @@ Four ablations, each isolating one decision of the paper's system:
   Too small and per-job dispatch dominates; the paper's 1 MiB choice
   sits at the knee (and matches the HBM saturation size of Fig. 2).
 * **control threads per PE** — 1 vs 2 vs 4 (§IV-B: two saturate DMA).
-* **crossbar** — routing accelerators through the optional HBM
-  crossbar instead of dedicated channels (§II-B: paper disables it).
+* **crossbar** — one channel's closed-form rate through the optional
+  HBM crossbar against the direct attachment (§II-B: paper disables
+  it).
 * **burst size** — the Load/Store Unit burst against the per-request
   channel overhead.
 """

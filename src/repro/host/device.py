@@ -1,9 +1,9 @@
 """A TaPaSCo-like simulated device façade.
 
 Bundles everything the runtime needs behind one object: the DES
-engine, the HBM subsystem with per-channel functional backing stores,
-N accelerator PEs (one HBM channel each, §IV-A), the shared DMA
-engine, and the device memory manager.  The API mirrors the TaPaSCo
+engine, the HBM pseudo-channels with per-channel functional backing
+stores, N accelerator PEs (one HBM channel each, §IV-A), the shared
+DMA engine, and the device memory manager.  The API mirrors the TaPaSCo
 operations the paper's runtime uses: enumerate PEs, query their
 configuration, allocate/copy device memory, launch jobs.
 """
@@ -19,33 +19,11 @@ from repro.compiler.design import AcceleratorDesign
 from repro.errors import RuntimeConfigError
 from repro.host.memory_manager import DeviceMemoryManager
 from repro.host.pcie import DmaEngine
-from repro.mem.hbm import HBMSubsystem
+from repro.mem.hbm import HBMChannel
 from repro.platforms.specs import HBMSpec, HBM_XUPVVH, PCIE_GEN3_X16, PCIeSpec
 from repro.sim.engine import Engine, Event
 
 __all__ = ["SimulatedDevice"]
-
-
-class _CrossbarPort:
-    """Adapter presenting one crossbar-routed path as a channel.
-
-    Used by the crossbar ablation: core *i* keeps its AXI port *i* but
-    its buffers live in a *different* channel's address slice, so every
-    access pays the crossbar (latency + shared-switch bandwidth) —
-    the configuration the paper measures §II-B's penalty against and
-    deliberately avoids.
-    """
-
-    def __init__(self, subsystem: HBMSubsystem, port: int, target_channel: int):
-        self._subsystem = subsystem
-        self.port = port
-        self.target_channel = target_channel
-        self._base = target_channel * subsystem.spec.channel_capacity_bytes
-
-    def transfer(self, n_bytes: int, *, is_write: bool = False) -> Event:
-        return self._subsystem.transfer(
-            self.port, self._base, n_bytes, is_write=is_write
-        )
 
 
 class SimulatedDevice:
@@ -58,7 +36,6 @@ class SimulatedDevice:
         hbm_spec: HBMSpec = HBM_XUPVVH,
         pcie_spec: PCIeSpec = PCIE_GEN3_X16,
         compute_format: Optional[NumberFormat] = None,
-        crossbar: bool = False,
         burst_granular: bool = False,
         metrics=None,
     ):
@@ -69,12 +46,16 @@ class SimulatedDevice:
             )
         self.design = design
         self.env = Engine()
-        self.crossbar = crossbar
         #: Optional :class:`repro.obs.metrics.MetricsRegistry`; when
         #: set, it publishes every subsystem's statistics without
         #: perturbing the simulated timings.
         self.metrics = metrics
-        self.hbm = HBMSubsystem(self.env, hbm_spec, crossbar=crossbar)
+        #: Every pseudo-channel of the device, each an independent
+        #: server (§II-B): core *i* is the sole master of channel *i*.
+        self.channels: List[HBMChannel] = [
+            HBMChannel(self.env, index, hbm_spec)
+            for index in range(hbm_spec.n_channels)
+        ]
         self.dma = DmaEngine(self.env, pcie_spec)
         self.memory_manager = DeviceMemoryManager(
             n_blocks=design.n_cores,
@@ -85,22 +66,13 @@ class SimulatedDevice:
             for _ in range(design.n_cores)
         ]
         spn = design.core.spn
-        if crossbar:
-            # Worst-case routed mapping: core i's buffers live behind
-            # channel (i+1) mod N, so all traffic crosses the switch.
-            memory_paths = [
-                _CrossbarPort(self.hbm, index, (index + 1) % design.n_cores)
-                for index in range(design.n_cores)
-            ]
-        else:
-            memory_paths = [self.hbm.channels[index] for index in range(design.n_cores)]
         self.cores: List[SPNAcceleratorCore] = [
             SPNAcceleratorCore(
                 self.env,
                 index,
                 spn,
                 design.core,
-                memory_paths[index],
+                self.channels[index],
                 self.memories[index],
                 clock_hz=design.clock_mhz * 1e6,
                 compute_format=compute_format,
@@ -115,7 +87,7 @@ class SimulatedDevice:
         """Publish the components' statistics fields in *metrics*, which
         reads them when it is read.  The HBM queue depth, a time-weighted
         level, is the one instrument a channel updates itself."""
-        for channel in self.hbm.channels:
+        for channel in self.channels:
             prefix = f"hbm.ch{channel.index}"
             metrics.register_stats(channel, prefix, (
                 "requests", "bytes_read", "bytes_written", "busy_seconds",
@@ -148,7 +120,7 @@ class SimulatedDevice:
         observational — recording only reads ``env.now``, so simulated
         timings are unchanged.
         """
-        for channel in self.hbm.channels:
+        for channel in self.channels:
             channel.tracer = tracer
 
     # -- TaPaSCo-like API -------------------------------------------------------

@@ -10,12 +10,11 @@ throughput" equivalence the architecture relies on (§II-B/IV-A), which
 :func:`repro.mem.hbm.core_port_clock_hz` derives from the channel spec.
 """
 
-from repro.mem.hbm import HBMChannel, HBMSubsystem, channel_throughput
+from repro.mem.hbm import HBMChannel, channel_throughput
 from repro.mem.traffic import LinearTrafficGenerator, TrafficResult, run_channel_benchmark
 
 __all__ = [
     "HBMChannel",
-    "HBMSubsystem",
     "channel_throughput",
     "LinearTrafficGenerator",
     "TrafficResult",

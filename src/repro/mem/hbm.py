@@ -11,26 +11,23 @@ shared by the channel's read and write traffic, with
   rising left side of Fig. 2 — and saturates around the 1 MiB request
   size the paper reports.
 
-Without the optional crossbar the channels share nothing, which is the
-paper's architectural bet: performance scales linearly in channels
-(§II-B).  The crossbar model adds latency and a shared-switch
-bandwidth ceiling, reproducing why the paper leaves it disabled.
+The channels share nothing, which is the paper's architectural bet:
+performance scales linearly in channels (§II-B).  The optional crossbar
+exists only as a closed-form row (:func:`channel_throughput` with
+``crossbar=True``): its added latency and shared-switch ceiling are
+why the paper leaves it disabled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
-
 from repro.errors import MemoryModelError
 from repro.platforms.specs import HBMSpec, HBM_XUPVVH
 from repro.sim.engine import Engine, Event
-from repro.sim.resource import SimResource, TokenBucket
+from repro.sim.resource import SimResource
 from repro.units import GIB
 
 __all__ = [
     "HBMChannel",
-    "HBMSubsystem",
     "benchmark_extra_latency",
     "channel_throughput",
     "core_port_clock_hz",
@@ -40,8 +37,9 @@ __all__ = [
 #: Fraction of raw channel bandwidth left after refresh and protocol
 #: overheads.  Calibrated so the Fig. 2 plateau lands at the measured
 #: ~12 GiB/s (raw 450 MHz x 32 B = 13.41 GiB/s x 0.895 = 12.0 GiB/s).
-#: Decomposes as PROTOCOL_EFFICIENCY x (1 - TRFC/TREFI); the explicit
-#: refresh mode applies the two factors separately.
+#: Decomposes as PROTOCOL_EFFICIENCY x (1 - TRFC/TREFI); the refresh
+#: oracle in tests/mem/test_refresh.py applies the two factors
+#: separately.
 REFRESH_PROTOCOL_EFFICIENCY = 0.895
 
 #: Bus/protocol efficiency alone (command gaps, bank conflicts).
@@ -52,7 +50,8 @@ TREFI_SECONDS = 3.9e-6
 
 #: Refresh stall duration (per-bank refresh, tRFCpb class).  The pair
 #: satisfies PROTOCOL_EFFICIENCY * (1 - TRFC/TREFI) = 0.895, so the
-#: folded and explicit models agree in steady state (tested).
+#: folded rate and explicit refresh stalls agree in steady state
+#: (tests/mem/test_refresh.py).
 TRFC_SECONDS = 0.3315e-6
 
 #: Intrinsic channel service overhead per request in seconds (command
@@ -67,7 +66,7 @@ REQUEST_OVERHEAD_SECONDS = 0.2e-6
 #: back, so they only pay the intrinsic overhead.
 BENCHMARK_TURNAROUND_SECONDS = 2.8e-6
 
-#: Extra per-request latency when the optional crossbar is enabled.
+#: Extra per-request latency of the optional crossbar (closed form only).
 CROSSBAR_LATENCY_SECONDS = 0.35e-6
 
 #: Extra per-request latency of the converted attachment: the AXI
@@ -177,20 +176,13 @@ class HBMChannel:
         spec: HBMSpec = HBM_XUPVVH,
         *,
         extra_request_latency: float = 0.0,
-        explicit_refresh: bool = False,
     ):
         if not 0 <= index:
             raise MemoryModelError(f"channel index must be >= 0, got {index}")
         self.env = env
         self.index = index
         self.spec = spec
-        self.explicit_refresh = explicit_refresh
-        if explicit_refresh:
-            # Refresh stalls are simulated as events; only the bus
-            # protocol derating is folded into the data rate.
-            self.effective_bandwidth = spec.raw_channel_bandwidth * PROTOCOL_EFFICIENCY
-        else:
-            self.effective_bandwidth = plateau_bandwidth(spec)
+        self.effective_bandwidth = plateau_bandwidth(spec)
         self.request_overhead = REQUEST_OVERHEAD_SECONDS + extra_request_latency
         # A single command engine serves one request at a time: the
         # per-request overhead occupies the channel, it does not
@@ -202,11 +194,12 @@ class HBMChannel:
         self.bytes_read = 0
         self.bytes_written = 0
         self.busy_seconds = 0.0
-        self.refresh_count = 0
+        #: Always 0.0: refresh is folded into :attr:`effective_bandwidth`.
+        #: Kept as a registered field only because the end-to-end
+        #: benchmark's probe still reads it; it goes with that
+        #: benchmark's next change.
         self.refresh_stall_seconds = 0.0
-        #: The Fig. 2 plateau the channel is judged against: the
-        #: refresh-derated rate even when refresh is simulated
-        #: explicitly (the stalls then show up as stall time).
+        #: The Fig. 2 plateau the channel is judged against.
         self.plateau_bandwidth = plateau_bandwidth(spec)
         #: Optional :class:`repro.obs.trace_export.SpanRecorder`; when attached
         #: (see :meth:`repro.host.device.SimulatedDevice.attach_tracer`)
@@ -216,39 +209,6 @@ class HBMChannel:
         #: Optional :class:`repro.obs.metrics.TimeWeightedStat` of the
         #: engine's queue length, attached like :attr:`tracer`.
         self.queue_depth = None
-        if explicit_refresh:
-            env.process(self._refresh_loop(), name=f"hbm{index}-refresh")
-
-    def _refresh_loop(self):
-        """Periodic DRAM refresh: occupies the command engine for
-        TRFC every TREFI (§V-D: "refresh cycles of the HBM also play a
-        role").  Deadlines are absolute — a refresh delayed behind a
-        long data burst is followed by catch-up refreshes, as the DRAM
-        controller's postponed-refresh accounting requires."""
-        deadline = TREFI_SECONDS
-        while True:
-            delay = deadline - self.env.now
-            if delay > 0:
-                yield self.env.timeout(delay)
-            grant = self._engine.request()
-            yield grant
-            try:
-                # Catch up on every refresh that came due while the
-                # engine was busy (postponed-refresh accounting).
-                while True:
-                    yield self.env.timeout(TRFC_SECONDS)
-                    self.refresh_count += 1
-                    self.refresh_stall_seconds += TRFC_SECONDS
-                    deadline += TREFI_SECONDS
-                    if deadline > self.env.now:
-                        break
-            finally:
-                self._engine.release()
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Address space behind this channel (no crossbar)."""
-        return self.spec.channel_capacity_bytes
 
     def transfer(self, n_bytes: int, *, is_write: bool = False) -> Event:
         """Move *n_bytes* through the channel; yields when complete.
@@ -327,77 +287,3 @@ class HBMChannel:
             + (bytes_read + bytes_written) / self.effective_bandwidth
         )
 
-
-class HBMSubsystem:
-    """All pseudo-channels of one device, with optional crossbar.
-
-    Without the crossbar, channel *i* can only reach its own address
-    slice and channels are fully independent.  With the crossbar, any
-    port reaches any address at extra latency, and all foreign-slice
-    traffic shares the switch bandwidth.
-    """
-
-    def __init__(
-        self,
-        env: Engine,
-        spec: HBMSpec = HBM_XUPVVH,
-        *,
-        crossbar: bool = False,
-    ):
-        self.env = env
-        self.spec = spec
-        self.crossbar = crossbar
-        extra = CROSSBAR_LATENCY_SECONDS if crossbar else 0.0
-        self.channels: List[HBMChannel] = [
-            HBMChannel(env, index, spec, extra_request_latency=extra)
-            for index in range(spec.n_channels)
-        ]
-        self._switch: Optional[TokenBucket] = (
-            TokenBucket(env, CROSSBAR_SHARED_BANDWIDTH, 4096.0, name="hbm-xbar")
-            if crossbar
-            else None
-        )
-
-    def channel_for_address(self, address: int) -> int:
-        """Channel index owning *address* (linear slicing)."""
-        if not 0 <= address < self.spec.capacity_bytes:
-            raise MemoryModelError(
-                f"address {address:#x} outside HBM capacity "
-                f"{self.spec.capacity_bytes:#x}"
-            )
-        return address // self.spec.channel_capacity_bytes
-
-    def transfer(
-        self, port: int, address: int, n_bytes: int, *, is_write: bool = False
-    ) -> Event:
-        """Issue a transfer from AXI *port* to *address*.
-
-        Without the crossbar, crossing a channel boundary is a
-        configuration error (the paper's architecture never does it:
-        one channel per accelerator, managed by the runtime's memory
-        manager).
-        """
-        if not 0 <= port < self.spec.n_channels:
-            raise MemoryModelError(f"port {port} out of range")
-        if n_bytes <= 0:
-            raise MemoryModelError(f"n_bytes must be positive, got {n_bytes}")
-        owner = self.channel_for_address(address)
-        end_owner = self.channel_for_address(address + n_bytes - 1)
-        if owner != end_owner:
-            raise MemoryModelError(
-                f"transfer {address:#x}+{n_bytes} spans channels {owner} and {end_owner}"
-            )
-        if owner != port and not self.crossbar:
-            raise MemoryModelError(
-                f"port {port} cannot reach channel {owner} without the crossbar"
-            )
-        if owner != port and self._switch is not None:
-            done = Event(self.env)
-            self.env.process(self._via_switch(owner, n_bytes, is_write, done))
-            return done
-        return self.channels[owner].transfer(n_bytes, is_write=is_write)
-
-    def _via_switch(self, owner: int, n_bytes: int, is_write: bool, done: Event):
-        yield self._switch.consume(float(n_bytes))
-        yield self.channels[owner].transfer(n_bytes, is_write=is_write)
-        done.succeed(None)

@@ -68,9 +68,9 @@ class ChannelUtilization:
     bytes_read: int
     bytes_written: int
     busy_seconds: float
-    #: Time lost to explicit refresh.  Reads 0 from every
-    #: ``SimulatedDevice`` run: ``HBMSubsystem`` never enables
-    #: ``explicit_refresh`` on its channels.
+    #: Always 0: refresh is folded into the channel's data rate.  Kept
+    #: only for the end-to-end benchmark's probe, which reads it; it
+    #: goes with that benchmark's next change.
     refresh_stall_seconds: float
     #: The Fig. 2 saturation bandwidth the channel is judged against.
     plateau_bandwidth: float

@@ -159,7 +159,7 @@ class HBMSpec:
 
     @property
     def channel_capacity_bytes(self) -> int:
-        """Address space behind one pseudo-channel (no crossbar)."""
+        """Address space behind one pseudo-channel."""
         return self.capacity_bytes // self.n_channels
 
     @property

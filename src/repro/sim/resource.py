@@ -95,9 +95,9 @@ class TokenBucket:
     moment it arrives: it starts at ``max(arrival, previous
     completion)``, refills for the gap, and either pays from the bucket
     (completing at its start) or empties it and occupies the link for
-    the deficit.  :meth:`reserve` computes that time in closed form and
-    :meth:`consume` turns it into one event, so the bucket never runs a
-    process of its own.
+    the deficit.  :meth:`reserve` computes that time in closed form, so
+    a metered request is one ``env.timeout_until`` and the bucket never
+    runs a process of its own.
     """
 
     def __init__(self, env: Engine, rate: float, burst: float, name: str = "bucket"):
@@ -152,7 +152,3 @@ class TokenBucket:
         self.total_consumed += amount
         return end
 
-    def consume(self, amount: float) -> Event:
-        """Request *amount* bytes of link time now; the event triggers
-        once they have drained."""
-        return self.env.timeout_until(self.reserve(amount, self.env.now))

@@ -6,8 +6,8 @@ asserting **bit-identical** run statistics (``struct.pack`` on the
 elapsed time, exact equality everywhere else) across benchmarks, block
 sizes, thread counts and both scheduling policies.  A second group
 checks every fallback gate: the fast path must decline (not silently
-diverge) for crossbar routing, explicit refresh, tracers and the
-``burst_granular`` escape hatch.  The last two groups pin a recorded
+diverge) for a busy channel engine, tracers and the ``burst_granular``
+escape hatch.  The last two groups pin a recorded
 job schedule's replay to the emulator bit for bit (and its refusal far
 from the time origin), and the fast path's channel and core counters
 to the burst-granular model's.
@@ -122,15 +122,6 @@ class TestFallbackGates:
     def test_default_device_fast_forwards(self):
         device = _device("NIPS10", 1)
         assert device.cores[0]._can_fast_forward()
-
-    def test_crossbar_port_disables(self):
-        device = _device("NIPS10", 2, crossbar=True)
-        assert not device.cores[0]._can_fast_forward()
-
-    def test_explicit_refresh_disables(self):
-        device = _device("NIPS10", 1)
-        device.cores[0].channel.explicit_refresh = True
-        assert not device.cores[0]._can_fast_forward()
 
     def test_contended_channel_disables(self):
         device = _device("NIPS10", 1)
@@ -254,7 +245,7 @@ class TestCounterParity:
             device = _device(bench_name, n_cores, burst_granular=granular,
                              metrics=metrics)
             InferenceRuntime(device, config).run_timing_only(300_000 * n_cores)
-            grants = [ch._engine.total_grants for ch in device.hbm.channels[:n_cores]]
+            grants = [ch._engine.total_grants for ch in device.channels[:n_cores]]
             runs[granular] = (metrics, grants)
         (fast, fast_grants), (slow, slow_grants) = runs[False], runs[True]
         assert fast_grants == slow_grants

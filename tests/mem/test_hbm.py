@@ -1,9 +1,9 @@
-"""Unit tests for the HBM channel/subsystem models."""
+"""Unit tests for the HBM channel model and its closed form."""
 
 import pytest
 
 from repro.errors import MemoryModelError
-from repro.mem import HBMChannel, HBMSubsystem, channel_throughput, run_channel_benchmark
+from repro.mem import HBMChannel, channel_throughput, run_channel_benchmark
 from repro.mem.hbm import CONVERSION_LATENCY_SECONDS, CORE_PORT_WIDTH_BITS, core_port_clock_hz
 from repro.platforms.specs import HBM_XUPVVH, XUPVVH_HBM_PLATFORM
 from repro.sim import Engine
@@ -115,76 +115,18 @@ class TestHBMChannelDes:
         with pytest.raises(MemoryModelError):
             HBMChannel(env).transfer(0)
 
-
-class TestHBMSubsystem:
-    def test_geometry(self):
-        env = Engine()
-        hbm = HBMSubsystem(env)
-        assert len(hbm.channels) == 32
-        assert hbm.spec.channel_capacity_bytes == HBM_XUPVVH.capacity_bytes // 32
-
-    def test_channel_for_address_slices_linearly(self):
-        env = Engine()
-        hbm = HBMSubsystem(env)
-        slice_bytes = hbm.spec.channel_capacity_bytes
-        assert hbm.channel_for_address(0) == 0
-        assert hbm.channel_for_address(slice_bytes) == 1
-        assert hbm.channel_for_address(31 * slice_bytes) == 31
-
-    def test_out_of_range_address_rejected(self):
-        env = Engine()
-        hbm = HBMSubsystem(env)
-        with pytest.raises(MemoryModelError):
-            hbm.channel_for_address(HBM_XUPVVH.capacity_bytes)
-
-    @pytest.mark.parametrize("n_bytes", [0, -5])
-    def test_non_positive_size_rejected_before_address(self, n_bytes):
-        env = Engine()
-        hbm = HBMSubsystem(env)
-        with pytest.raises(MemoryModelError, match="n_bytes must be positive"):
-            hbm.transfer(port=0, address=0, n_bytes=n_bytes)
-
-    def test_foreign_channel_needs_crossbar(self):
-        env = Engine()
-        hbm = HBMSubsystem(env, crossbar=False)
-        slice_bytes = hbm.spec.channel_capacity_bytes
-        with pytest.raises(MemoryModelError):
-            hbm.transfer(port=0, address=slice_bytes, n_bytes=64)
-
-    def test_crossbar_allows_foreign_access(self):
-        env = Engine()
-        hbm = HBMSubsystem(env, crossbar=True)
-        slice_bytes = hbm.spec.channel_capacity_bytes
-
-        def proc():
-            yield hbm.transfer(port=0, address=slice_bytes, n_bytes=4096)
-
-        done = env.process(proc())
-        env.run(until_event=done)
-        assert hbm.channels[1].bytes_read == 4096
-
-    def test_channel_spanning_transfer_rejected(self):
-        env = Engine()
-        hbm = HBMSubsystem(env)
-        slice_bytes = hbm.spec.channel_capacity_bytes
-        with pytest.raises(MemoryModelError):
-            hbm.transfer(port=0, address=slice_bytes - 32, n_bytes=64)
-
     def test_channels_are_independent(self):
         """The architectural bet (§II-B): per-channel performance does
         not degrade when other channels are busy."""
         def run(n_channels):
             env = Engine()
-            hbm = HBMSubsystem(env)
-            slice_bytes = hbm.spec.channel_capacity_bytes
+            channels = [HBMChannel(env, index) for index in range(n_channels)]
 
-            def proc(ch):
+            def proc(channel):
                 for _ in range(4):
-                    yield hbm.transfer(ch, ch * slice_bytes, 1 * MIB)
+                    yield channel.transfer(1 * MIB)
 
-            done = env.all_of(
-                [env.process(proc(c)) for c in range(n_channels)]
-            )
+            done = env.all_of([env.process(proc(c)) for c in channels])
             env.run(until_event=done)
             return env.now
 

@@ -27,26 +27,21 @@ from repro.units import KIB
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: name -> (network, cores, samples, job config, traced, crossbar)
+#: name -> (network, cores, samples, job config, traced)
 CASES = {
-    "nips10x2_fast_forward": ("NIPS10", 2, 600_000, {}, False, False),
-    "nips10x2_two_threads": ("NIPS10", 2, 600_000, {"threads_per_pe": 2}, False, False),
-    "nips80x3_shared": ("NIPS80", 3, 100_000, {"scheduling": "shared"}, False, False),
-    "nips10x2_traced_burst": (
-        "NIPS10", 2, 40_000, {"block_bytes": 64 * KIB}, True, False
-    ),
-    "nips10x2_traced_crossbar": (
-        "NIPS10", 2, 40_000, {"block_bytes": 64 * KIB}, True, True
-    ),
+    "nips10x2_fast_forward": ("NIPS10", 2, 600_000, {}, False),
+    "nips10x2_two_threads": ("NIPS10", 2, 600_000, {"threads_per_pe": 2}, False),
+    "nips80x3_shared": ("NIPS80", 3, 100_000, {"scheduling": "shared"}, False),
+    "nips10x2_traced_burst": ("NIPS10", 2, 40_000, {"block_bytes": 64 * KIB}, True),
 }
 
 
 def snapshot_json(case: str) -> str:
     """The registry's JSON after one timing-only run of *case*."""
-    network, n_cores, n_samples, config, traced, crossbar = CASES[case]
+    network, n_cores, n_samples, config, traced = CASES[case]
     design = compose_design(benchmark_core(network, "cfp"), n_cores, XUPVVH_HBM_PLATFORM)
     metrics = MetricsRegistry()
-    device = SimulatedDevice(design, crossbar=crossbar, metrics=metrics)
+    device = SimulatedDevice(design, metrics=metrics)
     tracer = SpanRecorder() if traced else None
     if tracer is not None:
         device.attach_tracer(tracer)

@@ -91,6 +91,12 @@ def test_invalid_capacity_rejected():
         SimResource(eng, capacity=0)
 
 
+def _consume(bucket, amount):
+    """Meter *amount* bytes arriving now: one event at the bucket's
+    closed-form completion time, the way the DMA engine drives it."""
+    return bucket.env.timeout_until(bucket.reserve(amount, bucket.env.now))
+
+
 class TestTokenBucket:
     def test_burst_consumed_instantly(self):
         eng = Engine()
@@ -98,7 +104,7 @@ class TestTokenBucket:
         times = []
 
         def proc(env):
-            yield bucket.consume(50.0)
+            yield _consume(bucket, 50.0)
             times.append(env.now)
 
         eng.process(proc(eng))
@@ -112,7 +118,7 @@ class TestTokenBucket:
 
         def proc(env):
             # 1000 bytes at 100 B/s with ~no burst: ~10 seconds.
-            yield bucket.consume(1000.0)
+            yield _consume(bucket, 1000.0)
             times.append(env.now)
 
         eng.process(proc(eng))
@@ -125,7 +131,7 @@ class TestTokenBucket:
         done = []
 
         def proc(env, tag, amount):
-            yield bucket.consume(amount)
+            yield _consume(bucket, amount)
             done.append((tag, env.now))
 
         eng.process(proc(eng, "big", 100.0))
@@ -142,9 +148,9 @@ class TestTokenBucket:
         times = []
 
         def proc(env):
-            yield bucket.consume(100.0)  # drains burst at t=0
+            yield _consume(bucket, 100.0)  # drains burst at t=0
             yield env.timeout(1.0)  # refills fully (100 tokens)
-            yield bucket.consume(100.0)  # instant again
+            yield _consume(bucket, 100.0)  # instant again
             times.append(env.now)
 
         eng.process(proc(eng))
@@ -156,8 +162,8 @@ class TestTokenBucket:
         bucket = TokenBucket(eng, rate=100.0, burst=100.0)
 
         def proc(env):
-            yield bucket.consume(30.0)
-            yield bucket.consume(20.0)
+            yield _consume(bucket, 30.0)
+            yield _consume(bucket, 20.0)
 
         eng.process(proc(eng))
         eng.run()
@@ -171,15 +177,15 @@ class TestTokenBucket:
             TokenBucket(eng, rate=1.0, burst=0.0)
         bucket = TokenBucket(eng, rate=1.0, burst=1.0)
         with pytest.raises(SimulationError):
-            bucket.consume(-1.0)
+            _consume(bucket, -1.0)
 
 
 class _DrainBucket:
     """Reference oracle: the token bucket as a FIFO drain process.
 
     This is the coroutine :class:`TokenBucket` used before it computed
-    completion times in closed form, kept verbatim: every ``reserve`` /
-    ``consume`` completion must equal the time this drain loop reaches.
+    completion times in closed form, kept verbatim: every ``reserve``
+    completion must equal the time this drain loop reaches.
     """
 
     def __init__(self, env, rate, burst):
@@ -227,7 +233,8 @@ class _DrainBucket:
 
 
 def _drive(make_bucket, rate, burst, steps):
-    """Issue *steps* through ``consume`` in simulated time.
+    """Issue *steps* in simulated time, through the oracle's
+    ``consume`` or :func:`_consume` on a :class:`TokenBucket`.
 
     A step is ``(gap, amount)``: ``gap`` is seconds after the previous
     arrival, or ``None`` to arrive exactly when the previous request
@@ -245,7 +252,10 @@ def _drive(make_bucket, rate, burst, steps):
                     yield previous
             elif gap > 0:
                 yield env.timeout_until(env.now + gap)
-            previous = bucket.consume(amount)
+            if isinstance(bucket, _DrainBucket):
+                previous = bucket.consume(amount)
+            else:
+                previous = _consume(bucket, amount)
             previous.add_callback(lambda _event: completions.append(env.now))
 
     env.process(driver())
